@@ -478,7 +478,7 @@ def cmd_run(args) -> int:
         f"run complete: {len(result.cells)} cells x {config.replicates} replicates, "
         f"{len(result.failures)} failures, outputs in {out_dir}"
     )
-    return 0
+    return 1 if result.failures else 0
 
 
 def _parse_cell(label: str) -> GridCell:

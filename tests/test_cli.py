@@ -153,6 +153,16 @@ class TestRun:
         assert manifest["config"]["permutations"] == 100
         assert manifest["outputs"]["summary"] == "summary.json"
 
+    def test_failed_replicates_exit_nonzero_after_writing_outputs(self, tmp_path, capsys):
+        # The weight starts below its floor: config loading accepts it, and
+        # every replicate then fails with invalid-weight.
+        payload = dict(SMALL_CONFIG, adaptive={"global_weight": 0.2, "min_global_weight": 0.5})
+        out = tmp_path / "run"
+        assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+        assert "2 failures" in capsys.readouterr().out
+        assert len(json.loads((out / "summary.json").read_text())["failures"]) == 2
+        assert json.loads((out / "manifest.json").read_text())["failures"] == 2
+
     def test_thread_count_does_not_change_outputs(self, tmp_path):
         config_path = write_config(tmp_path, SMALL_CONFIG)
         out1 = tmp_path / "run1"

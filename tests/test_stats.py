@@ -138,6 +138,86 @@ class TestPermutationPvalue:
             permutation_pvalue([0.1, 0.2], [0.3, 0.4], permutations=50)
 
 
+def _golden_inputs(seed, n1, n2, shift, decimals):
+    g = np.random.default_rng(seed)
+    a = g.beta(9.0, 21.0, n1)
+    b = a.copy() if shift is None else np.clip(g.beta(9.0, 21.0, n2) + shift, 0.0, 1.0)
+    if decimals is not None:
+        a, b = np.round(a, decimals), np.round(b, decimals)
+    return a, b
+
+
+# Exact results of the resampling kernel at fixed inputs and seeds. Every
+# verdict a campaign writes comes from this kernel, so a rewrite of it must
+# reproduce these values bit for bit, not just within Monte Carlo error.
+# Columns: data seed, n1, n2, shift of b (None: b is a copy of a), rounding
+# decimals, resample mode, rng seed, statistic, p-value (1000 resamples).
+_GOLDEN = {
+    "tie_free_8x235": (100, 8, 235, 0.05, None, "permutation", 7, 0.4973404255319149, 0.027972027972027972),
+    "tie_free_17x171": (101, 17, 171, 0.0, None, "permutation", 8, 0.27726178190574474, 0.15984015984015984),
+    "larger_first_92x39": (102, 92, 39, 0.03, None, "permutation", 9, 0.23745819397993312, 0.07892107892107893),
+    "heavy_ties_40x60": (103, 40, 60, 0.02, 2, "permutation", 10, 0.20833333333333334, 0.1918081918081918),
+    "identical_30x30": (106, 30, 30, None, None, "permutation", 13, 0.0, 1.0),
+    # A 9000-value pool splits 1000 resamples over three chunks.
+    "multi_chunk_3000x6000": (104, 3000, 6000, 0.005, None, "permutation", 11, 0.0355, 0.01098901098901099),
+    "bootstrap_20x235": (105, 20, 235, 0.04, None, "bootstrap", 12, 0.23617021276595745, 0.2017982017982018),
+}
+
+
+class _CoarseUniforms(np.random.Generator):
+    """Uniforms on a 1/16 grid, so rows often tie at the selection threshold."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.floor(super().random(size) * 16) / 16
+
+
+def reference_permutation_pvalue(a, b, permutations, gen):
+    """Permutation null by index selection and a dense running count.
+
+    The same draws as the kernel: one uniform per pooled sort position, `a`
+    taking the n1 positions `argpartition` puts first. Valid while one
+    chunk holds every resample (n * permutations <= 4,000,000).
+    """
+    a, b = np.sort(a), np.sort(b)
+    n1, n2 = a.size, b.size
+    n = n1 + n2
+    pooled = np.sort(np.concatenate([a, b]))
+    ends = np.append(pooled[:-1] != pooled[1:], True)
+    count_a = np.searchsorted(a, pooled, side="right")
+    count_b = np.searchsorted(b, pooled, side="right")
+    d_obs = np.abs(count_a * n2 - count_b * n1).max()
+    take = np.argpartition(gen.random((permutations, n)), n1 - 1, axis=1)[:, :n1]
+    marks = np.zeros((permutations, n), dtype=np.int64)
+    np.put_along_axis(marks, take, 1, axis=1)
+    nums = np.abs(marks.cumsum(axis=1) * n - np.arange(1, n + 1) * n1)
+    exceed = int((nums[:, ends].max(axis=1) >= d_obs).sum())
+    return KsResult(statistic=d_obs / (n1 * n2), p_value=(1 + exceed) / (permutations + 1))
+
+
+@pytest.mark.parametrize("coarse", [False, True], ids=["fine", "threshold_ties"])
+@pytest.mark.parametrize("decimals", [None, 2, 1], ids=["tie_free", "ties", "heavy_ties"])
+def test_permutation_pvalue_matches_reference(coarse, decimals):
+    make = (lambda s: _CoarseUniforms(np.random.PCG64(s))) if coarse else np.random.default_rng
+    rng = np.random.default_rng(81)
+    for seed in range(40):
+        n1, n2 = (int(v) for v in rng.integers(2, 120, size=2))
+        a, b = rng.beta(2, 5, n1), rng.beta(2, 4, n2)
+        if decimals is not None:
+            a, b = np.round(a, decimals), np.round(b, decimals)
+        got = permutation_pvalue(a, b, permutations=300, rng=make(seed))
+        assert got == reference_permutation_pvalue(a, b, 300, make(seed))
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_permutation_pvalue_golden(case):
+    data_seed, n1, n2, shift, decimals, resample, rng_seed, statistic, p_value = _GOLDEN[case]
+    a, b = _golden_inputs(data_seed, n1, n2, shift, decimals)
+    res = permutation_pvalue(
+        a, b, permutations=1000, rng=np.random.default_rng(rng_seed), resample=resample
+    )
+    assert (res.statistic, res.p_value) == (statistic, p_value)
+
+
 class TestHistogram:
     def test_normalizes_unnormalized_mass(self):
         h = Histogram(np.array([2.0, 6.0]))

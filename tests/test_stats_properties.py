@@ -1,0 +1,50 @@
+"""Property tests for the resampled two-sample KS test."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from driftnet.stats import permutation_pvalue  # noqa: E402
+
+# Halving is exact only for normal floats whose halves stay normal, so the
+# smallest nonzero value is kept far above the subnormal range. The grid
+# points put ties within and across samples.
+_VALUE = st.one_of(
+    st.floats(min_value=2.0**-1000, max_value=1.0),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+)
+_SAMPLE = st.lists(_VALUE, min_size=2, max_size=60)
+_SEED = st.integers(0, 2**32 - 1)
+_RESAMPLE = st.sampled_from(["permutation", "bootstrap"])
+_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@_SETTINGS
+@given(a=_SAMPLE, b=_SAMPLE, seed=_SEED, resample=_RESAMPLE)
+def test_p_value_in_unit_interval(a, b, seed, resample):
+    res = permutation_pvalue(a, b, permutations=100, rng=seed, resample=resample)
+    assert 0.0 < res.p_value <= 1.0
+    assert 0.0 <= res.statistic <= 1.0
+
+
+@_SETTINGS
+@given(a=_SAMPLE, b=_SAMPLE, seed=_SEED)
+def test_statistic_symmetric(a, b, seed):
+    forward = permutation_pvalue(a, b, permutations=100, rng=seed)
+    backward = permutation_pvalue(b, a, permutations=100, rng=seed)
+    assert forward.statistic == backward.statistic
+
+
+@_SETTINGS
+@given(a=_SAMPLE, b=_SAMPLE, seed=_SEED, resample=_RESAMPLE)
+def test_invariant_under_exact_increasing_map(a, b, seed, resample):
+    # x -> x / 2 keeps the pooled sort order and every tie, so the same
+    # draws re-split the same positions and every byte of the result holds.
+    res = permutation_pvalue(a, b, permutations=100, rng=seed, resample=resample)
+    halved = permutation_pvalue(
+        np.divide(a, 2), np.divide(b, 2), permutations=100, rng=seed, resample=resample
+    )
+    assert halved == res
