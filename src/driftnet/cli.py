@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .metrics import METRIC_NAMES, ConfusionCounts, aggregate, compute_metrics
-from .schemes import SchemeKind
+from .schemes import UPDATE_CONDITIONS, SchemeKind
 from .sim import (
     GridCell,
     SimConfig,
@@ -210,6 +210,13 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> SimConfig:
                 kwargs[attr] = float(
                     _expect_number(adaptive[key], f"adaptive.{key}", minimum=0.0, maximum=1.0)
                 )
+        weight = kwargs.get("global_weight", SimConfig.global_weight)
+        floor = kwargs.get("min_global_weight", SimConfig.min_global_weight)
+        if floor > weight:
+            _fail(
+                "adaptive.min_global_weight",
+                f"must be <= adaptive.global_weight ({weight!r}), got {floor!r}",
+            )
         if adaptive.get("center_window") is not None:
             kwargs["center_window"] = int(
                 _expect_number(
@@ -220,7 +227,7 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> SimConfig:
             kwargs["adaptive_update_condition"] = _expect_string(
                 adaptive["update_condition"],
                 "adaptive.update_condition",
-                choices={"lower", "always-when-clean"},
+                choices=UPDATE_CONDITIONS,
             )
     if "resample" in raw:
         kwargs["resample"] = _expect_string(

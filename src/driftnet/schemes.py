@@ -23,6 +23,7 @@ __all__ = [
     "ReferenceSpec",
     "SampleReference",
     "SchemeKind",
+    "UPDATE_CONDITIONS",
     "adaptive_observe",
     "initial_adaptive_state",
     "make_reference",
@@ -44,7 +45,9 @@ MULTI_CENTER_SCHEMES = (
     SchemeKind.ADAPTIVE_REF,
 )
 
-_UPDATE_CONDITIONS = ("lower", "always-when-clean")
+# "lower": absorb a clean batch only when its p-value fell below the last
+# accepted one; "always": absorb every clean batch.
+UPDATE_CONDITIONS = ("lower", "always")
 
 
 @dataclass
@@ -73,10 +76,10 @@ class ReferenceSpec:
             raise ValueError("invalid-weight: min_global_weight exceeds global_weight")
         if self.center_window is not None and self.center_window < 1:
             raise ValueError("invalid-center-window: must be a positive batch count")
-        if self.update_condition not in _UPDATE_CONDITIONS:
+        if self.update_condition not in UPDATE_CONDITIONS:
             raise ValueError(
                 f"invalid-update-condition: {self.update_condition!r}, "
-                f"expected one of {_UPDATE_CONDITIONS}"
+                f"expected one of {UPDATE_CONDITIONS}"
             )
 
 

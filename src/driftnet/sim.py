@@ -35,7 +35,7 @@ from .metrics import (
     compute_metrics,
     score_detection,
 )
-from .schemes import ReferenceSpec, SchemeKind
+from .schemes import UPDATE_CONDITIONS, ReferenceSpec, SchemeKind
 from .severity import SeverityOutcome, SeverityRecord, build_severity
 
 __all__ = [
@@ -107,7 +107,6 @@ DEFAULT_SITES: tuple[SiteSpec, ...] = (
     SiteSpec("DS-3", reference_size=14, test_size=18, alpha=9.0, beta=23.0),
 )
 
-_UPDATE_CONDITIONS = ("lower", "always-when-clean")
 _RESAMPLE_MODES = ("permutation", "bootstrap")
 _SEVERITY_RULES = ("exact", "threshold")
 _POLICIES = ("skip", "one")
@@ -180,7 +179,7 @@ class SimConfig:
             raise ValueError("invalid-batch-label-rho: must lie in [0, 1)")
         if not 0.0 <= self.min_valid_fraction <= 1.0:
             raise ValueError("invalid-min-valid-fraction: must lie in [0, 1]")
-        if self.adaptive_update_condition not in _UPDATE_CONDITIONS:
+        if self.adaptive_update_condition not in UPDATE_CONDITIONS:
             raise ValueError(
                 f"invalid-update-condition: {self.adaptive_update_condition!r}"
             )

@@ -54,6 +54,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="schemes\\[1\\]"):
             config_from_dict({"schemes": ["SiteRef", "MagicRef"]})
 
+    def test_weight_below_its_floor_rejected_at_load(self):
+        with pytest.raises(ConfigError, match=r"^adaptive\.min_global_weight: "):
+            config_from_dict({"adaptive": {"global_weight": 0.2, "min_global_weight": 0.5}})
+        # The floor's default (0.1) also binds a lower starting weight.
+        with pytest.raises(ConfigError, match=r"^adaptive\.min_global_weight: "):
+            config_from_dict({"adaptive": {"global_weight": 0.05}})
+        config = config_from_dict({"adaptive": {"global_weight": 0.3, "min_global_weight": 0.3}})
+        assert config.min_global_weight == config.global_weight == 0.3
+
+    def test_update_condition_choices(self):
+        config = config_from_dict({"adaptive": {"update_condition": "always"}})
+        assert config.adaptive_update_condition == "always"
+        with pytest.raises(ConfigError, match=r"^adaptive\.update_condition: "):
+            config_from_dict({"adaptive": {"update_condition": "always-when-clean"}})
+
     def test_site_entries_checked(self):
         with pytest.raises(ConfigError, match=r"sites\[0\]\.site_id"):
             config_from_dict({"sites": [{"reference_size": 10}]})
@@ -154,9 +169,9 @@ class TestRun:
         assert manifest["outputs"]["summary"] == "summary.json"
 
     def test_failed_replicates_exit_nonzero_after_writing_outputs(self, tmp_path, capsys):
-        # The weight starts below its floor: config loading accepts it, and
-        # every replicate then fails with invalid-weight.
-        payload = dict(SMALL_CONFIG, adaptive={"global_weight": 0.2, "min_global_weight": 0.5})
+        # A drift segment of 99% of each stream passes config loading but
+        # does not fit any replicate's series, so every replicate fails.
+        payload = dict(SMALL_CONFIG, grid=dict(SMALL_CONFIG["grid"], drift_duration=[0.99]))
         out = tmp_path / "run"
         assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
         assert "2 failures" in capsys.readouterr().out

@@ -175,7 +175,7 @@ class TestAdaptiveObserve:
         assert all(b <= a for a, b in zip(weights, weights[1:]))
 
     def test_always_when_clean_ignores_direction(self):
-        state = self.make_state(update_condition="always-when-clean")
+        state = self.make_state(update_condition="always")
         batch = np.random.default_rng(8).beta(2, 5, 30)
         first = adaptive_observe(state, batch, 0.5, threshold=0.05)
         second = adaptive_observe(first, batch, 0.9, threshold=0.05)

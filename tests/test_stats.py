@@ -1,6 +1,7 @@
 """Unit tests for the KS kernel, histograms, and resampled p-values."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from driftnet.stats import (
     permutation_pvalue,
     sample_from_histogram,
 )
+from driftnet.stats import _band
 
 
 def brute_force_ks(a, b):
@@ -308,6 +310,68 @@ class TestBlend:
             blend(g, np.array([0.5, 0.5]), 0.5)
 
 
+def _observed_statistic(batch, ref):
+    batch_cdf = np.searchsorted(np.sort(batch), ref.edges, side="right") / len(batch)
+    return float(np.abs(batch_cdf - ref.cdf).max())
+
+
+def _null_statistics(counts, ref):
+    """KS statistics of resampled bin-count rows, scored as the test does."""
+    n = int(counts[0].sum())
+    return np.abs(np.cumsum(counts, axis=1) / n - ref.cdf[1:]).max(axis=1)
+
+
+def enumerated_exceed_probability(batch, ref):
+    """P(null statistic >= observed - 1e-12), summed over every
+    multinomial outcome."""
+    n = len(batch)
+    mass = ref.mass / ref.mass.sum()
+    outcomes = [c for c in itertools.product(range(n + 1), repeat=mass.size) if sum(c) == n]
+    counts = np.array(outcomes)
+    exceed = _null_statistics(counts, ref) >= _observed_statistic(batch, ref) - 1e-12
+    total = 0.0
+    for row, hit in zip(outcomes, exceed):
+        if hit:
+            prob = float(math.factorial(n))
+            for c, m in zip(row, mass):
+                prob *= m**c / math.factorial(c)
+            total += prob
+    return total
+
+
+def binomial_chain_exceed_probability(batch, ref):
+    """The same probability through the conditional binomial chain: given
+    c counts so far, bin k takes Binomial(n - c, p_k / (1 - F_(k-1))).
+    O(bins * n^2), with its own log-factorials, independent of the
+    Poissonised pass under test."""
+    n = len(batch)
+    mass = ref.mass / ref.mass.sum()
+    threshold = _observed_statistic(batch, ref) - 1e-12
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    grid = np.arange(n + 1)
+    weights = np.zeros(n + 1)
+    weights[0] = 1.0
+    left = 1.0
+    for k, m in enumerate(mass):
+        q = 1.0 if k == mass.size - 1 else min(1.0, m / left)
+        left -= m
+        nxt = np.zeros(n + 1)
+        for c in np.flatnonzero(weights):
+            r = n - c
+            if q in (0.0, 1.0):
+                nxt[c + (r if q else 0)] += weights[c]
+                continue
+            x = np.arange(r + 1)
+            log_pmf = log_fact[r] - log_fact[x] - log_fact[r - x] + x * math.log(q) + (r - x) * math.log1p(-q)
+            nxt[c:] += weights[c] * np.exp(log_pmf)
+        weights = np.where(np.abs(grid / n - ref.cdf[k + 1]) < threshold, nxt, 0.0)
+    return 1.0 - weights[n]
+
+
+def expected_p_value(exceed, permutations):
+    return (1 + permutations * exceed) / (permutations + 1)
+
+
 class TestKsVsHistogram:
     def test_statistic_matches_manual_edge_evaluation(self):
         ref = Histogram(np.array([0.5, 0.3, 0.2]))
@@ -346,6 +410,84 @@ class TestKsVsHistogram:
         ref = Histogram(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="insufficient-observations"):
             ks_vs_histogram([0.4], ref, permutations=200)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_exact_null_matches_enumeration(self, seed):
+        # Every multinomial outcome for up to 4 bins and 8 draws, with
+        # zero-mass bins and batches on the bin-edge grid.
+        rng = np.random.default_rng(seed)
+        bins = int(rng.integers(2, 5))
+        mass = rng.random(bins)
+        mass[rng.random(bins) < 0.3] = 0.0
+        mass[rng.integers(bins)] += 0.5
+        ref = Histogram(mass)
+        n = int(rng.integers(2, 9))
+        batch = rng.random(n) if seed % 2 else rng.integers(0, bins + 1, n) / bins
+        res = ks_vs_histogram(batch, ref, permutations=1000)
+        expected = expected_p_value(enumerated_exceed_probability(batch, ref), 1000)
+        assert abs(res.p_value - expected) <= 1e-12
+        # Plain floats, so verdicts.csv writes them as numbers.
+        assert type(res.statistic) is float and type(res.p_value) is float
+
+    def test_exact_null_counts_ties_on_the_lattice(self):
+        # The observed statistic 1/4 is also a null value that the lattice
+        # c / 4 - F hits exactly; such ties count as exceeding.
+        ref = Histogram(np.full(4, 0.25))
+        batch = np.array([0.1, 0.1, 0.6, 0.6])
+        assert _observed_statistic(batch, ref) == 0.25
+        exceed = enumerated_exceed_probability(batch, ref)
+        assert ks_vs_histogram(batch, ref, permutations=1).p_value == pytest.approx(
+            expected_p_value(exceed, 1), abs=1e-12
+        )
+        # Outcome (1, 1, 1, 1), probability 4! / 4^4, is the only one below 1/4.
+        assert exceed == pytest.approx(1 - 24 / 256, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_band_matches_the_float_test_at_every_count(self, seed):
+        # Thresholds equal to float gaps c / n - F put band ends exactly on
+        # counts, where the float test, not real arithmetic, decides.
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            n = int(rng.integers(2, 3000))
+            edge_cdf = np.cumsum(rng.dirichlet(np.ones(20)))
+            gaps = np.abs(rng.integers(0, n + 1, 20) / n - edge_cdf)
+            threshold = float(gaps[rng.integers(20)])
+            lo, hi = _band(n, edge_cdf, threshold)
+            passes = np.abs(np.arange(n + 1)[None, :] / n - edge_cdf[:, None]) < threshold
+            for k, row in enumerate(passes):
+                inside = np.flatnonzero(row)
+                if inside.size:
+                    assert (lo[k], hi[k]) == (inside[0], inside[-1])
+                else:
+                    assert lo[k] > hi[k]
+
+    @pytest.mark.parametrize("shift", [0.0, 0.02, 0.05, 0.3])
+    def test_exact_null_matches_binomial_chain(self, shift):
+        # 1500 draws over 5 bins: Poisson steps with means in the hundreds,
+        # cut to part of their support, and edges clipped or merged.
+        rng = np.random.default_rng(65)
+        ref = Histogram(np.array([0.1, 0.25, 0.0, 0.4, 0.25]))
+        batch = np.clip(sample_from_histogram(ref, 1500, rng=rng) + shift, 0.0, 1.0)
+        res = ks_vs_histogram(batch, ref, permutations=1000)
+        expected = expected_p_value(binomial_chain_exceed_probability(batch, ref), 1000)
+        assert abs(res.p_value - expected) <= 1e-10
+
+    def test_exact_null_matches_monte_carlo(self):
+        rng = np.random.default_rng(66)
+        ref = build_histogram(rng.beta(2, 5, 2000), bins=100)
+        batch = sample_from_histogram(ref, 450, rng=rng)
+        batch[:25] = rng.uniform(0.4, 0.6, 25)
+        draws = 200_000
+        d_obs = _observed_statistic(batch, ref)
+        mass = ref.mass / ref.mass.sum()
+        hits = 0
+        for _ in range(draws // 20_000):
+            counts = rng.multinomial(450, mass, size=20_000)
+            hits += int((_null_statistics(counts, ref) >= d_obs - 1e-12).sum())
+        estimate = hits / draws
+        assert 0.05 < estimate < 0.95
+        exceed = (ks_vs_histogram(batch, ref, permutations=1).p_value * 2) - 1
+        assert abs(exceed - estimate) <= 4 * math.sqrt(estimate * (1 - estimate) / draws)
 
 
 class TestSampleFromHistogram:

@@ -1,4 +1,4 @@
-"""Property tests for the resampled two-sample KS test."""
+"""Property tests for the two-sample KS test and the histogram KS test."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from driftnet.stats import permutation_pvalue  # noqa: E402
+from driftnet.stats import Histogram, ks_vs_histogram, permutation_pvalue  # noqa: E402
 
 # Halving is exact only for normal floats whose halves stay normal, so the
 # smallest nonzero value is kept far above the subnormal range. The grid
@@ -48,3 +48,35 @@ def test_invariant_under_exact_increasing_map(a, b, seed, resample):
         np.divide(a, 2), np.divide(b, 2), permutations=100, rng=seed, resample=resample
     )
     assert halved == res
+
+
+# Histogram masses with empty bins; at least one bin holds mass.
+_MASS = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.0]), min_size=2, max_size=30).filter(any)
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+_RESAMPLES = st.integers(1, 5000)
+
+
+@_SETTINGS
+@given(mass=_MASS, batch=st.lists(_UNIT, min_size=2, max_size=200), resamples=_RESAMPLES)
+def test_histogram_p_value_between_floor_and_one(mass, batch, resamples):
+    res = ks_vs_histogram(batch, Histogram(np.array(mass)), permutations=resamples)
+    assert 1.0 / (resamples + 1) <= res.p_value <= 1.0
+    assert 0.0 <= res.statistic <= 1.0
+
+
+@_SETTINGS
+@given(mass=_MASS, batch=st.lists(_UNIT, min_size=2, max_size=200), seed=_SEED)
+def test_histogram_result_ignores_rng(mass, batch, seed):
+    ref = Histogram(np.array(mass))
+    assert ks_vs_histogram(batch, ref, 1000, seed) == ks_vs_histogram(batch, ref, 1000)
+
+
+@_SETTINGS
+@given(mass=_MASS, data=st.data(), n=st.integers(2, 200))
+def test_histogram_p_value_falls_as_statistic_grows(mass, data, n):
+    # P(null >= d) cannot grow with d; the exact pass errs upward by at
+    # most 1e-12.
+    ref = Histogram(np.array(mass))
+    batches = [data.draw(st.lists(_UNIT, min_size=n, max_size=n)) for _ in range(2)]
+    low, high = sorted((ks_vs_histogram(b, ref) for b in batches), key=lambda r: r.statistic)
+    assert high.p_value <= low.p_value + 1e-12
