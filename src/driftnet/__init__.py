@@ -8,108 +8,22 @@ deterministic simulation grid for evaluating all of it in silico.
 
 __version__ = "0.1.0"
 
-from .agent import AgentConfig, AgentId, DriftAgent, DriftVerdict, logging_hook, webhook_hook
-from .metrics import (
-    ConfusionCounts,
-    MetricSet,
-    MetricsSummary,
-    aggregate,
-    compute_metrics,
-    score_detection,
-)
-from .schemes import (
-    AdaptiveReference,
-    AdaptiveState,
-    ReferenceSpec,
-    SampleReference,
-    SchemeKind,
-    adaptive_observe,
-    initial_adaptive_state,
-    make_reference,
-)
-from .severity import (
-    SeverityOutcome,
-    SeverityRecord,
-    build_severity,
-    classify_severity,
-    severity_score,
-)
-from .sim import (
-    DEFAULT_SITES,
-    GridCell,
-    SimConfig,
-    SiteSpec,
-    augment,
-    cell_label,
-    derive_seed,
-    generate_synthetic_sites,
-    inject_drift,
-    interleave_sites,
-    pad_sparsity,
-    run_grid,
-    run_replicate,
-    summary_dict,
-    window_truth_labels,
-)
-from .stats import (
-    Histogram,
-    KsResult,
-    blend,
-    build_histogram,
-    ks_statistic,
-    ks_vs_histogram,
-    permutation_pvalue,
-    sample_from_histogram,
-)
+from . import agent, config, metrics, schemes, severity, sim, stats
+from .agent import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .schemes import *  # noqa: F401,F403
+from .severity import *  # noqa: F401,F403
+from .sim import *  # noqa: F401,F403
+from .stats import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    "AgentConfig",
-    "AgentId",
-    "DriftAgent",
-    "DriftVerdict",
-    "logging_hook",
-    "webhook_hook",
-    "ConfusionCounts",
-    "MetricSet",
-    "MetricsSummary",
-    "aggregate",
-    "compute_metrics",
-    "score_detection",
-    "AdaptiveReference",
-    "AdaptiveState",
-    "ReferenceSpec",
-    "SampleReference",
-    "SchemeKind",
-    "adaptive_observe",
-    "initial_adaptive_state",
-    "make_reference",
-    "SeverityOutcome",
-    "SeverityRecord",
-    "build_severity",
-    "classify_severity",
-    "severity_score",
-    "DEFAULT_SITES",
-    "GridCell",
-    "SimConfig",
-    "SiteSpec",
-    "augment",
-    "cell_label",
-    "derive_seed",
-    "generate_synthetic_sites",
-    "inject_drift",
-    "interleave_sites",
-    "pad_sparsity",
-    "run_grid",
-    "run_replicate",
-    "summary_dict",
-    "window_truth_labels",
-    "Histogram",
-    "KsResult",
-    "blend",
-    "build_histogram",
-    "ks_statistic",
-    "ks_vs_histogram",
-    "permutation_pvalue",
-    "sample_from_histogram",
+    *agent.__all__,
+    *config.__all__,
+    *metrics.__all__,
+    *schemes.__all__,
+    *severity.__all__,
+    *sim.__all__,
+    *stats.__all__,
 ]

@@ -17,13 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schemes import (
-    AdaptiveReference,
-    ReferenceSpec,
-    SchemeKind,
-    make_reference,
-)
-from .stats import Histogram, ks_vs_histogram, permutation_pvalue
+from . import schemes
+from .schemes import AdaptiveState, ReferenceSpec, SchemeKind, make_reference
+from .stats import RESAMPLE_MODES, ks_vs_histogram, permutation_pvalue
 
 __all__ = [
     "AgentConfig",
@@ -54,7 +50,6 @@ class AgentConfig:
     threshold: float = 0.05
     permutations: int = 1000
     min_valid: int | None = None
-    regime: str = "batch"
     resample: str = "permutation"
 
 
@@ -110,11 +105,17 @@ class DriftAgent:
     pass each verdict to act() to log it and fire drift hooks. For
     AdaptiveRef, act() also applies the controlled reference update, so
     the reference only ever changes after the verdict that sanctioned it.
+
+    `reference` is the read-only sample a window is tested against, or
+    for AdaptiveRef the current AdaptiveState; ProdRef holds None until
+    its first usable window.
     """
 
     def __init__(self, config: AgentConfig, rng=None, hooks=()) -> None:
-        if config.regime != "batch":
-            raise ValueError(f"unsupported-regime: {config.regime!r} (only 'batch' is implemented)")
+        if config.resample not in RESAMPLE_MODES:
+            raise ValueError(
+                f"unknown-resample: {config.resample!r}, expected one of {RESAMPLE_MODES}"
+            )
         if config.window_size < 2:
             raise ValueError(f"window-too-small: window_size={config.window_size}, need >= 2")
         if not 0.0 < config.threshold < 1.0:
@@ -138,9 +139,9 @@ class DriftAgent:
         # ProdRef waits for its first usable window; everything else gets
         # its reference up front.
         if config.scheme.kind is SchemeKind.PROD_REF:
-            self.provider = None
+            self.reference = None
         else:
-            self.provider = make_reference(config.scheme)
+            self.reference = make_reference(config.scheme)
 
     @property
     def evaluated_verdicts(self) -> list[DriftVerdict]:
@@ -170,19 +171,21 @@ class DriftAgent:
 
     def _evaluate_window(self, index: int, window: np.ndarray) -> DriftVerdict | None:
         valid = window[~np.isnan(window)]
-        if self.provider is None:
+        reference = self.reference
+        if reference is None:
             # ProdRef seeding: the first window with enough signal becomes
             # the frozen reference and is never itself evaluated.
             if valid.size >= 2:
-                self.provider = make_reference(self.config.scheme, first_prod_batch=valid)
+                self.reference = make_reference(self.config.scheme, first_prod_batch=valid)
                 self.consumed_batch = index
                 return None
             return self._unevaluated(index, valid.size)
         if valid.size < self.min_valid:
             return self._unevaluated(index, valid.size)
-        reference = self.provider.reference
-        if isinstance(reference, Histogram):
-            result = ks_vs_histogram(valid, reference, self.config.permutations, self.rng)
+        if isinstance(reference, AdaptiveState):
+            result = ks_vs_histogram(
+                valid, reference.reference, self.config.permutations, self.rng
+            )
         else:
             result = permutation_pvalue(
                 valid,
@@ -243,21 +246,24 @@ class DriftAgent:
                         verdict.batch_index,
                         exc,
                     )
+        state = self.reference
         if (
-            isinstance(self.provider, AdaptiveReference)
+            isinstance(state, AdaptiveState)
             and verdict.evaluated
             and self._pending is not None
             and self._pending[0] == verdict.batch_index
         ):
             batch = self._pending[1]
             self._pending = None
-            updated = self.provider.observe(batch, verdict, self.config.threshold)
+            # Through the module, so that a wrapper installed on
+            # schemes.adaptive_observe sees every update.
+            self.reference = schemes.adaptive_observe(state, batch, verdict, self.config.threshold)
             self.adaptive_trace.append(
                 {
                     "batch_index": verdict.batch_index,
                     "p_value": verdict.p_value,
                     "drift": verdict.drift,
-                    "updated": updated,
-                    "global_weight": self.provider.state.global_weight,
+                    "updated": self.reference is not state,
+                    "global_weight": self.reference.global_weight,
                 }
             )

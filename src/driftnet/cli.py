@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,16 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .config import ConfigError, fields_from_dict
 from .metrics import METRIC_NAMES, ConfusionCounts, aggregate, compute_metrics
-from .schemes import UPDATE_CONDITIONS, SchemeKind
 from .sim import (
     GridCell,
     SimConfig,
-    SiteSpec,
     cell_label,
     derive_seed,
-    generate_synthetic_sites,
     run_grid,
+    site_samples,
     summary_dict,
 )
 
@@ -67,78 +67,6 @@ REPORT_FILES = (
 _CELL_PATTERN = re.compile(r"^strength(?P<s>[^_]+)_duration(?P<d>[^_]+)_window(?P<w>.+)$")
 
 
-class ConfigError(ValueError):
-    """Configuration schema violation, message prefixed with the field path."""
-
-
-def _fail(path: str, message: str):
-    raise ConfigError(f"{path}: {message}")
-
-
-def _expect_number(value, path: str, *, minimum=None, maximum=None, integer=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    if integer and not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value!r}")
-    if maximum is not None and value > maximum:
-        _fail(path, f"must be <= {maximum}, got {value!r}")
-    return value
-
-
-def _expect_string(value, path: str, choices=None) -> str:
-    if not isinstance(value, str):
-        _fail(path, f"expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        _fail(path, f"expected one of {sorted(choices)}, got {value!r}")
-    return value
-
-
-def _expect_list(value, path: str) -> list:
-    if not isinstance(value, list) or not value:
-        _fail(path, f"expected a nonempty list, got {value!r}")
-    return value
-
-
-_TOP_KEYS = {
-    "master_seed",
-    "replicates",
-    "grid",
-    "augmentation",
-    "threshold",
-    "permutations",
-    "bins",
-    "adaptive",
-    "resample",
-    "severity_tp_rule",
-    "batch_label_rho",
-    "min_valid_fraction",
-    "empty_class_policy",
-    "schemes",
-    "sites",
-    "model_id",
-    "webhook_url",
-}
-_GRID_KEYS = {"drift_strength", "drift_duration", "window_fraction"}
-_ADAPTIVE_KEYS = {
-    "global_weight",
-    "weight_decay",
-    "min_global_weight",
-    "center_window",
-    "update_condition",
-}
-_SITE_KEYS = {
-    "site_id",
-    "reference_size",
-    "test_size",
-    "alpha",
-    "beta",
-    "reference_csv",
-    "test_csv",
-}
-
-
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> SimConfig:
     """Validate a raw JSON configuration and build a SimConfig.
 
@@ -146,154 +74,20 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> SimConfig:
     any simulation work starts. Relative CSV paths resolve against
     `base_dir` (the config file's directory).
     """
-    if not isinstance(raw, dict):
-        _fail("config", f"expected an object, got {type(raw).__name__}")
-    for key in raw:
-        if key not in _TOP_KEYS:
-            _fail(key, "unknown configuration key")
+    if isinstance(raw, dict) and isinstance(raw.get("sites"), list):
+        raw = dict(raw, sites=[_resolve_csv_paths(entry, base_dir) for entry in raw["sites"]])
+    return fields_from_dict(SimConfig, raw)
 
-    kwargs: dict = {}
-    if "master_seed" in raw:
-        kwargs["master_seed"] = int(
-            _expect_number(raw["master_seed"], "master_seed", integer=True)
-        )
-    if "replicates" in raw:
-        kwargs["replicates"] = int(
-            _expect_number(raw["replicates"], "replicates", minimum=1, integer=True)
-        )
-    if "grid" in raw:
-        grid = raw["grid"]
-        if not isinstance(grid, dict):
-            _fail("grid", f"expected an object, got {grid!r}")
-        for key in grid:
-            if key not in _GRID_KEYS:
-                _fail(f"grid.{key}", "unknown configuration key")
-        mapping = {
-            "drift_strength": ("drift_strength_grid", 0.0, 1.0),
-            "drift_duration": ("drift_duration_grid", 0.0, 1.0),
-            "window_fraction": ("window_fraction_grid", 0.0, 1.0),
-        }
-        for key, (attr, lo, hi) in mapping.items():
-            if key in grid:
-                values = _expect_list(grid[key], f"grid.{key}")
-                kwargs[attr] = tuple(
-                    _expect_number(v, f"grid.{key}[{i}]", minimum=lo, maximum=hi)
-                    for i, v in enumerate(values)
-                )
-    for key, attr, lo, hi in (
-        ("augmentation", "augmentation", 0.0, None),
-        ("threshold", "threshold", 0.0, 1.0),
-        ("batch_label_rho", "batch_label_rho", 0.0, 1.0),
-        ("min_valid_fraction", "min_valid_fraction", 0.0, 1.0),
-    ):
-        if key in raw:
-            kwargs[attr] = float(_expect_number(raw[key], key, minimum=lo, maximum=hi))
-    if "permutations" in raw:
-        kwargs["permutations"] = int(
-            _expect_number(raw["permutations"], "permutations", minimum=100, integer=True)
-        )
-    if "bins" in raw:
-        kwargs["bins"] = int(_expect_number(raw["bins"], "bins", minimum=2, integer=True))
-    if "adaptive" in raw:
-        adaptive = raw["adaptive"]
-        if not isinstance(adaptive, dict):
-            _fail("adaptive", f"expected an object, got {adaptive!r}")
-        for key in adaptive:
-            if key not in _ADAPTIVE_KEYS:
-                _fail(f"adaptive.{key}", "unknown configuration key")
-        for key, attr in (
-            ("global_weight", "global_weight"),
-            ("weight_decay", "weight_decay"),
-            ("min_global_weight", "min_global_weight"),
-        ):
-            if key in adaptive:
-                kwargs[attr] = float(
-                    _expect_number(adaptive[key], f"adaptive.{key}", minimum=0.0, maximum=1.0)
-                )
-        weight = kwargs.get("global_weight", SimConfig.global_weight)
-        floor = kwargs.get("min_global_weight", SimConfig.min_global_weight)
-        if floor > weight:
-            _fail(
-                "adaptive.min_global_weight",
-                f"must be <= adaptive.global_weight ({weight!r}), got {floor!r}",
-            )
-        if adaptive.get("center_window") is not None:
-            kwargs["center_window"] = int(
-                _expect_number(
-                    adaptive["center_window"], "adaptive.center_window", minimum=1, integer=True
-                )
-            )
-        if "update_condition" in adaptive:
-            kwargs["adaptive_update_condition"] = _expect_string(
-                adaptive["update_condition"],
-                "adaptive.update_condition",
-                choices=UPDATE_CONDITIONS,
-            )
-    if "resample" in raw:
-        kwargs["resample"] = _expect_string(
-            raw["resample"], "resample", choices={"permutation", "bootstrap"}
-        )
-    if "severity_tp_rule" in raw:
-        kwargs["severity_tp_rule"] = _expect_string(
-            raw["severity_tp_rule"], "severity_tp_rule", choices={"exact", "threshold"}
-        )
-    if "empty_class_policy" in raw:
-        kwargs["empty_class_policy"] = _expect_string(
-            raw["empty_class_policy"], "empty_class_policy", choices={"skip", "one"}
-        )
-    if "schemes" in raw:
-        names = {kind.value for kind in SchemeKind}
-        values = _expect_list(raw["schemes"], "schemes")
-        kwargs["schemes"] = tuple(
-            SchemeKind(_expect_string(v, f"schemes[{i}]", choices=names))
-            for i, v in enumerate(values)
-        )
-    if "sites" in raw:
-        entries = _expect_list(raw["sites"], "sites")
-        sites = []
-        for i, entry in enumerate(entries):
-            path = f"sites[{i}]"
-            if not isinstance(entry, dict):
-                _fail(path, f"expected an object, got {entry!r}")
-            for key in entry:
-                if key not in _SITE_KEYS:
-                    _fail(f"{path}.{key}", "unknown configuration key")
-            if "site_id" not in entry:
-                _fail(f"{path}.site_id", "required")
-            site_kwargs: dict = {
-                "site_id": _expect_string(entry["site_id"], f"{path}.site_id")
-            }
-            for key in ("reference_size", "test_size"):
-                if key in entry:
-                    site_kwargs[key] = int(
-                        _expect_number(entry[key], f"{path}.{key}", minimum=4, integer=True)
-                    )
-            for key in ("alpha", "beta"):
-                if key in entry:
-                    site_kwargs[key] = float(
-                        _expect_number(entry[key], f"{path}.{key}", minimum=1e-9)
-                    )
-            for key in ("reference_csv", "test_csv"):
-                if key in entry and entry[key] is not None:
-                    value = _expect_string(entry[key], f"{path}.{key}")
-                    resolved = Path(value)
-                    if base_dir is not None and not resolved.is_absolute():
-                        resolved = base_dir / resolved
-                    site_kwargs[key] = str(resolved)
-            try:
-                sites.append(SiteSpec(**site_kwargs))
-            except ValueError as exc:
-                _fail(path, str(exc))
-        kwargs["sites"] = tuple(sites)
-    if "model_id" in raw:
-        kwargs["model_id"] = _expect_string(raw["model_id"], "model_id")
-    if raw.get("webhook_url") is not None:
-        kwargs["webhook_url"] = _expect_string(raw["webhook_url"], "webhook_url")
 
-    try:
-        return SimConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _resolve_csv_paths(entry, base_dir: Path | None):
+    if not isinstance(entry, dict):
+        return entry
+    return {
+        key: str(Path(base_dir or "", value))
+        if key in ("reference_csv", "test_csv") and isinstance(value, str)
+        else value
+        for key, value in entry.items()
+    }
 
 
 def load_config(path: str | None) -> SimConfig:
@@ -303,9 +97,9 @@ def load_config(path: str | None) -> SimConfig:
     try:
         raw = json.loads(file_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise ConfigError(f"config: file not found: {path}")
+        raise ConfigError("config", f"file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON in {path}: {exc}")
+        raise ConfigError("config", f"invalid JSON in {path}: {exc}")
     return config_from_dict(raw, base_dir=file_path.parent)
 
 
@@ -349,14 +143,14 @@ def _fmt(value) -> str:
 
 
 def _run_overrides(config: SimConfig, args) -> SimConfig:
-    raw = config.to_dict()
+    overrides: dict = {}
     if getattr(args, "seed", None) is not None:
-        raw["master_seed"] = args.seed
+        overrides["master_seed"] = args.seed
     if getattr(args, "replicates", None) is not None:
-        raw["replicates"] = args.replicates
+        overrides["replicates"] = args.replicates
     if getattr(args, "schemes", None):
-        raw["schemes"] = [name.strip() for name in args.schemes.split(",") if name.strip()]
-    return config_from_dict(raw)
+        overrides["schemes"] = [name.strip() for name in args.schemes.split(",") if name.strip()]
+    return dataclasses.replace(config, **overrides)
 
 
 def _resolve_threads(args) -> int:
@@ -367,7 +161,7 @@ def _resolve_threads(args) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise ConfigError(f"DRIFTNET_THREADS: expected an integer, got {env!r}")
+            raise ConfigError("DRIFTNET_THREADS", f"expected an integer, got {env!r}")
     return 1
 
 
@@ -378,12 +172,11 @@ def cmd_datagen(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     synthetic = [s for s in config.sites if s.reference_csv is None]
     if not synthetic:
-        raise ConfigError("sites: no synthetic sites to generate (all are file-backed)")
+        raise ConfigError("sites", "no synthetic sites to generate (all are file-backed)")
     rng = np.random.default_rng(derive_seed(config.master_seed, "datagen"))
-    refs, tests = generate_synthetic_sites(synthetic, rng)
     written = []
     for spec in synthetic:
-        for prefix, data in (("ref", refs[spec.site_id]), ("test", tests[spec.site_id])):
+        for prefix, data in zip(("ref", "test"), site_samples(spec, rng)):
             path = out_dir / f"{prefix}_{spec.site_id}.csv"
             buffer = io.StringIO()
             writer = csv.writer(buffer, lineterminator="\n")

@@ -1,0 +1,173 @@
+"""One schema for configuration dataclasses.
+
+Each field declares, once, in its `dataclasses.field` metadata, its JSON
+path ("grid.drift_duration"), value type and checks (`setting`). One loop
+over `dataclasses.fields` then validates an object built in code
+(`validate_fields`, called from `__post_init__`), builds one from parsed
+JSON (`fields_from_dict`) and writes it back (`fields_to_dict`), so the
+three can never disagree.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+import math
+import numbers
+import operator
+from dataclasses import dataclass
+
+__all__ = ["ConfigError"]
+
+
+class ConfigError(ValueError):
+    """Configuration schema violation; the message starts with the field path."""
+
+    def __init__(self, path: str, message: str) -> None:
+        super().__init__(f"{path}: {message}")
+        self.path = path
+        self.detail = message
+
+
+@dataclass(frozen=True)
+class Setting:
+    """A field's JSON path and checks. `many` asks for a nonempty list of
+    `kind`; `optional` admits None; ge/gt/le/lt bound numbers."""
+
+    path: str
+    kind: type
+    many: bool = False
+    optional: bool = False
+    choices: tuple = ()
+    ge: float | None = None
+    gt: float | None = None
+    le: float | None = None
+    lt: float | None = None
+
+
+def setting(default, path: str, kind: type, **checks):
+    """A dataclass field (no default when `default` is MISSING) with its schema."""
+    return dataclasses.field(default=default, metadata={"setting": Setting(path, kind, **checks)})
+
+
+_BOUNDS = (
+    ("ge", ">=", operator.ge),
+    ("gt", ">", operator.gt),
+    ("le", "<=", operator.le),
+    ("lt", "<", operator.lt),
+)
+
+
+def _check_one(spec: Setting, value, path: str):
+    kind = spec.kind
+    if dataclasses.is_dataclass(kind):
+        if isinstance(value, kind):
+            return value
+        if isinstance(value, dict):
+            return fields_from_dict(kind, value, path + ".")
+        raise ConfigError(path, f"expected an object, got {value!r}")
+    if issubclass(kind, enum.Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            names = [member.value for member in kind]
+            raise ConfigError(path, f"expected one of {names}, got {value!r}") from None
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(path, f"expected a string, got {value!r}")
+        if spec.choices and value not in spec.choices:
+            raise ConfigError(path, f"expected one of {list(spec.choices)}, got {value!r}")
+        return value
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(path, f"expected an integer, got {value!r}")
+    elif (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    value = kind(value)
+    for name, word, holds in _BOUNDS:
+        bound = getattr(spec, name)
+        if bound is not None and not holds(value, bound):
+            raise ConfigError(path, f"must be {word} {bound}, got {value!r}")
+    return value
+
+
+def _check(spec: Setting, value, path: str):
+    if value is None and spec.optional:
+        return None
+    if not spec.many:
+        return _check_one(spec, value, path)
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(path, f"expected a nonempty list, got {value!r}")
+    return tuple(_check_one(spec, item, f"{path}[{i}]") for i, item in enumerate(value))
+
+
+def validate_fields(obj) -> None:
+    """Check every field of `obj` against its setting and store the
+    normalised value (ints widened to float, lists to tuples, strings to
+    enum members, dicts to nested config objects)."""
+    for f in dataclasses.fields(obj):
+        spec = f.metadata["setting"]
+        object.__setattr__(obj, f.name, _check(spec, getattr(obj, f.name), spec.path))
+
+
+def _place(tree: dict, path: str, value) -> None:
+    """Set `value` at a dotted path in nested dicts, creating groups."""
+    *groups, key = path.split(".")
+    for group in groups:
+        tree = tree.setdefault(group, {})
+    tree[key] = value
+
+
+def fields_from_dict(cls, raw, prefix: str = ""):
+    """Build `cls` from parsed JSON, naming the offending path on error.
+
+    Unknown keys and missing required fields are rejected here; every
+    value check runs in the constructor.
+    """
+    tree: dict = {}
+    for f in dataclasses.fields(cls):
+        _place(tree, f.metadata["setting"].path, f.name)
+    kwargs: dict = {}
+
+    def walk(node: dict, value, path: str) -> None:
+        if not isinstance(value, dict):
+            raise ConfigError(path.rstrip(".") or "config", f"expected an object, got {value!r}")
+        for key, item in value.items():
+            target = node.get(key)
+            if target is None:
+                raise ConfigError(path + key, "unknown configuration key")
+            if isinstance(target, dict):
+                walk(target, item, f"{path}{key}.")
+            else:
+                kwargs[target] = item
+
+    walk(tree, raw, prefix)
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING and f.name not in kwargs:
+            raise ConfigError(prefix + f.metadata["setting"].path, "required")
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(prefix + exc.path, exc.detail) from None
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        return value.to_dict()
+    return value
+
+
+def fields_to_dict(obj) -> dict:
+    """The JSON form of `obj`, keys in field declaration order."""
+    out: dict = {}
+    for f in dataclasses.fields(obj):
+        _place(out, f.metadata["setting"].path, _plain(getattr(obj, f.name)))
+    return out

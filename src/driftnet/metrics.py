@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
+    "EMPTY_CLASS_POLICIES",
     "ConfusionCounts",
     "MetricSet",
     "MetricsSummary",
@@ -17,7 +18,9 @@ __all__ = [
 
 METRIC_NAMES = ("precision", "sensitivity", "specificity", "f1")
 
-_POLICIES = ("skip", "one")
+# How a metric with a zero denominator is scored: "skip" leaves it
+# undefined (None), "one" scores it 1.0.
+EMPTY_CLASS_POLICIES = ("skip", "one")
 
 
 @dataclass(frozen=True)
@@ -91,9 +94,10 @@ def compute_metrics(counts: ConfusionCounts, empty_class_policy: str = "skip") -
     default "skip" policy marks them None so aggregation can drop and
     flag them, while "one" scores them 1.0.
     """
-    if empty_class_policy not in _POLICIES:
+    if empty_class_policy not in EMPTY_CLASS_POLICIES:
         raise ValueError(
-            f"invalid-empty-class-policy: {empty_class_policy!r}, expected one of {_POLICIES}"
+            f"invalid-empty-class-policy: {empty_class_policy!r}, "
+            f"expected one of {EMPTY_CLASS_POLICIES}"
         )
     undefined = 1.0 if empty_class_policy == "one" else None
     tp, fp, tn, fn = counts.tp, counts.fp, counts.tn, counts.fn

@@ -1,10 +1,10 @@
-"""Reference providers for the five monitoring schemes.
+"""References for the five monitoring schemes.
 
-A provider owns the comparison target an agent tests its production
-windows against: a raw evaluation sample (Centralized, GlobalRef,
-SiteRef), a frozen first production window (ProdRef), or a histogram
-blended between the global reference and accumulated clean production
-batches (AdaptiveRef).
+A reference is the comparison target an agent tests its production
+windows against: a read-only raw evaluation sample (Centralized,
+GlobalRef, SiteRef), a read-only first production window (ProdRef), or,
+for AdaptiveRef, an AdaptiveState whose histogram is blended between the
+global reference and accumulated clean production batches.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ import numpy as np
 from .stats import Histogram, blend, build_histogram, _as_sample
 
 __all__ = [
-    "AdaptiveReference",
     "AdaptiveState",
     "MULTI_CENTER_SCHEMES",
     "ReferenceSpec",
-    "SampleReference",
     "SchemeKind",
     "UPDATE_CONDITIONS",
     "adaptive_observe",
@@ -52,7 +50,7 @@ UPDATE_CONDITIONS = ("lower", "always")
 
 @dataclass
 class ReferenceSpec:
-    """Everything needed to construct a reference provider for one agent."""
+    """Everything needed to construct the reference for one agent."""
 
     kind: SchemeKind
     global_eval: np.ndarray | None = None
@@ -157,42 +155,18 @@ def adaptive_observe(state: AdaptiveState, batch, verdict, threshold: float) -> 
     )
 
 
-class SampleReference:
-    """Fixed raw-sample reference; also the frozen ProdRef window."""
-
-    def __init__(self, kind: SchemeKind, sample) -> None:
-        self.kind = kind
-        sample = _as_sample(sample, "reference")
-        sample = np.array(sample, copy=True)
-        sample.setflags(write=False)
-        self.sample = sample
-
-    @property
-    def reference(self) -> np.ndarray:
-        return self.sample
+def _frozen(sample) -> np.ndarray:
+    sample = np.array(_as_sample(sample, "reference"), copy=True)
+    sample.setflags(write=False)
+    return sample
 
 
-class AdaptiveReference:
-    """Mutable holder for the adaptive blended histogram reference."""
+def make_reference(spec: ReferenceSpec, first_prod_batch=None) -> np.ndarray | AdaptiveState:
+    """Construct a scheme's reference, validating its inputs.
 
-    def __init__(self, state: AdaptiveState) -> None:
-        self.kind = SchemeKind.ADAPTIVE_REF
-        self.state = state
-
-    @property
-    def reference(self) -> Histogram:
-        return self.state.reference
-
-    def observe(self, batch, verdict, threshold: float) -> bool:
-        """Apply the controlled update; True when the reference changed."""
-        new_state = adaptive_observe(self.state, batch, verdict, threshold)
-        updated = new_state is not self.state
-        self.state = new_state
-        return updated
-
-
-def make_reference(spec: ReferenceSpec, first_prod_batch=None):
-    """Construct the provider for a scheme, validating its inputs."""
+    Sample schemes get a read-only copy of their sample; AdaptiveRef gets
+    its initial AdaptiveState, which `adaptive_observe` replaces.
+    """
     kind = spec.kind
     if kind in (SchemeKind.CENTRALIZED, SchemeKind.GLOBAL_REF):
         if spec.global_eval is None or np.size(spec.global_eval) < 2:
@@ -200,22 +174,22 @@ def make_reference(spec: ReferenceSpec, first_prod_batch=None):
                 "scheme-inputs-missing: a global evaluation sample with >= 2 "
                 f"observations is required for {kind.value}"
             )
-        return SampleReference(kind, spec.global_eval)
+        return _frozen(spec.global_eval)
     if kind is SchemeKind.SITE_REF:
         if spec.site_eval is None or np.size(spec.site_eval) == 0:
             raise ValueError("scheme-inputs-missing: SiteRef needs a site evaluation sample")
         if np.size(spec.site_eval) < 2:
             raise ValueError("scheme-inputs-missing: SiteRef sample needs >= 2 observations")
-        return SampleReference(kind, spec.site_eval)
+        return _frozen(spec.site_eval)
     if kind is SchemeKind.PROD_REF:
         if first_prod_batch is None or np.size(first_prod_batch) < 2:
             raise ValueError(
                 "scheme-inputs-missing: ProdRef needs the first production "
                 "window with >= 2 observations"
             )
-        return SampleReference(kind, first_prod_batch)
+        return _frozen(first_prod_batch)
     if kind is SchemeKind.ADAPTIVE_REF:
         if spec.global_eval is None or np.size(spec.global_eval) == 0:
             raise ValueError("scheme-inputs-missing: AdaptiveRef needs a global evaluation sample")
-        return AdaptiveReference(initial_adaptive_state(spec.global_eval, spec))
+        return initial_adaptive_state(spec.global_eval, spec)
     raise ValueError(f"unknown-scheme: {kind!r}")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .metrics import ConfusionCounts
 
 __all__ = [
+    "SEVERITY_RULES",
     "SeverityOutcome",
     "SeverityRecord",
     "build_severity",
@@ -20,7 +21,9 @@ __all__ = [
     "severity_score",
 ]
 
-_RULES = ("exact", "threshold")
+# How a batch where 2+ sites truly drift counts as TP: "exact" asks the
+# predicted count to match, "threshold" only asks for 2+ agents.
+SEVERITY_RULES = ("exact", "threshold")
 
 
 def severity_score(detections) -> float:
@@ -42,8 +45,8 @@ def classify_severity(c_true: int, c_pred: int, rule: str = "exact") -> str:
     rule demands the predicted count match exactly (overshoot is FP,
     undershoot FN); the "threshold" rule only asks for >= 2 agents.
     """
-    if rule not in _RULES:
-        raise ValueError(f"invalid-severity-rule: {rule!r}, expected one of {_RULES}")
+    if rule not in SEVERITY_RULES:
+        raise ValueError(f"invalid-severity-rule: {rule!r}, expected one of {SEVERITY_RULES}")
     c_true = int(c_true)
     c_pred = int(c_pred)
     if c_true < 0 or c_pred < 0:

@@ -20,14 +20,16 @@ import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .agent import AgentConfig, AgentId, DriftAgent, DriftVerdict, logging_hook, webhook_hook
+from .config import ConfigError, fields_to_dict, setting, validate_fields
 from .metrics import (
+    EMPTY_CLASS_POLICIES,
     ConfusionCounts,
     MetricSet,
     MetricsSummary,
@@ -36,7 +38,8 @@ from .metrics import (
     score_detection,
 )
 from .schemes import UPDATE_CONDITIONS, ReferenceSpec, SchemeKind
-from .severity import SeverityOutcome, SeverityRecord, build_severity
+from .severity import SEVERITY_RULES, SeverityOutcome, SeverityRecord, build_severity
+from .stats import RESAMPLE_MODES
 
 __all__ = [
     "DEFAULT_SITES",
@@ -50,12 +53,12 @@ __all__ = [
     "cell_label",
     "derive_seed",
     "enumerate_cells",
-    "generate_synthetic_sites",
     "inject_drift",
     "interleave_sites",
     "pad_sparsity",
     "run_grid",
     "run_replicate",
+    "site_samples",
     "summary_dict",
     "window_truth_labels",
 ]
@@ -65,34 +68,38 @@ logger = logging.getLogger(__name__)
 CENTRALIZED_STREAM_ID = "ALL"
 
 
+# The JSON keys that only a synthetic or only a file-backed site writes.
+_SYNTHETIC_KEYS = ("reference_size", "test_size", "alpha", "beta")
+_FILE_KEYS = ("reference_csv", "test_csv")
+
+
 @dataclass(frozen=True)
 class SiteSpec:
     """One site's data source: Beta parameters or a pair of CSV files."""
 
-    site_id: str
-    reference_size: int | None = None
-    test_size: int | None = None
-    alpha: float = 2.0
-    beta: float = 5.0
-    reference_csv: str | None = None
-    test_csv: str | None = None
+    site_id: str = setting(MISSING, "site_id", str)
+    reference_size: int | None = setting(None, "reference_size", int, optional=True, ge=4)
+    test_size: int | None = setting(None, "test_size", int, optional=True, ge=4)
+    alpha: float = setting(2.0, "alpha", float, ge=1e-9)
+    beta: float = setting(5.0, "beta", float, ge=1e-9)
+    reference_csv: str | None = setting(None, "reference_csv", str, optional=True)
+    test_csv: str | None = setting(None, "test_csv", str, optional=True)
 
     def __post_init__(self) -> None:
+        validate_fields(self)
         if not self.site_id:
-            raise ValueError("invalid-site: site_id must be a nonempty string")
+            raise ConfigError("site_id", "must be a nonempty string")
         if (self.reference_csv is None) != (self.test_csv is None):
-            raise ValueError(
-                f"invalid-site: {self.site_id} must set both reference_csv and test_csv or neither"
-            )
+            missing = "reference_csv" if self.reference_csv is None else "test_csv"
+            raise ConfigError(missing, "set both reference_csv and test_csv, or neither")
         if self.reference_csv is None:
-            if self.reference_size is None or self.test_size is None:
-                raise ValueError(
-                    f"invalid-site: {self.site_id} needs reference_size and test_size"
-                )
-            if self.reference_size < 4 or self.test_size < 4:
-                raise ValueError(f"invalid-site: {self.site_id} sizes must be >= 4")
-            if self.alpha <= 0 or self.beta <= 0:
-                raise ValueError(f"invalid-site: {self.site_id} Beta parameters must be positive")
+            for name in ("reference_size", "test_size"):
+                if getattr(self, name) is None:
+                    raise ConfigError(name, "required for a synthetic site")
+
+    def to_dict(self) -> dict:
+        unused = _SYNTHETIC_KEYS if self.reference_csv is not None else _FILE_KEYS
+        return {k: v for k, v in fields_to_dict(self).items() if k not in unused}
 
 
 # Default 4-site cohort. Sizes mirror a realistic multisite deployment with
@@ -107,135 +114,78 @@ DEFAULT_SITES: tuple[SiteSpec, ...] = (
     SiteSpec("DS-3", reference_size=14, test_size=18, alpha=9.0, beta=23.0),
 )
 
-_RESAMPLE_MODES = ("permutation", "bootstrap")
-_SEVERITY_RULES = ("exact", "threshold")
-_POLICIES = ("skip", "one")
-
 
 @dataclass
 class SimConfig:
-    """Complete, validated description of one simulation campaign."""
+    """Complete, validated description of one simulation campaign.
 
-    master_seed: int = 20260816
-    replicates: int = 500
-    drift_strength_grid: tuple[float, ...] = (0.2, 0.3, 0.5)
-    drift_duration_grid: tuple[float, ...] = (0.2, 0.3, 0.5)
-    window_fraction_grid: tuple[float, ...] = (0.05, 0.10, 0.15)
-    augmentation: float = 0.10
-    threshold: float = 0.05
-    permutations: int = 1000
-    bins: int = 100
-    global_weight: float = 1.0
-    weight_decay: float = 0.1
-    min_global_weight: float = 0.1
-    center_window: int | None = None
-    adaptive_update_condition: str = "lower"
-    resample: str = "permutation"
-    severity_tp_rule: str = "exact"
-    batch_label_rho: float = 0.5
-    min_valid_fraction: float = 0.5
-    empty_class_policy: str = "skip"
-    schemes: tuple[SchemeKind, ...] = tuple(SchemeKind)
-    sites: tuple[SiteSpec, ...] = DEFAULT_SITES
-    model_id: str = "model-0"
-    webhook_url: str | None = None
+    Each field declares its JSON path and checks once; construction runs
+    them, so a config built in code meets the same schema as one loaded
+    from JSON, and every error is a ConfigError naming the field path.
+    """
+
+    master_seed: int = setting(20260816, "master_seed", int)
+    replicates: int = setting(500, "replicates", int, ge=1)
+    drift_strength_grid: tuple[float, ...] = setting(
+        (0.2, 0.3, 0.5), "grid.drift_strength", float, many=True, ge=0.0, le=1.0
+    )
+    drift_duration_grid: tuple[float, ...] = setting(
+        (0.2, 0.3, 0.5), "grid.drift_duration", float, many=True, gt=0.0, lt=1.0
+    )
+    window_fraction_grid: tuple[float, ...] = setting(
+        (0.05, 0.10, 0.15), "grid.window_fraction", float, many=True, gt=0.0, le=1.0
+    )
+    augmentation: float = setting(0.10, "augmentation", float, ge=0.0)
+    threshold: float = setting(0.05, "threshold", float, gt=0.0, lt=1.0)
+    permutations: int = setting(1000, "permutations", int, ge=100)
+    bins: int = setting(100, "bins", int, ge=2)
+    global_weight: float = setting(1.0, "adaptive.global_weight", float, ge=0.0, le=1.0)
+    weight_decay: float = setting(0.1, "adaptive.weight_decay", float, ge=0.0, le=1.0)
+    min_global_weight: float = setting(0.1, "adaptive.min_global_weight", float, ge=0.0, le=1.0)
+    center_window: int | None = setting(None, "adaptive.center_window", int, optional=True, ge=1)
+    adaptive_update_condition: str = setting(
+        "lower", "adaptive.update_condition", str, choices=UPDATE_CONDITIONS
+    )
+    resample: str = setting("permutation", "resample", str, choices=RESAMPLE_MODES)
+    severity_tp_rule: str = setting("exact", "severity_tp_rule", str, choices=SEVERITY_RULES)
+    batch_label_rho: float = setting(0.5, "batch_label_rho", float, ge=0.0, lt=1.0)
+    min_valid_fraction: float = setting(0.5, "min_valid_fraction", float, ge=0.0, le=1.0)
+    empty_class_policy: str = setting(
+        "skip", "empty_class_policy", str, choices=EMPTY_CLASS_POLICIES
+    )
+    schemes: tuple[SchemeKind, ...] = setting(tuple(SchemeKind), "schemes", SchemeKind, many=True)
+    sites: tuple[SiteSpec, ...] = setting(DEFAULT_SITES, "sites", SiteSpec, many=True)
+    model_id: str = setting("model-0", "model_id", str)
+    webhook_url: str | None = setting(None, "webhook_url", str, optional=True)
 
     def __post_init__(self) -> None:
-        self.schemes = tuple(SchemeKind(s) for s in self.schemes)
-        if not self.schemes:
-            raise ValueError("no-agents: at least one monitoring scheme is required")
-        self.sites = tuple(
-            s if isinstance(s, SiteSpec) else SiteSpec(**s) for s in self.sites
-        )
-        if not self.sites:
-            raise ValueError("no-agents: at least one site is required")
+        validate_fields(self)
         ids = [s.site_id for s in self.sites]
-        if len(set(ids)) != len(ids):
-            raise ValueError("invalid-site: duplicate site_id")
-        self.drift_strength_grid = tuple(float(v) for v in self.drift_strength_grid)
-        self.drift_duration_grid = tuple(float(v) for v in self.drift_duration_grid)
-        self.window_fraction_grid = tuple(float(v) for v in self.window_fraction_grid)
-        if not self.drift_strength_grid or any(v < 0 for v in self.drift_strength_grid):
-            raise ValueError("invalid-grid: drift strengths must be >= 0")
-        if not self.drift_duration_grid or any(
-            not 0.0 < v < 1.0 for v in self.drift_duration_grid
-        ):
-            raise ValueError("invalid-grid: drift durations must lie in (0, 1)")
-        if not self.window_fraction_grid or any(
-            not 0.0 < v <= 1.0 for v in self.window_fraction_grid
-        ):
-            raise ValueError("invalid-grid: window fractions must lie in (0, 1]")
-        if self.replicates < 1:
-            raise ValueError("invalid-replicates: need at least 1")
-        if self.permutations < 100:
-            raise ValueError("insufficient-permutations: need at least 100 resamples")
-        if self.bins < 2:
-            raise ValueError("invalid-bin-count: need at least 2 bins")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("invalid-threshold: must lie in (0, 1)")
-        if self.augmentation < 0:
-            raise ValueError("invalid-augmentation: must be >= 0")
-        if not 0.0 <= self.batch_label_rho < 1.0:
-            raise ValueError("invalid-batch-label-rho: must lie in [0, 1)")
-        if not 0.0 <= self.min_valid_fraction <= 1.0:
-            raise ValueError("invalid-min-valid-fraction: must lie in [0, 1]")
-        if self.adaptive_update_condition not in UPDATE_CONDITIONS:
-            raise ValueError(
-                f"invalid-update-condition: {self.adaptive_update_condition!r}"
+        for i, site_id in enumerate(ids):
+            if site_id in ids[:i]:
+                raise ConfigError(f"sites[{i}].site_id", f"duplicate site_id {site_id!r}")
+        if self.min_global_weight > self.global_weight:
+            raise ConfigError(
+                "adaptive.min_global_weight",
+                f"must be <= adaptive.global_weight ({self.global_weight!r}), "
+                f"got {self.min_global_weight!r}",
             )
-        if self.resample not in _RESAMPLE_MODES:
-            raise ValueError(f"unknown-resample: {self.resample!r}")
-        if self.severity_tp_rule not in _SEVERITY_RULES:
-            raise ValueError(f"invalid-severity-rule: {self.severity_tp_rule!r}")
-        if self.empty_class_policy not in _POLICIES:
-            raise ValueError(f"invalid-empty-class-policy: {self.empty_class_policy!r}")
-        if self.center_window is not None and self.center_window < 1:
-            raise ValueError("invalid-center-window: must be a positive batch count")
+        # The drift segment must fit every augmented synthetic test series
+        # (inject_drift's test); file-backed sites are only read per replicate.
+        sizes = [s.test_size for s in self.sites if s.reference_csv is None]
+        if sizes and any(v > 0 for v in self.drift_strength_grid):
+            n = min(sizes) + math.ceil(self.augmentation * min(sizes))
+            for i, duration in enumerate(self.drift_duration_grid):
+                length = math.ceil(duration * n)
+                if length >= n:
+                    raise ConfigError(
+                        f"grid.drift_duration[{i}]",
+                        f"a drift segment of {length} slots does not fit the shortest "
+                        f"augmented test series ({n} slots)",
+                    )
 
     def to_dict(self) -> dict:
-        sites = []
-        for s in self.sites:
-            entry = {"site_id": s.site_id}
-            if s.reference_csv is not None:
-                entry["reference_csv"] = s.reference_csv
-                entry["test_csv"] = s.test_csv
-            else:
-                entry.update(
-                    reference_size=s.reference_size,
-                    test_size=s.test_size,
-                    alpha=s.alpha,
-                    beta=s.beta,
-                )
-            sites.append(entry)
-        return {
-            "master_seed": self.master_seed,
-            "replicates": self.replicates,
-            "grid": {
-                "drift_strength": list(self.drift_strength_grid),
-                "drift_duration": list(self.drift_duration_grid),
-                "window_fraction": list(self.window_fraction_grid),
-            },
-            "augmentation": self.augmentation,
-            "threshold": self.threshold,
-            "permutations": self.permutations,
-            "bins": self.bins,
-            "adaptive": {
-                "global_weight": self.global_weight,
-                "weight_decay": self.weight_decay,
-                "min_global_weight": self.min_global_weight,
-                "center_window": self.center_window,
-                "update_condition": self.adaptive_update_condition,
-            },
-            "resample": self.resample,
-            "severity_tp_rule": self.severity_tp_rule,
-            "batch_label_rho": self.batch_label_rho,
-            "min_valid_fraction": self.min_valid_fraction,
-            "empty_class_policy": self.empty_class_policy,
-            "schemes": [s.value for s in self.schemes],
-            "sites": sites,
-            "model_id": self.model_id,
-            "webhook_url": self.webhook_url,
-        }
+        return fields_to_dict(self)
 
 
 class GridCell(NamedTuple):
@@ -301,21 +251,6 @@ class SiteSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-def generate_synthetic_sites(
-    sites, rng=None
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Draw per-site reference and test series from each site's Beta law."""
-    gen = np.random.default_rng(rng)
-    refs: dict[str, np.ndarray] = {}
-    tests: dict[str, np.ndarray] = {}
-    for spec in sites:
-        if spec.reference_csv is not None:
-            raise ValueError(f"invalid-site: {spec.site_id} is file-backed, not synthetic")
-        refs[spec.site_id] = gen.beta(spec.alpha, spec.beta, size=spec.reference_size)
-        tests[spec.site_id] = gen.beta(spec.alpha, spec.beta, size=spec.test_size)
-    return refs, tests
 
 
 def augment(series: SiteSeries, amount: float, rng=None) -> SiteSeries:
@@ -473,6 +408,18 @@ def load_series_csv(path) -> np.ndarray:
     return arr
 
 
+def site_samples(spec: SiteSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One site's (reference, test) series: read from its CSV files, or
+    drawn from its Beta law, reference first (a file-backed site draws
+    nothing from `rng`)."""
+    if spec.reference_csv is not None:
+        return load_series_csv(spec.reference_csv), load_series_csv(spec.test_csv)
+    return (
+        rng.beta(spec.alpha, spec.beta, size=spec.reference_size),
+        rng.beta(spec.alpha, spec.beta, size=spec.test_size),
+    )
+
+
 def _site_data(
     config: SimConfig, cell: GridCell, replicate_index: int
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
@@ -480,12 +427,7 @@ def _site_data(
     refs: dict[str, np.ndarray] = {}
     tests: dict[str, np.ndarray] = {}
     for spec in config.sites:
-        if spec.reference_csv is not None:
-            refs[spec.site_id] = load_series_csv(spec.reference_csv)
-            tests[spec.site_id] = load_series_csv(spec.test_csv)
-        else:
-            refs[spec.site_id] = data_rng.beta(spec.alpha, spec.beta, size=spec.reference_size)
-            tests[spec.site_id] = data_rng.beta(spec.alpha, spec.beta, size=spec.test_size)
+        refs[spec.site_id], tests[spec.site_id] = site_samples(spec, data_rng)
     return refs, tests
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "RESAMPLE_MODES",
     "Histogram",
     "KsResult",
     "blend",
@@ -26,6 +27,9 @@ __all__ = [
     "permutation_pvalue",
     "sample_from_histogram",
 ]
+
+# How `permutation_pvalue` re-splits the pool: without or with replacement.
+RESAMPLE_MODES = ("permutation", "bootstrap")
 
 # Cap on matrix cells materialised at once while building a null
 # distribution; bounds peak memory regardless of the resample count.
@@ -186,8 +190,8 @@ def permutation_pvalue(a, b, permutations: int = 1000, rng=None, *, resample: st
         raise ValueError("insufficient-observations: both samples need >= 2 values")
     if permutations < 100:
         raise ValueError("insufficient-permutations: need at least 100 resamples")
-    if resample not in ("permutation", "bootstrap"):
-        raise ValueError(f"unknown-resample: {resample!r}")
+    if resample not in RESAMPLE_MODES:
+        raise ValueError(f"unknown-resample: {resample!r}, expected one of {RESAMPLE_MODES}")
     gen = np.random.default_rng(rng)
 
     n1, n2 = a.size, b.size

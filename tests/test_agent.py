@@ -43,9 +43,9 @@ class TestAgentInit:
         with pytest.raises(ValueError, match="window-too-small"):
             DriftAgent(site_ref_config(window_size=1))
 
-    def test_online_regime_unsupported(self):
-        with pytest.raises(ValueError, match="unsupported-regime"):
-            DriftAgent(site_ref_config(regime="online"))
+    def test_unknown_resample_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown-resample"):
+            DriftAgent(site_ref_config(resample="jackknife"))
 
     def test_threshold_bounds(self):
         with pytest.raises(ValueError, match="invalid-threshold"):
@@ -131,7 +131,7 @@ class TestProdRef:
         feed(agent, stream)
         assert agent.consumed_batch == 0
         assert [v.batch_index for v in agent.verdicts] == [1, 2]
-        assert np.array_equal(agent.provider.reference, stream[:6])
+        assert np.array_equal(agent.reference, stream[:6])
 
     def test_sparse_first_window_skipped_until_usable(self):
         rng = np.random.default_rng(105)
@@ -140,7 +140,7 @@ class TestProdRef:
         # is logged unevaluated and the next full window seeds the reference.
         feed(agent, [0.4, None, None, None, 0.3, 0.5, 0.2, 0.6, 0.1, 0.2, 0.35, 0.45])
         assert agent.consumed_batch == 1
-        assert np.array_equal(agent.provider.reference, [0.3, 0.5, 0.2, 0.6])
+        assert np.array_equal(agent.reference, [0.3, 0.5, 0.2, 0.6])
         assert [(v.batch_index, v.evaluated) for v in agent.verdicts] == [(0, False), (2, True)]
 
     def test_verdict_log_accounting(self):

@@ -77,6 +77,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="permutations"):
             config_from_dict({"permutations": 10})
 
+    @pytest.mark.parametrize(
+        "raw, path",
+        [
+            ({"grid": {"drift_duration": [1.0]}}, r"^grid\.drift_duration\[0\]: "),
+            ({"grid": {"window_fraction": [0.0]}}, r"^grid\.window_fraction\[0\]: "),
+            ({"threshold": 1.0}, r"^threshold: "),
+            ({"batch_label_rho": 1.0}, r"^batch_label_rho: "),
+            ({"augmentation": float("inf")}, r"^augmentation: "),
+            ({"sites": [{"site_id": "A", "colour": "red"}]}, r"^sites\[0\]\.colour: "),
+            ({"sites": [{"site_id": "A", "reference_size": 3, "test_size": 9}]},
+             r"^sites\[0\]\.reference_size: "),
+        ],
+    )
+    def test_config_errors_start_with_the_field_path(self, raw, path):
+        with pytest.raises(ConfigError, match=path):
+            config_from_dict(raw)
+
     def test_round_trip_through_to_dict(self):
         config = config_from_dict(SMALL_CONFIG)
         again = config_from_dict(config.to_dict())
@@ -168,15 +185,26 @@ class TestRun:
         assert manifest["config"]["permutations"] == 100
         assert manifest["outputs"]["summary"] == "summary.json"
 
-    def test_failed_replicates_exit_nonzero_after_writing_outputs(self, tmp_path, capsys):
-        # A drift segment of 99% of each stream passes config loading but
-        # does not fit any replicate's series, so every replicate fails.
-        payload = dict(SMALL_CONFIG, grid=dict(SMALL_CONFIG["grid"], drift_duration=[0.99]))
+    def test_failed_replicates_exit_nonzero_after_writing_outputs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def fail(config, cell, replicate_index):
+            raise RuntimeError(f"replicate {replicate_index} broke")
+
+        monkeypatch.setattr("driftnet.sim.run_replicate", fail)
         out = tmp_path / "run"
-        assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+        assert main(["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", str(out)]) == 1
         assert "2 failures" in capsys.readouterr().out
         assert len(json.loads((out / "summary.json").read_text())["failures"]) == 2
         assert json.loads((out / "manifest.json").read_text())["failures"] == 2
+
+    def test_drift_segment_that_cannot_fit_is_rejected_at_load(self, tmp_path, capsys):
+        # 99% of DS-3's 20 augmented test slots rounds up to all 20.
+        payload = dict(SMALL_CONFIG, grid=dict(SMALL_CONFIG["grid"], drift_duration=[0.99]))
+        out = tmp_path / "run"
+        assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert "error: grid.drift_duration[0]: " in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_thread_count_does_not_change_outputs(self, tmp_path):
         config_path = write_config(tmp_path, SMALL_CONFIG)

@@ -1,0 +1,94 @@
+"""The configuration schema: one field table for code, JSON and docs."""
+
+import dataclasses
+import hashlib
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from driftnet import metrics, schemes, severity, stats
+from driftnet.config import ConfigError
+from driftnet.schemes import SchemeKind
+from driftnet.sim import SimConfig, SiteSpec
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestCodeBuiltConfig:
+    def test_weight_below_its_floor_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match=r"^adaptive\.min_global_weight: "):
+            SimConfig(global_weight=0.2, min_global_weight=0.5)
+
+    def test_grid_bounds_apply_in_code(self):
+        with pytest.raises(ConfigError, match=r"^grid\.drift_strength\[0\]: "):
+            SimConfig(drift_strength_grid=(5.0,))
+        with pytest.raises(ConfigError, match=r"^replicates: "):
+            SimConfig(replicates=0)
+
+    def test_drift_segment_must_fit_shortest_augmented_series(self):
+        # DS-3: 18 test values + ceil(0.1 * 18) = 20 slots; ceil(0.96 * 20) = 20.
+        with pytest.raises(ConfigError, match=r"^grid\.drift_duration\[1\]: "):
+            SimConfig(drift_duration_grid=(0.3, 0.96))
+        assert SimConfig(drift_duration_grid=(0.95,)).drift_duration_grid == (0.95,)
+        # Without augmentation the series has 18 slots: ceil(0.95 * 18) = 18.
+        with pytest.raises(ConfigError, match=r"^grid\.drift_duration\[0\]: "):
+            SimConfig(drift_duration_grid=(0.95,), augmentation=0.0)
+        # No cell injects drift when every strength is 0.
+        SimConfig(drift_strength_grid=(0.0,), drift_duration_grid=(0.99,))
+
+    def test_site_entries_given_as_dicts_carry_their_path(self):
+        sites = ({"site_id": "A", "reference_size": 10, "test_size": 10}, {"site_id": "B"})
+        with pytest.raises(ConfigError, match=r"^sites\[1\]\.reference_size: "):
+            SimConfig(sites=sites)
+        with pytest.raises(ConfigError, match=r"^sites\[1\]\.site_id: duplicate"):
+            SimConfig(sites=(sites[0], sites[0]))
+
+    def test_values_are_normalised(self):
+        config = SimConfig(
+            drift_strength_grid=[0, 1], augmentation=1, schemes=["SiteRef"],
+            sites=[{"site_id": "A", "reference_size": 10, "test_size": 10, "alpha": 3}],
+        )
+        assert config.drift_strength_grid == (0.0, 1.0)
+        assert isinstance(config.augmentation, float)
+        assert config.schemes == (SchemeKind.SITE_REF,)
+        assert config.sites == (SiteSpec("A", reference_size=10, test_size=10, alpha=3.0),)
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ConfigError, match=r"^schemes\[0\]: "):
+            dataclasses.replace(SimConfig(), schemes=["MagicRef"])
+
+
+class TestSnapshot:
+    def test_default_snapshot_pinned(self):
+        # The manifest's run_id and config block for the default config.
+        snapshot = SimConfig().to_dict()
+        sorted_digest = hashlib.sha256(json.dumps(snapshot, sort_keys=True).encode()).hexdigest()
+        ordered_digest = hashlib.sha256(json.dumps(snapshot).encode()).hexdigest()
+        assert sorted_digest[:12] == "a22dfa1f2cb8"
+        assert ordered_digest[:16] == "ee6dceab5dc9a54b"
+
+    def test_readme_config_block_is_the_default(self):
+        block = re.search(r"```jsonc\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+        assert json.loads(re.sub(r"//[^\n]*", "", block)) == SimConfig().to_dict()
+
+    def test_file_backed_site_round_trip(self):
+        site = SiteSpec("F", reference_csv="r.csv", test_csv="t.csv")
+        assert site.to_dict() == {"site_id": "F", "reference_csv": "r.csv", "test_csv": "t.csv"}
+
+
+def test_each_choice_tuple_has_one_owner():
+    owners = {
+        "adaptive_update_condition": schemes.UPDATE_CONDITIONS,
+        "resample": stats.RESAMPLE_MODES,
+        "severity_tp_rule": severity.SEVERITY_RULES,
+        "empty_class_policy": metrics.EMPTY_CLASS_POLICIES,
+    }
+    declared = {
+        f.name: f.metadata["setting"].choices
+        for f in dataclasses.fields(SimConfig)
+        if f.metadata["setting"].choices
+    }
+    assert declared.keys() == owners.keys()
+    assert all(declared[name] is owners[name] for name in owners)

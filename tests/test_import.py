@@ -1,4 +1,4 @@
-"""Import cost: numpy is driftnet's only runtime dependency."""
+"""Import cost and public names of the driftnet package."""
 
 import os
 import subprocess
@@ -28,3 +28,46 @@ def test_import_loads_no_third_party_package_but_numpy():
     # whole package's import time.
     assert "scipy" not in out
     assert set(out) <= {"driftnet", "numpy"}
+
+
+# Every name `driftnet.__all__` listed when it was kept by hand, except the
+# three deleted with the reference wrappers and the synthetic-site helper
+# (AdaptiveReference, SampleReference, generate_synthetic_sites).
+_PUBLIC = """
+__version__ AgentConfig AgentId DriftAgent DriftVerdict logging_hook webhook_hook
+ConfusionCounts MetricSet MetricsSummary aggregate compute_metrics score_detection
+AdaptiveState ReferenceSpec SchemeKind adaptive_observe initial_adaptive_state make_reference
+SeverityOutcome SeverityRecord build_severity classify_severity severity_score
+DEFAULT_SITES GridCell SimConfig SiteSpec augment cell_label derive_seed inject_drift
+interleave_sites pad_sparsity run_grid run_replicate summary_dict window_truth_labels
+Histogram KsResult blend build_histogram ks_statistic ks_vs_histogram permutation_pvalue
+sample_from_histogram
+""".split()
+
+
+def test_public_names_still_exported():
+    assert len(driftnet.__all__) == len(set(driftnet.__all__))
+    assert set(_PUBLIC) <= set(driftnet.__all__)
+    assert all(hasattr(driftnet, name) for name in driftnet.__all__)
+
+
+def test_names_the_benchmark_harness_uses_stay_importable():
+    import importlib
+
+    for module, names in {
+        "driftnet": "ReferenceSpec AgentConfig AgentId DriftAgent logging_hook SchemeKind",
+        "driftnet.agent": "make_reference permutation_pvalue ks_vs_histogram",
+        "driftnet.schemes": "adaptive_observe",
+        "driftnet.sim": "run_replicate augment inject_drift pad_sparsity interleave_sites "
+        "window_truth_labels score_detection compute_metrics aggregate build_severity",
+        "driftnet.cli": "load_config main compute_metrics aggregate run_grid cmd_run cmd_report",
+    }.items():
+        imported = importlib.import_module(module)
+        assert [n for n in names.split() if not hasattr(imported, n)] == []
+    # The keyword forms the harness constructs its agents with.
+    spec = driftnet.ReferenceSpec(
+        kind=driftnet.SchemeKind.ADAPTIVE_REF, global_eval=[0.2, 0.4, 0.6], bins=10
+    )
+    driftnet.AgentConfig(
+        agent_id=driftnet.AgentId("DS-0", "model-0"), scheme=spec, window_size=8, permutations=100
+    )

@@ -1,13 +1,12 @@
-"""Unit tests for reference providers and the adaptive update state machine."""
+"""Unit tests for scheme references and the adaptive update state machine."""
 
 import numpy as np
 import pytest
 
 from driftnet.schemes import (
-    AdaptiveReference,
     MULTI_CENTER_SCHEMES,
+    AdaptiveState,
     ReferenceSpec,
-    SampleReference,
     SchemeKind,
     adaptive_observe,
     initial_adaptive_state,
@@ -61,15 +60,14 @@ class TestReferenceSpecValidation:
 class TestMakeReference:
     def test_global_ref_is_pass_through(self):
         spec = global_spec(SchemeKind.GLOBAL_REF)
-        provider = make_reference(spec)
-        assert isinstance(provider, SampleReference)
-        assert np.array_equal(provider.reference, spec.global_eval)
+        reference = make_reference(spec)
+        assert isinstance(reference, np.ndarray)
+        assert np.array_equal(reference, spec.global_eval)
 
     def test_site_ref_uses_site_sample(self):
         site = np.array([0.2, 0.4, 0.6])
         spec = ReferenceSpec(kind=SchemeKind.SITE_REF, site_eval=site)
-        provider = make_reference(spec)
-        assert np.array_equal(provider.reference, site)
+        assert np.array_equal(make_reference(spec), site)
 
     def test_site_ref_requires_site_sample(self):
         with pytest.raises(ValueError, match="scheme-inputs-missing"):
@@ -81,10 +79,8 @@ class TestMakeReference:
 
     def test_prod_ref_consumes_first_batch(self):
         batch = np.array([0.1, 0.3, 0.5])
-        provider = make_reference(
-            ReferenceSpec(kind=SchemeKind.PROD_REF), first_prod_batch=batch
-        )
-        assert np.array_equal(provider.reference, batch)
+        reference = make_reference(ReferenceSpec(kind=SchemeKind.PROD_REF), first_prod_batch=batch)
+        assert np.array_equal(reference, batch)
 
     def test_prod_ref_requires_first_batch(self):
         with pytest.raises(ValueError, match="scheme-inputs-missing"):
@@ -98,16 +94,16 @@ class TestMakeReference:
 
     def test_reference_sample_is_frozen(self):
         spec = global_spec(SchemeKind.GLOBAL_REF)
-        provider = make_reference(spec)
+        reference = make_reference(spec)
         with pytest.raises(ValueError):
-            provider.reference[0] = 0.0
+            reference[0] = 0.0
 
     def test_adaptive_initial_reference_is_global_histogram(self):
         spec = global_spec(SchemeKind.ADAPTIVE_REF, bins=50)
-        provider = make_reference(spec)
-        assert isinstance(provider, AdaptiveReference)
+        state = make_reference(spec)
+        assert isinstance(state, AdaptiveState)
         expected = build_histogram(spec.global_eval, 50)
-        assert np.array_equal(provider.reference.mass, expected.mass)
+        assert np.array_equal(state.reference.mass, expected.mass)
 
     def test_adaptive_requires_global_sample(self):
         with pytest.raises(ValueError, match="scheme-inputs-missing"):
@@ -216,9 +212,10 @@ class TestAdaptiveObserve:
 class TestAdaptiveReference:
     def test_observe_reports_update(self):
         spec = global_spec(SchemeKind.ADAPTIVE_REF, bins=20)
-        provider = make_reference(spec)
+        state = make_reference(spec)
         batch = np.random.default_rng(10).beta(2, 5, 30)
-        before = provider.reference
-        assert provider.observe(batch, 0.6, threshold=0.05) is True
-        assert provider.reference is not before
-        assert provider.observe(batch, 0.01, threshold=0.05) is False
+        # An update is a new state; no update hands back the same object.
+        updated = adaptive_observe(state, batch, 0.6, threshold=0.05)
+        assert updated is not state
+        assert updated.reference is not state.reference
+        assert adaptive_observe(updated, batch, 0.01, threshold=0.05) is updated

@@ -16,13 +16,13 @@ from driftnet.sim import (
     cell_label,
     derive_seed,
     enumerate_cells,
-    generate_synthetic_sites,
     inject_drift,
     interleave_sites,
     load_series_csv,
     pad_sparsity,
     run_grid,
     run_replicate,
+    site_samples,
     summary_dict,
     window_truth_labels,
 )
@@ -51,35 +51,47 @@ class TestSiteSpec:
         assert [s.test_size for s in DEFAULT_SITES] == [92, 128, 64, 18]
 
     def test_size_floor(self):
-        with pytest.raises(ValueError, match="invalid-site"):
+        with pytest.raises(ValueError, match=r"^reference_size: "):
             SiteSpec("X", reference_size=3, test_size=50)
 
     def test_csv_flags_must_pair(self):
-        with pytest.raises(ValueError, match="invalid-site"):
+        with pytest.raises(ValueError, match=r"^test_csv: "):
             SiteSpec("X", reference_csv="ref.csv")
 
     def test_beta_parameters_positive(self):
-        with pytest.raises(ValueError, match="invalid-site"):
+        with pytest.raises(ValueError, match=r"^alpha: "):
             SiteSpec("X", reference_size=10, test_size=10, alpha=0.0)
 
 
 class TestGenerateSyntheticSites:
+    """`site_samples`, the one per-site generator of datagen and replicates."""
+
     def test_sizes_match_specs(self):
-        refs, tests = generate_synthetic_sites(DEFAULT_SITES, np.random.default_rng(1))
-        assert [len(refs[s.site_id]) for s in DEFAULT_SITES] == [39, 171, 11, 14]
-        assert [len(tests[s.site_id]) for s in DEFAULT_SITES] == [92, 128, 64, 18]
+        rng = np.random.default_rng(1)
+        drawn = [site_samples(spec, rng) for spec in DEFAULT_SITES]
+        assert [len(ref) for ref, _ in drawn] == [39, 171, 11, 14]
+        assert [len(test) for _, test in drawn] == [92, 128, 64, 18]
 
     def test_deterministic(self):
-        a = generate_synthetic_sites(DEFAULT_SITES, np.random.default_rng(2))
-        b = generate_synthetic_sites(DEFAULT_SITES, np.random.default_rng(2))
-        for site in ("DS-0", "DS-1", "DS-2", "DS-3"):
-            assert np.array_equal(a[0][site], b[0][site])
-            assert np.array_equal(a[1][site], b[1][site])
+        a, b = np.random.default_rng(2), np.random.default_rng(2)
+        for spec in DEFAULT_SITES:
+            for x, y in zip(site_samples(spec, a), site_samples(spec, b)):
+                assert np.array_equal(x, y)
+
+    def test_file_backed_site_draws_nothing(self, tmp_path):
+        for name in ("ref.csv", "test.csv"):
+            (tmp_path / name).write_text("index,probability\n0,0.2\n1,0.4\n2,0.6\n3,0.8\n")
+        spec = SiteSpec(
+            "F", reference_csv=str(tmp_path / "ref.csv"), test_csv=str(tmp_path / "test.csv")
+        )
+        rng = np.random.default_rng(4)
+        ref, test = site_samples(spec, rng)
+        assert ref.tolist() == test.tolist() == [0.2, 0.4, 0.6, 0.8]
+        assert rng.random() == np.random.default_rng(4).random()
 
     def test_sample_mean_near_beta_mean(self):
         spec = SiteSpec("big", reference_size=4000, test_size=4000, alpha=9.0, beta=21.0)
-        refs, _ = generate_synthetic_sites([spec], np.random.default_rng(3))
-        sample = refs["big"]
+        sample, _ = site_samples(spec, np.random.default_rng(3))
         mean = 9.0 / 30.0
         var = 9.0 * 21.0 / (30.0**2 * 31.0)
         se = np.sqrt(var / len(sample))
@@ -357,11 +369,16 @@ class TestRunGrid:
         run_grid(config, threads=3, replicate_sink=lambda r: seen.append(r.replicate_index))
         assert seen == [0, 1, 2]
 
-    def test_failures_recorded_not_fatal(self):
-        # A 4-observation test series cannot absorb a 0.95-duration drift
-        # segment after augmentation pushes ceil past the length.
+    def test_failures_recorded_not_fatal(self, tmp_path):
+        # A file-backed 4-observation test series cannot absorb a
+        # 0.95-duration drift segment (ceil(3.8) = 4 slots); its length is
+        # only known per replicate, so config construction accepts it.
+        for name in ("ref.csv", "test.csv"):
+            (tmp_path / name).write_text("index,probability\n0,0.2\n1,0.4\n2,0.6\n3,0.8\n")
         sites = (
-            SiteSpec("tiny", reference_size=10, test_size=4),
+            SiteSpec(
+                "tiny", reference_csv=str(tmp_path / "ref.csv"), test_csv=str(tmp_path / "test.csv")
+            ),
             SiteSpec("ok", reference_size=10, test_size=50),
         )
         config = small_config(

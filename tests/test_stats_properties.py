@@ -7,7 +7,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from driftnet.stats import Histogram, ks_vs_histogram, permutation_pvalue  # noqa: E402
+from driftnet.stats import (  # noqa: E402
+    RESAMPLE_MODES,
+    Histogram,
+    ks_vs_histogram,
+    permutation_pvalue,
+)
 
 # Halving is exact only for normal floats whose halves stay normal, so the
 # smallest nonzero value is kept far above the subnormal range. The grid
@@ -18,7 +23,7 @@ _VALUE = st.one_of(
 )
 _SAMPLE = st.lists(_VALUE, min_size=2, max_size=60)
 _SEED = st.integers(0, 2**32 - 1)
-_RESAMPLE = st.sampled_from(["permutation", "bootstrap"])
+_RESAMPLE = st.sampled_from(RESAMPLE_MODES)
 _SETTINGS = settings(max_examples=60, deadline=None)
 
 
