@@ -155,14 +155,19 @@ def _run_overrides(config: SimConfig, args) -> SimConfig:
 
 def _resolve_threads(args) -> int:
     if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("DRIFTNET_THREADS")
-    if env:
+        source, threads = "--threads", args.threads
+    else:
+        env = os.environ.get("DRIFTNET_THREADS")
+        if not env:
+            return 1
+        source = "DRIFTNET_THREADS"
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
-            raise ConfigError("DRIFTNET_THREADS", f"expected an integer, got {env!r}")
-    return 1
+            raise ConfigError(source, f"expected an integer, got {env!r}")
+    if threads < 1:
+        raise ConfigError(source, f"must be >= 1, got {threads}")
+    return threads
 
 
 def cmd_datagen(args) -> int:

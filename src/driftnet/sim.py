@@ -19,6 +19,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass
 from pathlib import Path
@@ -369,15 +370,22 @@ def window_truth_labels(values, drift_mask, window_size: int, rho: float = 0.5) 
     return labels
 
 
-_SERIES_CACHE: dict[str, np.ndarray] = {}
+# Resolved path -> ((st_mtime_ns, st_size) when read, values).
+_SERIES_CACHE: dict[str, tuple[tuple[int, int], np.ndarray]] = {}
 
 
 def load_series_csv(path) -> np.ndarray:
-    """Read an 'index,probability' CSV written by datagen (cached)."""
+    """Read an 'index,probability' CSV written by datagen.
+
+    The values are cached per file and read again once the file's
+    modification time or size changes.
+    """
     resolved = str(Path(path).resolve())
+    info = os.stat(resolved)
+    stamp = (info.st_mtime_ns, info.st_size)
     cached = _SERIES_CACHE.get(resolved)
-    if cached is not None:
-        return cached
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
     values: list[float] = []
     with open(resolved, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -404,7 +412,7 @@ def load_series_csv(path) -> np.ndarray:
         raise ValueError(f"invalid-series-file: {path} holds fewer than 4 observations")
     arr = np.asarray(values, dtype=np.float64)
     arr.setflags(write=False)
-    _SERIES_CACHE[resolved] = arr
+    _SERIES_CACHE[resolved] = (stamp, arr)
     return arr
 
 

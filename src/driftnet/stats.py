@@ -1,12 +1,12 @@
 """Statistical kernel for output drift monitoring.
 
 Pure routines over 1-D samples of model output probabilities in [0, 1]:
-the two-sample Kolmogorov-Smirnov statistic, resampling p-values for it,
-fixed-range histograms, convex histogram blending, a KS test against a
-histogram with an exact null, and sampling from a histogram. Randomness
-enters only through an explicitly passed numpy Generator (or seed), so
-every result is reproducible and all functions are safe to call
-concurrently.
+the two-sample Kolmogorov-Smirnov statistic with an exact permutation
+null (or a bootstrap one), fixed-range histograms, convex histogram
+blending, a KS test against a histogram with an exact null, and sampling
+from a histogram. Randomness enters only through an explicitly passed
+numpy Generator (or seed), so every result is reproducible and all
+functions are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -31,15 +31,14 @@ __all__ = [
 # How `permutation_pvalue` re-splits the pool: without or with replacement.
 RESAMPLE_MODES = ("permutation", "bootstrap")
 
-# Cap on matrix cells materialised at once while building a null
-# distribution; bounds peak memory regardless of the resample count.
+# Cap on matrix cells materialised at once while building the bootstrap
+# null; bounds peak memory regardless of the resample count.
 _MAX_CHUNK_CELLS = 4_000_000
-# Cells per block of the per-row select. np.partition works on a copy of its
-# input: a copy of one block is recycled between blocks, while a copy of a
-# whole chunk (~2 MB at 1000 x 243) is mapped and faulted in afresh on every
-# call. Per block, a traced campaign takes ~8x fewer page faults and ~5% less
-# peak memory.
-_SELECT_BLOCK_CELLS = 65_536
+# The lattice pass scales a row by 2**-_RESCALE_BITS (exact in binary) once
+# its largest weight passes 2**_RESCALE_BITS. A row is a running sum of at
+# most m + 1 weights of the row before, so no weight can overflow between
+# two checks.
+_RESCALE_BITS = 600
 # Carried weights no wider than this are not trimmed: trimming a narrow
 # state costs more than convolving the few entries it would drop.
 _UNTRIMMED_STATES = 64
@@ -133,56 +132,83 @@ def _bootstrap_cumulative(gen: np.random.Generator, rows: int, n: int, size: int
     return counts.cumsum(axis=1)
 
 
-def _split_numerators(marks: np.ndarray, k: int, ends: np.ndarray) -> np.ndarray:
-    """Per-row KS numerators of re-splits given by boolean marks.
+def _split_exceed_probability(k: int, m: int, d: int, ends: np.ndarray) -> float:
+    """P(D >= d) for a uniformly random split of the k + m pooled sort
+    positions into sides of k and m, where D is the split's KS numerator:
+    the maximum, over the tie ends t, of |c * (k + m) - t * k| with c the
+    k side's share of the first t positions. `ends[t - 1]` is True when
+    position t closes a tie group.
 
-    Each row of `marks` flags the k pooled sort positions of one side; the
-    other side takes the remaining m = n - k. Returns the maximum over tie
-    ends j of |c_j * n - j * k|, with c_j the marks among the first j
-    positions: the KS statistic in units of 1 / (k * m), the same from
-    either side.
+    Lattice paths (Hodges 1958): a split is a monotone path from (0, 0) to
+    (k, m), and at (i, j) the numerator is |i * m - j * k|. All C(k + m, k)
+    paths are equally likely, so P is one minus the share of paths that
+    stay inside the band |i * m - j * k| < d at every point whose i + j is
+    a tie end. The paths to (i, j) number the running sum over j of row
+    i - 1, so each row is one cumulative sum, over the band alone when the
+    pool has no ties. With ties (Schroer & Trenkler 1995), a path may leave
+    the band between tie ends, at most `reach` points (the longest run of
+    positions that close no group), so the row is widened by `reach` and
+    its sum restarts after each blocked point, one on a tie end outside the
+    band: the sum less its value at the last blocked point, which is its
+    running maximum over blocked points since the sum never falls.
     """
-    rows, n = marks.shape
-    m = n - k
-    if ends.all():
-        # Between marks c_j * n - j * k falls by k a step; at a mark it rises
-        # by m. So its maximum sits just after some mark and its minimum just
-        # before one (or at j = n, where it is 0). With p_i the 0-based
-        # position of the i-th mark (i = 1..k), both extremes come from
-        # h_i = i * n - (p_i + 1) * k: the maximum is max h, the minimum
-        # min h - m. This reads O(rows * k) values instead of O(rows * n).
-        # The flat index of a mark is row * n + p_i, so h_i is
-        # i * n - k * flat_i plus a constant per row.
-        h = np.flatnonzero(marks).reshape(rows, k)
-        h *= -k
-        h += np.arange(n, (k + 1) * n, n)
-        row_shift = (np.arange(rows) * n - 1) * k
-        return np.maximum(h.max(axis=1) + row_shift, m - row_shift - h.min(axis=1))
-    # Ties: evaluate the running count at the tie ends only. Every value
-    # stays within +-n*n, so int32 holds it whenever n*n < 2**31.
-    dtype = np.int32 if n * n < 2**31 else np.int64
-    nums = np.cumsum(marks, axis=1, dtype=dtype)[:, ends]
-    nums *= n
-    nums -= (np.arange(1, n + 1, dtype=dtype) * k)[ends]
-    return np.abs(nums, out=nums).max(axis=1)
+    if d <= 0:
+        return 1.0
+    n = k + m
+    rows = np.arange(k + 1) * m
+    lo = np.maximum((rows - d) // k + 1, 0)
+    hi = np.minimum((rows + d - 1) // k, m)
+    closes = np.concatenate(([True], ends))
+    reach = int(np.diff(np.flatnonzero(closes)).max()) - 1
+    first = lo[np.maximum(np.arange(k + 1) - reach, 0)]
+    last = np.minimum(hi + reach, m) + 1
+    if (first >= last).any():
+        return 1.0
+
+    weights = np.zeros(m + 1)
+    weights[0] = 1.0
+    accumulate = np.add.accumulate
+    shift = 0
+    for i, (start, stop, band_lo, band_hi) in enumerate(
+        zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist())
+    ):
+        row = weights[start:stop]
+        accumulate(row, out=row)
+        if row[-1] > 2.0**_RESCALE_BITS:
+            row *= 2.0**-_RESCALE_BITS
+            shift += _RESCALE_BITS
+        if reach:
+            blocked = closes[i + start : i + stop].copy()
+            blocked[band_lo - start : band_hi + 1 - start] = False
+            row -= np.maximum.accumulate(np.where(blocked, row, 0.0))
+
+    # passed = weights[m] * 2**shift / C(n, k), without overflow.
+    paths = math.comb(n, k)
+    bits = paths.bit_length()
+    passed = math.ldexp(float(weights[m]) / (paths / (1 << bits)), shift - bits)
+    return min(1.0, max(0.0, 1.0 - passed))
 
 
 def permutation_pvalue(a, b, permutations: int = 1000, rng=None, *, resample: str = "permutation") -> KsResult:
-    """Two-sample KS test with a resampling null distribution.
+    """Two-sample KS test with a permutation (or bootstrap) null.
 
-    The pooled sample is re-split `permutations` times into the original
-    sizes, without replacement by default (`resample="bootstrap"` draws
-    with replacement instead). The p-value is the add-one fraction of null
-    statistics at least as large as the observed one, so it always lies in
-    (0, 1] and equals 1.0 when the samples are identical.
+    The permutation null is exact: P, the probability that a uniformly
+    random re-split of the pooled sample into the original sizes scores at
+    least the observed statistic, is counted over lattice paths, not
+    estimated by resampling. The p-value is (1 + B * P) / (B + 1) with
+    B = `permutations`: the expected add-one p-value of B re-splits, so it
+    keeps that estimate's floor of 1 / (B + 1), lies in (0, 1] and equals
+    1.0 when the samples are identical. It is the same for (a, b) and
+    (b, a), and `rng` is unused: the result is deterministic.
 
-    The pooled array is sorted once, and every re-split is scored in exact
-    integer units over the sorted positions. A permutation re-split draws
-    one uniform per position and gives `a` the positions of the n1
-    smallest, found by a per-row threshold select: O(n) per re-split. It
-    is scored from the sorted positions of the smaller side alone,
-    O(min(n1, n2)), when the pool has no ties, and from a running count
-    read at the tie ends when it has.
+    `resample="bootstrap"` re-draws both samples from the pool with
+    replacement `permutations` times and returns the add-one fraction of
+    null statistics at least as large as the observed one; this null has
+    no lattice form and stays Monte Carlo, with draws from `rng`.
+
+    Both nulls score in exact integer units over the pooled sort order, at
+    tie ends only. The exact pass costs O(min(n1, n2)) numpy calls over
+    the band of the lattice that passing re-splits stay in.
     """
     a = _as_sample(a, "a")
     b = _as_sample(b, "b")
@@ -192,11 +218,9 @@ def permutation_pvalue(a, b, permutations: int = 1000, rng=None, *, resample: st
         raise ValueError("insufficient-permutations: need at least 100 resamples")
     if resample not in RESAMPLE_MODES:
         raise ValueError(f"unknown-resample: {resample!r}, expected one of {RESAMPLE_MODES}")
-    gen = np.random.default_rng(rng)
 
     n1, n2 = a.size, b.size
     n = n1 + n2
-    k = min(n1, n2)
     pooled = np.sort(np.concatenate([a, b]))
     # Both ECDFs jump at tied values together, so the supremum over x is
     # attained at the last sort position of a tie group.
@@ -204,42 +228,25 @@ def permutation_pvalue(a, b, permutations: int = 1000, rng=None, *, resample: st
     ends[:-1] = pooled[:-1] != pooled[1:]
     ends[-1] = True
     d_obs_num = _ks_numerator(np.sort(a), np.sort(b))
+    statistic = d_obs_num / (n1 * n2)
+    resamples = int(permutations)
 
-    exceed = 0
-    remaining = int(permutations)
+    if resample == "permutation":
+        exceed = _split_exceed_probability(min(n1, n2), max(n1, n2), d_obs_num, ends)
+        return KsResult(statistic=statistic, p_value=(1 + resamples * exceed) / (resamples + 1))
+
+    gen = np.random.default_rng(rng)
+    hits = 0
+    remaining = resamples
     chunk_rows = max(1, _MAX_CHUNK_CELLS // n)
     while remaining > 0:
         rows = min(chunk_rows, remaining)
-        if resample == "permutation":
-            # The positions of the n1 smallest iid uniforms form a uniform
-            # random n1-subset of the pooled sort positions. Marks flag the
-            # smaller side: at least n1 uniforms lie at or below the n1-th
-            # smallest, and exactly n1 unless a row ties at that threshold.
-            u = gen.random((rows, n))
-            kth = np.empty((rows, 1))
-            step = max(1, _SELECT_BLOCK_CELLS // n)
-            for start in range(0, rows, step):
-                block = np.partition(u[start : start + step], n1 - 1, axis=1)
-                kth[start : start + step] = block[:, n1 - 1 : n1]
-            marks = u <= kth if k == n1 else u > kth
-            if np.count_nonzero(marks) != rows * k:
-                # A row ties at its threshold: argpartition breaks the tie,
-                # and its choice is part of every recorded p-value.
-                take = np.argpartition(u, n1 - 1, axis=1)[:, :n1]
-                marks = np.zeros((rows, n), dtype=bool)
-                np.put_along_axis(marks, take, True, axis=1)
-                if k != n1:
-                    marks = ~marks
-            d_perm = _split_numerators(marks, k, ends)
-        else:
-            cum_a = _bootstrap_cumulative(gen, rows, n, n1)
-            cum_b = _bootstrap_cumulative(gen, rows, n, n2)
-            d_perm = np.abs(cum_a * n2 - cum_b * n1)[:, ends].max(axis=1)
-        exceed += int((d_perm >= d_obs_num).sum())
+        cum_a = _bootstrap_cumulative(gen, rows, n, n1)
+        cum_b = _bootstrap_cumulative(gen, rows, n, n2)
+        d_null = np.abs(cum_a * n2 - cum_b * n1)[:, ends].max(axis=1)
+        hits += int((d_null >= d_obs_num).sum())
         remaining -= rows
-
-    p_value = (1 + exceed) / (permutations + 1)
-    return KsResult(statistic=d_obs_num / (n1 * n2), p_value=p_value)
+    return KsResult(statistic=statistic, p_value=(1 + hits) / (resamples + 1))
 
 
 def build_histogram(sample, bins: int = 100) -> Histogram:

@@ -1,5 +1,6 @@
 """Unit tests for the simulation pipeline and grid runner."""
 
+import os
 from collections import Counter
 
 import numpy as np
@@ -275,6 +276,20 @@ class TestLoadSeriesCsv(object):
         path.write_text("index,probability\n0,0.25\n1,0.5\n2,0.75\n3,1.0\n")
         values = load_series_csv(path)
         assert values.tolist() == [0.25, 0.5, 0.75, 1.0]
+
+    def test_rewritten_file_is_read_again(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("index,probability\n0,0.25\n1,0.5\n2,0.75\n3,1.0\n")
+        assert load_series_csv(path).tolist() == [0.25, 0.5, 0.75, 1.0]
+        # A longer file: its size differs.
+        path.write_text("index,probability\n0,0.1\n1,0.2\n2,0.3\n3,0.4\n4,0.5\n")
+        assert load_series_csv(path).tolist() == [0.1, 0.2, 0.3, 0.4, 0.5]
+        # Same size, later modification time.
+        stamp = path.stat().st_mtime_ns
+        path.write_text("index,probability\n0,0.9\n1,0.8\n2,0.7\n3,0.6\n4,0.5\n")
+        os.utime(path, ns=(stamp + 10**9, stamp + 10**9))
+        assert load_series_csv(path).tolist() == [0.9, 0.8, 0.7, 0.6, 0.5]
+        assert load_series_csv(path) is load_series_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "series.csv"

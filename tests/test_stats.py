@@ -1,7 +1,8 @@
-"""Unit tests for the KS kernel, histograms, and resampled p-values."""
+"""Unit tests for the KS kernel, histograms, and exact and resampled p-values."""
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -118,7 +119,7 @@ class TestPermutationPvalue:
                 hits += 1
         exact = hits / 20
         res = permutation_pvalue(a, b, permutations=4000, rng=np.random.default_rng(5))
-        assert res.p_value == pytest.approx(exact, abs=0.03)
+        assert res.p_value == pytest.approx(expected_p_value(exact, 4000), abs=1e-12)
 
     def test_bootstrap_mode_runs(self):
         rng = np.random.default_rng(31)
@@ -149,11 +150,77 @@ def _golden_inputs(seed, n1, n2, shift, decimals):
     return a, b
 
 
-# Exact results of the resampling kernel at fixed inputs and seeds. Every
-# verdict a campaign writes comes from this kernel, so a rewrite of it must
-# reproduce these values bit for bit, not just within Monte Carlo error.
+def enumerated_split_exceed_probability(a, b):
+    """P(re-split statistic >= observed) over every split of the pool,
+    each scored in rational arithmetic."""
+    a, b = [float(v) for v in a], [float(v) for v in b]
+    pool = a + b
+    d_obs = brute_force_ks(a, b)
+    hits = total = 0
+    for idx in itertools.combinations(range(len(pool)), len(a)):
+        chosen = set(idx)
+        left = [pool[i] for i in idx]
+        right = [pool[i] for i in range(len(pool)) if i not in chosen]
+        hits += brute_force_ks(left, right) >= d_obs
+        total += 1
+    return hits / total
+
+
+def within_monte_carlo_error(p_mc, p_exact, permutations):
+    """An add-one Monte Carlo p-value over B re-splits lies within 4
+    binomial standard deviations of its expectation (1 + B P) / (B + 1)."""
+    exceed = min(1.0, max(0.0, ((permutations + 1) * p_exact - 1) / permutations))
+    sd = math.sqrt(permutations * exceed * (1 - exceed)) / (permutations + 1)
+    return abs(p_mc - p_exact) <= 4 * sd + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_exact_null_matches_enumeration_with_ties(seed):
+    # Pools of up to 14 values on a 0-, 1- or 2-decimal grid, so values tie
+    # within and across samples: every one of the C(n, n1) splits.
+    rng = np.random.default_rng(seed)
+    n1 = int(rng.integers(2, 8))
+    n2 = int(rng.integers(2, 15 - n1))
+    decimals = seed % 3
+    a = np.round(rng.beta(2, 5, n1), decimals)
+    b = np.round(rng.beta(2, 4, n2) + 0.1 * (seed % 2), decimals).clip(0.0, 1.0)
+    expected = expected_p_value(enumerated_split_exceed_probability(a, b), 1000)
+    res = permutation_pvalue(a, b, permutations=1000)
+    assert abs(res.p_value - expected) <= 1e-12
+    assert type(res.p_value) is float
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_null_matches_scipy_on_tie_free_pools(seed):
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(90 + seed)
+    for _ in range(25):
+        n1, n2 = (int(v) for v in rng.integers(2, 200, size=2))
+        a, b = rng.beta(2, 5, n1), rng.beta(2, 4, n2) + 0.1 * rng.random()
+        b = b.clip(0.0, 1.0)
+        exact = stats.ks_2samp(a, b, method="exact").pvalue
+        res = permutation_pvalue(a, b, permutations=1000)
+        assert abs(res.p_value - expected_p_value(exact, 1000)) <= 1e-12
+
+
+@pytest.mark.parametrize("decimals", [None, 2], ids=["tie_free", "ties"])
+def test_exact_null_on_a_large_pool_stays_finite(decimals):
+    # 9000 values: C(9000, 3000) paths and, with 2-decimal ties, tie groups
+    # of hundreds, far past the float range without rescaling.
+    a, b = _golden_inputs(104, 3000, 6000, 0.005, decimals)
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        res = permutation_pvalue(a, b, permutations=1000)
+    assert 1 / 1001 <= res.p_value <= 1.0
+    assert res.p_value < 0.1
+
+
+# Results of the former Monte Carlo kernel at fixed inputs and seeds.
 # Columns: data seed, n1, n2, shift of b (None: b is a copy of a), rounding
 # decimals, resample mode, rng seed, statistic, p-value (1000 resamples).
+# The bootstrap null is still Monte Carlo and must reproduce its row bit
+# for bit. The permutation null is now exact, so each recorded permutation
+# p-value must lie within Monte Carlo error of the exact one.
 _GOLDEN = {
     "tie_free_8x235": (100, 8, 235, 0.05, None, "permutation", 7, 0.4973404255319149, 0.027972027972027972),
     "tie_free_17x171": (101, 17, 171, 0.0, None, "permutation", 8, 0.27726178190574474, 0.15984015984015984),
@@ -167,19 +234,17 @@ _GOLDEN = {
 
 
 class _CoarseUniforms(np.random.Generator):
-    """Uniforms on a 1/16 grid, so rows often tie at the selection threshold."""
+    """Uniforms on a 1/16 grid, so rows often tie at a selection threshold."""
 
     def random(self, size=None, dtype=np.float64, out=None):
         return np.floor(super().random(size) * 16) / 16
 
 
 def reference_permutation_pvalue(a, b, permutations, gen):
-    """Permutation null by index selection and a dense running count.
-
-    The same draws as the kernel: one uniform per pooled sort position, `a`
-    taking the n1 positions `argpartition` puts first. Valid while one
-    chunk holds every resample (n * permutations <= 4,000,000).
-    """
+    """Monte Carlo permutation null by index selection and a dense running
+    count: `a` takes the n1 pooled sort positions that `argpartition` puts
+    first among one uniform draw per position. The kernel it replaced made
+    the same draws and returned these values exactly."""
     a, b = np.sort(a), np.sort(b)
     n1, n2 = a.size, b.size
     n = n1 + n2
@@ -199,6 +264,8 @@ def reference_permutation_pvalue(a, b, permutations, gen):
 @pytest.mark.parametrize("coarse", [False, True], ids=["fine", "threshold_ties"])
 @pytest.mark.parametrize("decimals", [None, 2, 1], ids=["tie_free", "ties", "heavy_ties"])
 def test_permutation_pvalue_matches_reference(coarse, decimals):
+    # The exact kernel ignores its generator, even one whose draws tie; the
+    # reference's Monte Carlo p-value lies within 4 sd of the exact one.
     make = (lambda s: _CoarseUniforms(np.random.PCG64(s))) if coarse else np.random.default_rng
     rng = np.random.default_rng(81)
     for seed in range(40):
@@ -207,7 +274,10 @@ def test_permutation_pvalue_matches_reference(coarse, decimals):
         if decimals is not None:
             a, b = np.round(a, decimals), np.round(b, decimals)
         got = permutation_pvalue(a, b, permutations=300, rng=make(seed))
-        assert got == reference_permutation_pvalue(a, b, 300, make(seed))
+        assert got == permutation_pvalue(a, b, permutations=300)
+        mc = reference_permutation_pvalue(a, b, 300, np.random.default_rng(seed))
+        assert got.statistic == mc.statistic
+        assert within_monte_carlo_error(mc.p_value, got.p_value, 300)
 
 
 @pytest.mark.parametrize("case", sorted(_GOLDEN))
@@ -217,7 +287,11 @@ def test_permutation_pvalue_golden(case):
     res = permutation_pvalue(
         a, b, permutations=1000, rng=np.random.default_rng(rng_seed), resample=resample
     )
-    assert (res.statistic, res.p_value) == (statistic, p_value)
+    assert res.statistic == statistic
+    if resample == "bootstrap":
+        assert res.p_value == p_value
+    else:
+        assert within_monte_carlo_error(p_value, res.p_value, 1000)
 
 
 class TestHistogram:

@@ -44,10 +44,26 @@ def test_statistic_symmetric(a, b, seed):
 
 
 @_SETTINGS
+@given(a=_SAMPLE, b=_SAMPLE)
+def test_permutation_result_symmetric(a, b):
+    # The exact null counts splits of the pool, which has no order.
+    assert permutation_pvalue(a, b, permutations=1000) == permutation_pvalue(b, a, permutations=1000)
+
+
+@_SETTINGS
+@given(a=_SAMPLE, b=_SAMPLE, seed=_SEED, resamples=st.integers(100, 5000))
+def test_permutation_result_ignores_rng(a, b, seed, resamples):
+    res = permutation_pvalue(a, b, permutations=resamples, rng=seed)
+    assert res == permutation_pvalue(a, b, permutations=resamples)
+    assert 1.0 / (resamples + 1) <= res.p_value <= 1.0
+
+
+@_SETTINGS
 @given(a=_SAMPLE, b=_SAMPLE, seed=_SEED, resample=_RESAMPLE)
 def test_invariant_under_exact_increasing_map(a, b, seed, resample):
-    # x -> x / 2 keeps the pooled sort order and every tie, so the same
-    # draws re-split the same positions and every byte of the result holds.
+    # x -> x / 2 keeps the pooled sort order and every tie, so the exact
+    # null counts the same splits, the bootstrap's draws re-split the same
+    # positions, and every byte of the result holds.
     res = permutation_pvalue(a, b, permutations=100, rng=seed, resample=resample)
     halved = permutation_pvalue(
         np.divide(a, 2), np.divide(b, 2), permutations=100, rng=seed, resample=resample
