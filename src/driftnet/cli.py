@@ -15,7 +15,6 @@ import io
 import json
 import logging
 import os
-import re
 import sys
 import time
 from pathlib import Path
@@ -24,9 +23,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, fields_from_dict
-from .metrics import METRIC_NAMES, ConfusionCounts, aggregate, compute_metrics
+from .metrics import EMPTY_CLASS_POLICIES, METRIC_NAMES, ConfusionCounts, aggregate, compute_metrics
 from .sim import (
-    GridCell,
     SimConfig,
     cell_label,
     derive_seed,
@@ -57,14 +55,33 @@ SEVERITY_COLUMNS = [
     "score",
     "category",
 ]
+RUN_OUTPUTS = ("verdicts.csv", "severity.csv", "summary.json", "manifest.json")
 REPORT_FILES = (
     "report_agents.csv",
     "report_breakdown.csv",
     "report_timeline.csv",
     "report_tables.txt",
 )
-
-_CELL_PATTERN = re.compile(r"^strength(?P<s>[^_]+)_duration(?P<d>[^_]+)_window(?P<w>.+)$")
+STAT_COLUMNS = ["metric", "mean", "std", "n", "skipped"]
+BREAKDOWN_COLUMNS = [
+    "cell",
+    "drift_strength",
+    "drift_duration",
+    "window_fraction",
+    "scheme",
+    "task",
+    *STAT_COLUMNS,
+]
+TIMELINE_COLUMNS = [
+    *(name for name in VERDICT_COLUMNS if name != "statistic"),
+    "severity_score",
+    "c_true",
+    "c_pred",
+    "category",
+]
+# (drift, truth) of an evaluated verdict row -> its ConfusionCounts field
+# (tp, fp, tn, fn).
+_CONFUSION_SLOT = {("1", "1"): 0, ("1", "0"): 1, ("0", "0"): 2, ("0", "1"): 3}
 
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> SimConfig:
@@ -111,7 +128,8 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 class _AtomicCsvWriter:
-    """Streams rows to <name>.tmp and renames into place on close."""
+    """Streams rows to <name>.tmp; leaving its `with` block renames the
+    file into place, or deletes it if the block raised."""
 
     def __init__(self, path: Path, columns: list[str]) -> None:
         self.path = path
@@ -123,13 +141,15 @@ class _AtomicCsvWriter:
     def write(self, row: list) -> None:
         self.writer.writerow(row)
 
-    def close(self) -> None:
-        self.handle.close()
-        os.replace(self.tmp, self.path)
+    def __enter__(self) -> "_AtomicCsvWriter":
+        return self
 
-    def abort(self) -> None:
+    def __exit__(self, exc_type, exc, traceback) -> None:
         self.handle.close()
-        self.tmp.unlink(missing_ok=True)
+        if exc_type is None:
+            os.replace(self.tmp, self.path)
+        else:
+            self.tmp.unlink(missing_ok=True)
 
 
 def _fmt(value) -> str:
@@ -211,51 +231,46 @@ def cmd_run(args) -> int:
         json.dumps(config_snapshot, sort_keys=True).encode()
     ).hexdigest()[:12]
 
-    verdicts_writer = _AtomicCsvWriter(out_dir / "verdicts.csv", VERDICT_COLUMNS)
-    severity_writer = _AtomicCsvWriter(out_dir / "severity.csv", SEVERITY_COLUMNS)
+    with (
+        _AtomicCsvWriter(out_dir / "verdicts.csv", VERDICT_COLUMNS) as verdicts_writer,
+        _AtomicCsvWriter(out_dir / "severity.csv", SEVERITY_COLUMNS) as severity_writer,
+    ):
 
-    def sink(result) -> None:
-        run_id = _run_id(result.replicate_index)
-        label = cell_label(result.cell)
-        for scheme_name, record in result.schemes.items():
-            for agent_record in record.agents:
-                for verdict in agent_record.verdicts:
-                    verdicts_writer.write(
+        def sink(result) -> None:
+            run_id = _run_id(result.replicate_index)
+            label = cell_label(result.cell)
+            for scheme_name, record in result.schemes.items():
+                for agent_record in record.agents:
+                    for verdict in agent_record.verdicts:
+                        verdicts_writer.write(
+                            [
+                                run_id,
+                                label,
+                                scheme_name,
+                                agent_record.center,
+                                verdict.batch_index,
+                                verdict.n_valid,
+                                _fmt(verdict.statistic),
+                                _fmt(verdict.p_value),
+                                _fmt(verdict.drift),
+                                agent_record.truth[verdict.batch_index],
+                            ]
+                        )
+                for row in record.severity:
+                    severity_writer.write(
                         [
                             run_id,
                             label,
                             scheme_name,
-                            agent_record.center,
-                            verdict.batch_index,
-                            verdict.n_valid,
-                            _fmt(verdict.statistic),
-                            _fmt(verdict.p_value),
-                            _fmt(verdict.drift),
-                            agent_record.truth[verdict.batch_index],
+                            row.batch_index,
+                            row.c_true,
+                            row.c_pred,
+                            _fmt(row.score),
+                            row.category,
                         ]
                     )
-            for rec, outcome in zip(record.severity_records, record.severity_outcomes):
-                severity_writer.write(
-                    [
-                        run_id,
-                        label,
-                        scheme_name,
-                        outcome.batch_index,
-                        outcome.c_true,
-                        outcome.c_pred,
-                        _fmt(rec.score),
-                        outcome.category,
-                    ]
-                )
 
-    try:
         result = run_grid(config, threads=threads, replicate_sink=sink)
-    except BaseException:
-        verdicts_writer.abort()
-        severity_writer.abort()
-        raise
-    verdicts_writer.close()
-    severity_writer.close()
 
     summary = summary_dict(result)
     _atomic_write_text(
@@ -286,230 +301,130 @@ def cmd_run(args) -> int:
     return 1 if result.failures else 0
 
 
-def _parse_cell(label: str) -> GridCell:
-    match = _CELL_PATTERN.match(label)
-    if match is None:
-        raise ValueError(f"invalid-cell: {label!r}")
-    return GridCell(
-        float(match.group("s")), float(match.group("d")), float(match.group("w"))
-    )
-
-
-def _read_csv(path: Path) -> list[dict]:
+def _csv_rows(path: Path, columns: list[str]):
+    """Stream the rows of a CSV that `driftnet run` wrote with `columns`."""
     with open(path, newline="", encoding="utf-8") as handle:
-        return list(csv.DictReader(handle))
+        reader = csv.reader(handle)
+        if next(reader, None) != columns:
+            raise ValueError(f"invalid-run-output: {path} must start with {','.join(columns)}")
+        yield from reader
 
 
-def _metric_rows(pools: dict) -> list[list]:
+def _stat_rows(metrics: dict) -> list[list]:
+    """[metric, mean, std, n, skipped] per metric of one summary.json entry."""
     rows = []
-    for key in sorted(pools):
-        summary = aggregate(pools[key])
-        for metric in METRIC_NAMES:
-            stat = getattr(summary, metric)
-            rows.append(
-                list(key)
-                + [
-                    metric,
-                    "" if stat.mean is None else f"{stat.mean:.6f}",
-                    "" if stat.std is None else f"{stat.std:.6f}",
-                    stat.n,
-                    stat.skipped,
-                ]
-            )
+    for metric in METRIC_NAMES:
+        stat = metrics[metric]
+        rows.append(
+            [
+                metric,
+                "" if stat["mean"] is None else f"{stat['mean']:.6f}",
+                "" if stat["std"] is None else f"{stat['std']:.6f}",
+                stat["n"],
+                stat["skipped"],
+            ]
+        )
     return rows
 
 
-def _detection_pools(verdict_rows: list[dict], group) -> dict:
-    """Confusion counts per (group key, replicate pool entry), then metrics."""
-    counters: dict = {}
-    for row in verdict_rows:
-        if row["p_value"] == "":
-            continue
-        pool_key = group(row)
-        entry_key = (row["cell"], row["run_id"], row["agent"])
-        bucket = counters.setdefault(pool_key, {})
-        counts = bucket.setdefault(entry_key, [0, 0, 0, 0])
-        drift = row["drift"] == "1"
-        truth = row["truth"] == "1"
-        if drift and truth:
-            counts[0] += 1
-        elif drift:
-            counts[1] += 1
-        elif truth:
-            counts[3] += 1
-        else:
-            counts[2] += 1
-    pools = {}
-    for pool_key, bucket in counters.items():
-        pools[pool_key] = [
-            compute_metrics(ConfusionCounts(tp=c[0], fp=c[1], tn=c[2], fn=c[3]))
-            for _, c in sorted(bucket.items())
-        ]
-    return pools
+def _write_breakdown(path: Path, cells: dict) -> None:
+    with _AtomicCsvWriter(path, BREAKDOWN_COLUMNS) as writer:
+        for task in ("detection", "severity"):
+            for label in sorted(cells):
+                cell = cells[label]
+                grid = [cell["drift_strength"], cell["drift_duration"], cell["window_fraction"]]
+                for scheme in sorted(cell["schemes"]):
+                    metrics = cell["schemes"][scheme][task]
+                    if metrics is not None:
+                        for row in _stat_rows(metrics):
+                            writer.write([label, *grid, scheme, task, *row])
 
 
-def _severity_pools(severity_rows: list[dict], group) -> dict:
-    counters: dict = {}
-    for row in severity_rows:
-        pool_key = group(row)
-        entry_key = (row["cell"], row["run_id"])
-        bucket = counters.setdefault(pool_key, {})
-        counts = bucket.setdefault(entry_key, {"TP": 0, "FP": 0, "TN": 0, "FN": 0})
-        counts[row["category"]] += 1
-    pools = {}
-    for pool_key, bucket in counters.items():
-        pools[pool_key] = [
-            compute_metrics(
-                ConfusionCounts(tp=c["TP"], fp=c["FP"], tn=c["TN"], fn=c["FN"])
-            )
-            for _, c in sorted(bucket.items())
-        ]
-    return pools
-
-
-def _format_table(title: str, pools: dict) -> list[str]:
+def _format_table(title: str, entries: dict) -> list[str]:
     lines = [title, ""]
     header = f"{'Scheme':<14}" + "".join(f"{name.capitalize():>20}" for name in METRIC_NAMES)
     lines.append(header)
     lines.append("-" * len(header))
-    for (scheme,) in sorted(pools):
-        summary = aggregate(pools[(scheme,)])
+    for scheme in sorted(entries):
         cells = []
         for metric in METRIC_NAMES:
-            stat = getattr(summary, metric)
-            if stat.mean is None:
+            stat = entries[scheme][metric]
+            if stat["mean"] is None:
                 cells.append(f"{'n/a':>20}")
             else:
-                cells.append(f"{stat.mean:>11.3f} ± {stat.std:.3f}")
+                cells.append(f"{stat['mean']:>11.3f} ± {stat['std']:.3f}")
         lines.append(f"{scheme:<14}" + "".join(cells))
     lines.append("")
     return lines
 
 
-def cmd_report(args) -> int:
-    out_dir = Path(args.out)
-    expected = [out_dir / "verdicts.csv", out_dir / "severity.csv", out_dir / "summary.json"]
-    missing = [str(p) for p in expected if not p.exists()]
-    if missing:
-        raise FileNotFoundError(
-            "missing run outputs, expected: " + ", ".join(str(p) for p in expected)
+def _write_timeline(out_dir: Path) -> dict:
+    """Write report_timeline.csv in one pass over verdicts.csv.
+
+    Each verdict row is joined with its scheme's severity row, where the
+    scheme has one, on (run_id, cell, scheme, batch_index). Returns the
+    [tp, fp, tn, fn] tally of each (scheme, agent, cell, run_id) entry; an
+    entry with no evaluated window keeps zero counts.
+    """
+    severity = {
+        (run_id, cell, scheme, batch): (score, c_true, c_pred, category)
+        for run_id, cell, scheme, batch, c_true, c_pred, score, category in _csv_rows(
+            out_dir / "severity.csv", SEVERITY_COLUMNS
         )
-    verdict_rows = _read_csv(out_dir / "verdicts.csv")
-    severity_rows = _read_csv(out_dir / "severity.csv")
-
-    # Per-agent averages across every cell and replicate.
-    agent_pools = _detection_pools(verdict_rows, lambda row: (row["scheme"], row["agent"]))
-    agent_lines = [",".join(["scheme", "agent", "metric", "mean", "std", "n", "skipped"])]
-    for row in _metric_rows(agent_pools):
-        agent_lines.append(",".join(str(v) for v in row))
-    _atomic_write_text(out_dir / "report_agents.csv", "\n".join(agent_lines) + "\n")
-
-    # Break-down by grid cell, detection and severity side by side.
-    detect_by_cell = _detection_pools(verdict_rows, lambda row: (row["cell"], row["scheme"]))
-    severity_by_cell = _severity_pools(severity_rows, lambda row: (row["cell"], row["scheme"]))
-    breakdown_lines = [
-        ",".join(
-            [
-                "cell",
-                "drift_strength",
-                "drift_duration",
-                "window_fraction",
-                "scheme",
-                "task",
-                "metric",
-                "mean",
-                "std",
-                "n",
-                "skipped",
-            ]
-        )
-    ]
-    for task, pools in (("detection", detect_by_cell), ("severity", severity_by_cell)):
-        for key in sorted(pools):
-            label, scheme = key
-            cell = _parse_cell(label)
-            summary = aggregate(pools[key])
-            for metric in METRIC_NAMES:
-                stat = getattr(summary, metric)
-                breakdown_lines.append(
-                    ",".join(
-                        str(v)
-                        for v in [
-                            label,
-                            cell.drift_strength,
-                            cell.drift_duration,
-                            cell.window_fraction,
-                            scheme,
-                            task,
-                            metric,
-                            "" if stat.mean is None else f"{stat.mean:.6f}",
-                            "" if stat.std is None else f"{stat.std:.6f}",
-                            stat.n,
-                            stat.skipped,
-                        ]
-                    )
-                )
-    _atomic_write_text(out_dir / "report_breakdown.csv", "\n".join(breakdown_lines) + "\n")
-
-    # Per-batch timeline: one row per verdict row, severity columns joined
-    # on (run_id, cell, scheme, batch_index) where the scheme has them.
-    severity_index = {
-        (row["run_id"], row["cell"], row["scheme"], row["batch_index"]): row
-        for row in severity_rows
     }
-    timeline_lines = [
-        ",".join(
-            [
-                "run_id",
-                "cell",
-                "scheme",
-                "agent",
-                "batch_index",
-                "n_valid",
-                "p_value",
-                "drift",
-                "truth",
-                "severity_score",
-                "c_true",
-                "c_pred",
-                "category",
-            ]
-        )
-    ]
-    for row in verdict_rows:
-        joined = severity_index.get(
-            (row["run_id"], row["cell"], row["scheme"], row["batch_index"])
-        )
-        timeline_lines.append(
-            ",".join(
-                [
-                    row["run_id"],
-                    row["cell"],
-                    row["scheme"],
-                    row["agent"],
-                    row["batch_index"],
-                    row["n_valid"],
-                    row["p_value"],
-                    row["drift"],
-                    row["truth"],
-                    joined["score"] if joined else "",
-                    joined["c_true"] if joined else "",
-                    joined["c_pred"] if joined else "",
-                    joined["category"] if joined else "",
-                ]
+    no_severity = ("", "", "", "")
+    tallies: dict = {}
+    verdicts = _csv_rows(out_dir / "verdicts.csv", VERDICT_COLUMNS)
+    with _AtomicCsvWriter(out_dir / "report_timeline.csv", TIMELINE_COLUMNS) as writer:
+        for run_id, cell, scheme, agent, batch, n_valid, _, p_value, drift, truth in verdicts:
+            joined = severity.get((run_id, cell, scheme, batch), no_severity)
+            writer.write(
+                [run_id, cell, scheme, agent, batch, n_valid, p_value, drift, truth, *joined]
             )
-        )
-    _atomic_write_text(out_dir / "report_timeline.csv", "\n".join(timeline_lines) + "\n")
+            tally = tallies.setdefault((scheme, agent, cell, run_id), [0, 0, 0, 0])
+            if p_value:
+                tally[_CONFUSION_SLOT[drift, truth]] += 1
+    return tallies
 
-    # Plain-text summary tables.
-    detect_overall = _detection_pools(verdict_rows, lambda row: (row["scheme"],))
-    severity_overall = _severity_pools(severity_rows, lambda row: (row["scheme"],))
-    lines = _format_table("Drift detection performance by monitoring scheme", detect_overall)
-    if severity_overall:
-        lines += _format_table(
-            "Drift severity performance (multi-center schemes)", severity_overall
+
+def cmd_report(args) -> int:
+    """Format summary.json's per-cell and overall metrics as tables, and
+    score the per-agent table the way run_grid scores its pools."""
+    out_dir = Path(args.out)
+    missing = [name for name in RUN_OUTPUTS if not (out_dir / name).exists()]
+    if missing:
+        raise FileNotFoundError(f"missing run outputs in {out_dir}: {', '.join(missing)}")
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    policy = manifest.get("config", {}).get("empty_class_policy")
+    if policy not in EMPTY_CLASS_POLICIES:
+        raise ValueError(
+            f"invalid-run-output: {out_dir / 'manifest.json'}: config.empty_class_policy "
+            f"is {policy!r}, expected one of {EMPTY_CLASS_POLICIES}"
         )
+
+    _write_breakdown(out_dir / "report_breakdown.csv", summary["cells"])
+
+    overall = summary["overall"]
+    detection = {name: entry["detection"] for name, entry in overall.items() if entry["detection"]}
+    severity = {name: entry["severity"] for name, entry in overall.items() if entry["severity"]}
+    lines = _format_table("Drift detection performance by monitoring scheme", detection)
+    if severity:
+        lines += _format_table("Drift severity performance (multi-center schemes)", severity)
     _atomic_write_text(out_dir / "report_tables.txt", "\n".join(lines) + "\n")
+
+    # Per-agent averages across every cell and replicate: the one table
+    # summary.json does not hold, scored with run_grid's functions.
+    pools: dict = {}
+    for (scheme, agent, _, _), tally in _write_timeline(out_dir).items():
+        pools.setdefault((scheme, agent), []).append(
+            compute_metrics(ConfusionCounts(*tally), policy)
+        )
+    agent_columns = ["scheme", "agent", *STAT_COLUMNS]
+    with _AtomicCsvWriter(out_dir / "report_agents.csv", agent_columns) as writer:
+        for key in sorted(pools):
+            for row in _stat_rows(aggregate(pools[key]).to_dict()):
+                writer.write([*key, *row])
 
     print(f"wrote {', '.join(REPORT_FILES)} to {out_dir}")
     return 0

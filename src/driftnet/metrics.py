@@ -92,14 +92,15 @@ def compute_metrics(counts: ConfusionCounts, empty_class_policy: str = "skip") -
     positive predictions, precision is 0 (not undefined). Pools with no
     positives anywhere have no defined positive-class metrics; the
     default "skip" policy marks them None so aggregation can drop and
-    flag them, while "one" scores them 1.0.
+    flag them, while "one" scores them 1.0. An empty table (an agent that
+    never tested) is None under either policy: it is evidence of nothing.
     """
     if empty_class_policy not in EMPTY_CLASS_POLICIES:
         raise ValueError(
             f"invalid-empty-class-policy: {empty_class_policy!r}, "
             f"expected one of {EMPTY_CLASS_POLICIES}"
         )
-    undefined = 1.0 if empty_class_policy == "one" else None
+    undefined = 1.0 if empty_class_policy == "one" and counts.total else None
     tp, fp, tn, fn = counts.tp, counts.fp, counts.tn, counts.fn
 
     if tp + fp > 0:

@@ -14,7 +14,6 @@ from .metrics import ConfusionCounts
 
 __all__ = [
     "SEVERITY_RULES",
-    "SeverityOutcome",
     "SeverityRecord",
     "build_severity",
     "classify_severity",
@@ -62,21 +61,13 @@ def classify_severity(c_true: int, c_pred: int, rule: str = "exact") -> str:
 
 @dataclass(frozen=True)
 class SeverityRecord:
-    """Observed per-batch agreement across agents."""
-
-    batch_index: int
-    n_agents: int
-    detections: tuple[int, ...]
-    score: float
-
-
-@dataclass(frozen=True)
-class SeverityOutcome:
-    """Severity classification of one batch against ground truth."""
+    """One batch's agreement across agents and its class against ground
+    truth: the columns of a severity.csv row."""
 
     batch_index: int
     c_true: int
     c_pred: int
+    score: float
     category: str
 
 
@@ -84,7 +75,7 @@ def build_severity(
     per_agent_flags: list[list[int]],
     per_agent_truth: list[list[int]],
     rule: str = "exact",
-) -> tuple[list[SeverityRecord], list[SeverityOutcome], ConfusionCounts]:
+) -> tuple[list[SeverityRecord], ConfusionCounts]:
     """Score every shared batch index across a scheme's agents.
 
     `per_agent_flags[i][t]` is 1 when agent i flagged drift at batch t
@@ -101,27 +92,16 @@ def build_severity(
         if len(flags) != n_batches or len(truth) != n_batches:
             raise ValueError("batch-misalignment: agents cover different batch counts")
 
-    records: list[SeverityRecord] = []
-    outcomes: list[SeverityOutcome] = []
+    rows: list[SeverityRecord] = []
     counts = {"TP": 0, "FP": 0, "TN": 0, "FN": 0}
     for t in range(n_batches):
-        detections = tuple(int(bool(flags[t])) for flags in per_agent_flags)
+        detections = [int(bool(flags[t])) for flags in per_agent_flags]
         c_pred = sum(detections)
         c_true = sum(int(bool(truth[t])) for truth in per_agent_truth)
         category = classify_severity(c_true, c_pred, rule)
         counts[category] += 1
-        records.append(
-            SeverityRecord(
-                batch_index=t,
-                n_agents=len(detections),
-                detections=detections,
-                score=severity_score(detections),
-            )
-        )
-        outcomes.append(
-            SeverityOutcome(batch_index=t, c_true=c_true, c_pred=c_pred, category=category)
-        )
+        rows.append(SeverityRecord(t, c_true, c_pred, severity_score(detections), category))
     confusion = ConfusionCounts(
         tp=counts["TP"], fp=counts["FP"], tn=counts["TN"], fn=counts["FN"]
     )
-    return records, outcomes, confusion
+    return rows, confusion

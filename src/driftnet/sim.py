@@ -39,7 +39,7 @@ from .metrics import (
     score_detection,
 )
 from .schemes import UPDATE_CONDITIONS, ReferenceSpec, SchemeKind
-from .severity import SEVERITY_RULES, SeverityOutcome, SeverityRecord, build_severity
+from .severity import SEVERITY_RULES, SeverityRecord, build_severity
 from .stats import RESAMPLE_MODES
 
 __all__ = [
@@ -442,23 +442,17 @@ def _site_data(
 @dataclass
 class AgentRunRecord:
     center: str
-    scheme: str
-    window_size: int
-    min_valid: int
     verdicts: list[DriftVerdict]
     truth: list[int]
     detection: ConfusionCounts
-    consumed_batch: int | None
     adaptive_trace: list[dict]
     hook_failures: list
 
 
 @dataclass
 class SchemeRunRecord:
-    scheme: str
     agents: list[AgentRunRecord]
-    severity_records: list[SeverityRecord]
-    severity_outcomes: list[SeverityOutcome]
+    severity: list[SeverityRecord]
     severity_counts: ConfusionCounts | None
 
 
@@ -526,21 +520,16 @@ def _run_scheme(
         agent_records.append(
             AgentRunRecord(
                 center=stream.site_id,
-                scheme=scheme.value,
-                window_size=window_size,
-                min_valid=agent.min_valid,
                 verdicts=list(agent.verdicts),
                 truth=truth,
                 detection=detection,
-                consumed_batch=agent.consumed_batch,
                 adaptive_trace=list(agent.adaptive_trace),
                 hook_failures=list(agent.hook_failures),
             )
         )
 
     if scheme is SchemeKind.CENTRALIZED:
-        severity_records: list[SeverityRecord] = []
-        severity_outcomes: list[SeverityOutcome] = []
+        severity: list[SeverityRecord] = []
         severity_counts = None
     else:
         n_batches = min(len(record.truth) for record in agent_records)
@@ -553,15 +542,9 @@ def _run_scheme(
                     agent_flags[verdict.batch_index] = 1
             flags.append(agent_flags)
             truths.append(list(record.truth[:n_batches]))
-        severity_records, severity_outcomes, severity_counts = build_severity(
-            flags, truths, config.severity_tp_rule
-        )
+        severity, severity_counts = build_severity(flags, truths, config.severity_tp_rule)
     return SchemeRunRecord(
-        scheme=scheme.value,
-        agents=agent_records,
-        severity_records=severity_records,
-        severity_outcomes=severity_outcomes,
-        severity_counts=severity_counts,
+        agents=agent_records, severity=severity, severity_counts=severity_counts
     )
 
 

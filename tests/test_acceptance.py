@@ -247,12 +247,14 @@ def test_severity_scores_match_hand_computation():
         truth[0, 0] = truth[1, 0] = 1  # guarantee one true positive batch
         flags = [list(row) for row in truth]
         truths = [list(row) for row in truth]
-        records, outcomes, counts = build_severity(flags, truths)
+        rows, counts = build_severity(flags, truths)
         assert counts.fp == 0 and counts.fn == 0
-        assert {o.category for o in outcomes} <= {"TP", "TN"}
+        assert {row.category for row in rows} <= {"TP", "TN"}
         assert compute_metrics(counts).f1 == 1.0
-        for record in records:
-            assert record.score == sum(record.detections) / len(record.detections)
+        for row in rows:
+            batch_flags = [agent_flags[row.batch_index] for agent_flags in flags]
+            assert row.c_pred == sum(batch_flags)
+            assert row.score == severity_score(batch_flags) == row.c_pred / n_agents
 
     for _ in range(100):
         flags = list((np.random.default_rng(int(rng.integers(1 << 30))).random(6) < 0.5).astype(int))

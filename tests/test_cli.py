@@ -6,6 +6,7 @@ import json
 import pytest
 
 from driftnet.cli import ConfigError, config_from_dict, load_config, main
+from driftnet.metrics import EMPTY_CLASS_POLICIES
 
 
 SMALL_CONFIG = {
@@ -276,6 +277,62 @@ class TestReport:
         code = main(["report", "--out", str(tmp_path / "nowhere")])
         assert code == 2
         assert "verdicts.csv" in capsys.readouterr().err
+
+    def test_missing_manifest_is_named(self, run_dir, capsys):
+        # The manifest holds the empty-class policy the agent table is scored with.
+        (run_dir / "manifest.json").unlink()
+        assert main(["report", "--out", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: missing run outputs in {run_dir}: manifest.json\n" in err
+        assert not (run_dir / "report_agents.csv").exists()
+
+    @pytest.mark.parametrize("policy", EMPTY_CLASS_POLICIES)
+    def test_breakdown_equals_summary(self, tmp_path, policy):
+        config_path = write_config(tmp_path, dict(SMALL_CONFIG, empty_class_policy=policy))
+        out = tmp_path / "run"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 0
+        assert main(["report", "--out", str(out)]) == 0
+        cells = json.loads((out / "summary.json").read_text())["cells"]
+        expected = {
+            (label, scheme, task, metric): (
+                "" if stat["mean"] is None else f"{stat['mean']:.6f}",
+                "" if stat["std"] is None else f"{stat['std']:.6f}",
+                str(stat["n"]),
+                str(stat["skipped"]),
+            )
+            for label, cell in cells.items()
+            for scheme, tasks in cell["schemes"].items()
+            for task, metrics in tasks.items()
+            if metrics is not None
+            for metric, stat in metrics.items()
+        }
+        rows = read_rows(out / "report_breakdown.csv")
+        got = {
+            (r["cell"], r["scheme"], r["task"], r["metric"]): (
+                r["mean"], r["std"], r["n"], r["skipped"]
+            )
+            for r in rows
+        }
+        assert len(got) == len(rows)
+        assert got == expected
+        # DS-3 never tests at this window fraction: counted, not scored.
+        (label,) = cells
+        assert int(got[label, "SiteRef", "detection", "f1"][3]) >= SMALL_CONFIG["replicates"]
+
+    @pytest.mark.parametrize("policy", EMPTY_CLASS_POLICIES)
+    def test_agent_table_keeps_agents_that_never_test(self, tmp_path, policy):
+        config_path = write_config(tmp_path, dict(SMALL_CONFIG, empty_class_policy=policy))
+        out = tmp_path / "run"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 0
+        assert main(["report", "--out", str(out)]) == 0
+        rows = read_rows(out / "report_agents.csv")
+        agents = {(r["scheme"], r["agent"]) for r in rows}
+        assert {("SiteRef", "DS-3"), ("Centralized", "ALL")} <= agents
+        for row in rows:
+            # One entry per replicate of the single cell, scored or skipped.
+            assert int(row["n"]) + int(row["skipped"]) == SMALL_CONFIG["replicates"]
+        ds3 = [r for r in rows if (r["scheme"], r["agent"]) == ("SiteRef", "DS-3")]
+        assert [r["mean"] for r in ds3] == [""] * 4
 
     def test_report_files_written_and_stable(self, run_dir):
         assert main(["report", "--out", str(run_dir)]) == 0

@@ -32,12 +32,13 @@ def test_import_loads_no_third_party_package_but_numpy():
 
 # Every name `driftnet.__all__` listed when it was kept by hand, except the
 # three deleted with the reference wrappers and the synthetic-site helper
-# (AdaptiveReference, SampleReference, generate_synthetic_sites).
+# (AdaptiveReference, SampleReference, generate_synthetic_sites) and
+# SeverityOutcome, merged into SeverityRecord.
 _PUBLIC = """
 __version__ AgentConfig AgentId DriftAgent DriftVerdict logging_hook webhook_hook
 ConfusionCounts MetricSet MetricsSummary aggregate compute_metrics score_detection
 AdaptiveState ReferenceSpec SchemeKind adaptive_observe initial_adaptive_state make_reference
-SeverityOutcome SeverityRecord build_severity classify_severity severity_score
+SeverityRecord build_severity classify_severity severity_score
 DEFAULT_SITES GridCell SimConfig SiteSpec augment cell_label derive_seed inject_drift
 interleave_sites pad_sparsity run_grid run_replicate summary_dict window_truth_labels
 Histogram KsResult blend build_histogram ks_statistic ks_vs_histogram permutation_pvalue

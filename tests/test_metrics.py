@@ -4,6 +4,7 @@ import pytest
 
 from driftnet.agent import AgentId, DriftVerdict
 from driftnet.metrics import (
+    EMPTY_CLASS_POLICIES,
     ConfusionCounts,
     MetricSet,
     aggregate,
@@ -86,6 +87,16 @@ class TestComputeMetrics:
         assert m.precision == 1.0
         assert m.sensitivity == 1.0
         assert m.f1 == 1.0
+
+    @pytest.mark.parametrize("policy", EMPTY_CLASS_POLICIES)
+    def test_agent_that_never_tested_is_unscored(self, policy):
+        # "one" fills in a class absent from tested windows, not a table
+        # with no tested window at all.
+        assert compute_metrics(ConfusionCounts(), policy) == MetricSet(None, None, None, None)
+        tables = (ConfusionCounts(tn=3), ConfusionCounts())
+        pool = [compute_metrics(counts, policy) for counts in tables]
+        specificity = aggregate(pool).specificity
+        assert (specificity.mean, specificity.n, specificity.skipped) == (1.0, 1, 1)
 
     def test_no_negatives_leaves_specificity_undefined(self):
         m = compute_metrics(ConfusionCounts(tp=4, fp=0, tn=0, fn=0))

@@ -67,7 +67,7 @@ class TestBuildSeverity:
         rng = np.random.default_rng(200)
         truth = (rng.random((4, 25)) < 0.3).astype(int)
         flags = truth.copy()
-        records, outcomes, counts = build_severity(flags.tolist(), truth.tolist())
+        rows, counts = build_severity(flags.tolist(), truth.tolist())
         assert counts.fp == 0 and counts.fn == 0
         assert counts.tp + counts.tn == 25
         assert counts.tp == sum(1 for t in truth.sum(axis=0) if t >= 2)
@@ -75,12 +75,12 @@ class TestBuildSeverity:
     def test_records_carry_scores(self):
         flags = [[1, 0], [1, 0], [0, 0], [0, 1]]
         truth = [[1, 0], [1, 0], [0, 0], [0, 0]]
-        records, outcomes, counts = build_severity(flags, truth)
-        assert [r.score for r in records] == [0.5, 0.25]
-        assert [r.n_agents for r in records] == [4, 4]
-        assert [o.c_true for o in outcomes] == [2, 0]
-        assert [o.c_pred for o in outcomes] == [2, 1]
-        assert [o.category for o in outcomes] == ["TP", "TN"]
+        rows, counts = build_severity(flags, truth)
+        assert [r.batch_index for r in rows] == [0, 1]
+        assert [r.score for r in rows] == [0.5, 0.25]  # 2 and 1 of 4 agents flag
+        assert [r.c_true for r in rows] == [2, 0]
+        assert [r.c_pred for r in rows] == [2, 1]
+        assert [r.category for r in rows] == ["TP", "TN"]
         assert counts.tp == 1 and counts.tn == 1
 
     def test_batch_misalignment_rejected(self):
@@ -94,7 +94,7 @@ class TestBuildSeverity:
     def test_threshold_rule_propagates(self):
         flags = [[1], [1], [1]]
         truth = [[1], [1], [0]]
-        _, outcomes_exact, _ = build_severity(flags, truth, rule="exact")
-        _, outcomes_thresh, _ = build_severity(flags, truth, rule="threshold")
-        assert outcomes_exact[0].category == "FP"
-        assert outcomes_thresh[0].category == "TP"
+        rows_exact, _ = build_severity(flags, truth, rule="exact")
+        rows_thresh, _ = build_severity(flags, truth, rule="threshold")
+        assert rows_exact[0].category == "FP"
+        assert rows_thresh[0].category == "TP"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from driftnet.schemes import SchemeKind
+from driftnet.severity import severity_score
 from driftnet.sim import (
     DEFAULT_SITES,
     GridCell,
@@ -335,7 +336,7 @@ class TestRunReplicate:
         config = small_config()
         result = run_replicate(config, GridCell(0.3, 0.3, 0.10), 0)
         assert result.schemes["Centralized"].severity_counts is None
-        assert result.schemes["Centralized"].severity_records == []
+        assert result.schemes["Centralized"].severity == []
         for name in ("GlobalRef", "SiteRef", "ProdRef", "AdaptiveRef"):
             assert result.schemes[name].severity_counts is not None
 
@@ -347,11 +348,13 @@ class TestRunReplicate:
         for agent in record.agents:
             flags = {v.batch_index: int(v.drift) for v in agent.verdicts if v.evaluated}
             flags_by_agent[agent.center] = flags
-        for sev in record.severity_records:
+        assert [sev.batch_index for sev in record.severity] == list(range(len(record.severity)))
+        for sev in record.severity:
             expected = [
                 flags_by_agent[a.center].get(sev.batch_index, 0) for a in record.agents
             ]
-            assert list(sev.detections) == expected
+            assert sev.c_pred == sum(expected)
+            assert sev.score == severity_score(expected)
 
 
 class TestRunGrid:
