@@ -4,6 +4,10 @@ One agent watches one output stream for one (center, model) pair. It
 consumes observations one at a time, cuts them into fixed,
 non-overlapping windows, tests each window against its scheme's
 reference, and reacts to drift verdicts through registered hooks.
+
+AgentConfig declares its checks in the config field table, so a bad
+window, threshold, min_valid or resample value raises a ConfigError
+naming the field at construction, as a bad JSON config does.
 """
 
 from __future__ import annotations
@@ -13,11 +17,12 @@ import logging
 import math
 import time
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
 from . import schemes
+from .config import ConfigError, setting, validate_fields
 from .schemes import AdaptiveState, ReferenceSpec, SchemeKind, make_reference
 from .stats import RESAMPLE_MODES, ks_vs_histogram, permutation_pvalue
 
@@ -44,13 +49,25 @@ class AgentId:
 
 @dataclass
 class AgentConfig:
+    """One agent's settings. `min_valid` (valid observations a window
+    needs to be tested) defaults to max(2, window_size // 2)."""
+
     agent_id: AgentId
     scheme: ReferenceSpec
-    window_size: int
-    threshold: float = 0.05
+    window_size: int = setting(MISSING, "window_size", int, ge=2)
+    threshold: float = setting(0.05, "threshold", float, gt=0.0, lt=1.0)
     permutations: int = 1000
-    min_valid: int | None = None
-    resample: str = "permutation"
+    min_valid: int | None = setting(None, "min_valid", int, optional=True, ge=2)
+    resample: str = setting("permutation", "resample", str, choices=RESAMPLE_MODES)
+
+    def __post_init__(self) -> None:
+        validate_fields(self)
+        if self.min_valid is not None and self.min_valid > self.window_size:
+            # Such an agent would never test a window.
+            raise ConfigError(
+                "min_valid",
+                f"must be <= window_size ({self.window_size}), got {self.min_valid}",
+            )
 
 
 @dataclass(frozen=True)
@@ -76,7 +93,8 @@ def logging_hook(record: dict) -> None:
 
 
 def webhook_hook(url: str, timeout: float = 2.0):
-    """Fire-and-forget JSON POST of drift records to an HTTP endpoint."""
+    """Fire-and-forget JSON POST of drift records to an HTTP endpoint, for
+    a deployed agent; simulated agents log their alerts instead."""
 
     def hook(record: dict) -> None:
         payload = json.dumps(record).encode("utf-8")
@@ -112,21 +130,10 @@ class DriftAgent:
     """
 
     def __init__(self, config: AgentConfig, rng=None, hooks=()) -> None:
-        if config.resample not in RESAMPLE_MODES:
-            raise ValueError(
-                f"unknown-resample: {config.resample!r}, expected one of {RESAMPLE_MODES}"
-            )
-        if config.window_size < 2:
-            raise ValueError(f"window-too-small: window_size={config.window_size}, need >= 2")
-        if not 0.0 < config.threshold < 1.0:
-            raise ValueError(f"invalid-threshold: {config.threshold!r} outside (0, 1)")
-        min_valid = config.min_valid
-        if min_valid is None:
-            min_valid = max(2, config.window_size // 2)
-        if min_valid < 2:
-            raise ValueError(f"invalid-min-valid: {min_valid}, need >= 2")
         self.config = config
-        self.min_valid = int(min_valid)
+        self.min_valid = (
+            max(2, config.window_size // 2) if config.min_valid is None else config.min_valid
+        )
         self.rng = np.random.default_rng(rng)
         self.hooks = list(hooks)
         self.batch_index = 0

@@ -8,10 +8,10 @@ never leaves a truncated file behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
-import io
 import json
 import logging
 import os
@@ -120,36 +120,32 @@ def load_config(path: str | None) -> SimConfig:
     return config_from_dict(raw, base_dir=file_path.parent)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: Path):
+    """A text handle on <name>.tmp, renamed to `path` when the block ends;
+    if the block, the close or the rename raises, the temp file is deleted."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    with _atomic_file(path) as handle:
         handle.write(text)
-    os.replace(tmp, path)
 
 
-class _AtomicCsvWriter:
-    """Streams rows to <name>.tmp; leaving its `with` block renames the
-    file into place, or deletes it if the block raised."""
-
-    def __init__(self, path: Path, columns: list[str]) -> None:
-        self.path = path
-        self.tmp = path.with_name(path.name + ".tmp")
-        self.handle = open(self.tmp, "w", encoding="utf-8", newline="")
-        self.writer = csv.writer(self.handle, lineterminator="\n")
-        self.writer.writerow(columns)
-
-    def write(self, row: list) -> None:
-        self.writer.writerow(row)
-
-    def __enter__(self) -> "_AtomicCsvWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, traceback) -> None:
-        self.handle.close()
-        if exc_type is None:
-            os.replace(self.tmp, self.path)
-        else:
-            self.tmp.unlink(missing_ok=True)
+@contextlib.contextmanager
+def _atomic_csv(path: Path, columns: list[str]):
+    """A csv writer on an atomic file that starts with the `columns` row."""
+    with _atomic_file(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        yield writer
 
 
 def _fmt(value) -> str:
@@ -203,12 +199,9 @@ def cmd_datagen(args) -> int:
     for spec in synthetic:
         for prefix, data in zip(("ref", "test"), site_samples(spec, rng)):
             path = out_dir / f"{prefix}_{spec.site_id}.csv"
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(["index", "probability"])
-            for index, value in enumerate(data):
-                writer.writerow([index, repr(float(value))])
-            _atomic_write_text(path, buffer.getvalue())
+            with _atomic_csv(path, ["index", "probability"]) as writer:
+                for index, value in enumerate(data):
+                    writer.writerow([index, repr(float(value))])
             written.append(path.name)
     print(f"wrote {len(written)} series files to {out_dir}")
     return 0
@@ -232,8 +225,8 @@ def cmd_run(args) -> int:
     ).hexdigest()[:12]
 
     with (
-        _AtomicCsvWriter(out_dir / "verdicts.csv", VERDICT_COLUMNS) as verdicts_writer,
-        _AtomicCsvWriter(out_dir / "severity.csv", SEVERITY_COLUMNS) as severity_writer,
+        _atomic_csv(out_dir / "verdicts.csv", VERDICT_COLUMNS) as verdicts_writer,
+        _atomic_csv(out_dir / "severity.csv", SEVERITY_COLUMNS) as severity_writer,
     ):
 
         def sink(result) -> None:
@@ -242,7 +235,7 @@ def cmd_run(args) -> int:
             for scheme_name, record in result.schemes.items():
                 for agent_record in record.agents:
                     for verdict in agent_record.verdicts:
-                        verdicts_writer.write(
+                        verdicts_writer.writerow(
                             [
                                 run_id,
                                 label,
@@ -257,7 +250,7 @@ def cmd_run(args) -> int:
                             ]
                         )
                 for row in record.severity:
-                    severity_writer.write(
+                    severity_writer.writerow(
                         [
                             run_id,
                             label,
@@ -328,7 +321,7 @@ def _stat_rows(metrics: dict) -> list[list]:
 
 
 def _write_breakdown(path: Path, cells: dict) -> None:
-    with _AtomicCsvWriter(path, BREAKDOWN_COLUMNS) as writer:
+    with _atomic_csv(path, BREAKDOWN_COLUMNS) as writer:
         for task in ("detection", "severity"):
             for label in sorted(cells):
                 cell = cells[label]
@@ -337,7 +330,7 @@ def _write_breakdown(path: Path, cells: dict) -> None:
                     metrics = cell["schemes"][scheme][task]
                     if metrics is not None:
                         for row in _stat_rows(metrics):
-                            writer.write([label, *grid, scheme, task, *row])
+                            writer.writerow([label, *grid, scheme, task, *row])
 
 
 def _format_table(title: str, entries: dict) -> list[str]:
@@ -375,10 +368,10 @@ def _write_timeline(out_dir: Path) -> dict:
     no_severity = ("", "", "", "")
     tallies: dict = {}
     verdicts = _csv_rows(out_dir / "verdicts.csv", VERDICT_COLUMNS)
-    with _AtomicCsvWriter(out_dir / "report_timeline.csv", TIMELINE_COLUMNS) as writer:
+    with _atomic_csv(out_dir / "report_timeline.csv", TIMELINE_COLUMNS) as writer:
         for run_id, cell, scheme, agent, batch, n_valid, _, p_value, drift, truth in verdicts:
             joined = severity.get((run_id, cell, scheme, batch), no_severity)
-            writer.write(
+            writer.writerow(
                 [run_id, cell, scheme, agent, batch, n_valid, p_value, drift, truth, *joined]
             )
             tally = tallies.setdefault((scheme, agent, cell, run_id), [0, 0, 0, 0])
@@ -421,10 +414,10 @@ def cmd_report(args) -> int:
             compute_metrics(ConfusionCounts(*tally), policy)
         )
     agent_columns = ["scheme", "agent", *STAT_COLUMNS]
-    with _AtomicCsvWriter(out_dir / "report_agents.csv", agent_columns) as writer:
+    with _atomic_csv(out_dir / "report_agents.csv", agent_columns) as writer:
         for key in sorted(pools):
             for row in _stat_rows(aggregate(pools[key]).to_dict()):
-                writer.write([*key, *row])
+                writer.writerow([*key, *row])
 
     print(f"wrote {', '.join(REPORT_FILES)} to {out_dir}")
     return 0

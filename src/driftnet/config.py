@@ -106,12 +106,14 @@ def _check(spec: Setting, value, path: str):
 
 
 def validate_fields(obj) -> None:
-    """Check every field of `obj` against its setting and store the
+    """Check every field of `obj` that declares a setting and store the
     normalised value (ints widened to float, lists to tuples, strings to
-    enum members, dicts to nested config objects)."""
+    enum members, dicts to nested config objects). Fields without a
+    setting, such as sample arrays, are left as given."""
     for f in dataclasses.fields(obj):
-        spec = f.metadata["setting"]
-        object.__setattr__(obj, f.name, _check(spec, getattr(obj, f.name), spec.path))
+        spec = f.metadata.get("setting")
+        if spec is not None:
+            object.__setattr__(obj, f.name, _check(spec, getattr(obj, f.name), spec.path))
 
 
 def _place(tree: dict, path: str, value) -> None:

@@ -5,18 +5,24 @@ windows against: a read-only raw evaluation sample (Centralized,
 GlobalRef, SiteRef), a read-only first production window (ProdRef), or,
 for AdaptiveRef, an AdaptiveState whose histogram is blended between the
 global reference and accumulated clean production batches.
+
+AdaptiveRef's settings live in one frozen AdaptiveSettings, checked
+once by the config field table; ReferenceSpec, SimConfig and every
+AdaptiveState share that object.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, replace
 
 import numpy as np
 
+from .config import ConfigError, fields_to_dict, setting, validate_fields
 from .stats import Histogram, blend, build_histogram, _as_sample
 
 __all__ = [
+    "AdaptiveSettings",
     "AdaptiveState",
     "MULTI_CENTER_SCHEMES",
     "ReferenceSpec",
@@ -48,37 +54,44 @@ MULTI_CENTER_SCHEMES = (
 UPDATE_CONDITIONS = ("lower", "always")
 
 
+@dataclass(frozen=True)
+class AdaptiveSettings:
+    """AdaptiveRef's update rule: the starting weight of the global
+    histogram, its decay per accepted batch and floor, how many recent
+    batches the site histogram keeps (None: all), and when a clean batch
+    is absorbed."""
+
+    global_weight: float = setting(1.0, "global_weight", float, ge=0.0, le=1.0)
+    weight_decay: float = setting(0.1, "weight_decay", float, ge=0.0, le=1.0)
+    min_global_weight: float = setting(0.1, "min_global_weight", float, ge=0.0, le=1.0)
+    center_window: int | None = setting(None, "center_window", int, optional=True, ge=1)
+    update_condition: str = setting("lower", "update_condition", str, choices=UPDATE_CONDITIONS)
+
+    def __post_init__(self) -> None:
+        validate_fields(self)
+        if self.min_global_weight > self.global_weight:
+            raise ConfigError(
+                "min_global_weight",
+                f"must be <= global_weight ({self.global_weight!r}), "
+                f"got {self.min_global_weight!r}",
+            )
+
+    def to_dict(self) -> dict:
+        return fields_to_dict(self)
+
+
 @dataclass
 class ReferenceSpec:
     """Everything needed to construct the reference for one agent."""
 
-    kind: SchemeKind
+    kind: SchemeKind = setting(MISSING, "kind", SchemeKind)
     global_eval: np.ndarray | None = None
     site_eval: np.ndarray | None = None
-    bins: int = 100
-    global_weight: float = 1.0
-    weight_decay: float = 0.1
-    min_global_weight: float = 0.1
-    center_window: int | None = None
-    update_condition: str = "lower"
+    bins: int = setting(100, "bins", int, ge=2)
+    adaptive: AdaptiveSettings = setting(AdaptiveSettings(), "adaptive", AdaptiveSettings)
 
     def __post_init__(self) -> None:
-        self.kind = SchemeKind(self.kind)
-        if self.bins < 2:
-            raise ValueError("invalid-bin-count: a histogram reference needs >= 2 bins")
-        for name in ("global_weight", "weight_decay", "min_global_weight"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"invalid-weight: {name} must lie in [0, 1]")
-        if self.min_global_weight > self.global_weight:
-            raise ValueError("invalid-weight: min_global_weight exceeds global_weight")
-        if self.center_window is not None and self.center_window < 1:
-            raise ValueError("invalid-center-window: must be a positive batch count")
-        if self.update_condition not in UPDATE_CONDITIONS:
-            raise ValueError(
-                f"invalid-update-condition: {self.update_condition!r}, "
-                f"expected one of {UPDATE_CONDITIONS}"
-            )
+        validate_fields(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +108,7 @@ class AdaptiveState:
     global_weight: float
     reference: Histogram
     last_p_value: float
-    weight_decay: float
-    min_global_weight: float
-    center_window: int | None = None
-    update_condition: str = "lower"
+    settings: AdaptiveSettings
     recent_counts: tuple = ()
 
 
@@ -107,13 +117,10 @@ def initial_adaptive_state(global_eval, spec: ReferenceSpec) -> AdaptiveState:
     return AdaptiveState(
         base=base,
         center_counts=np.zeros(spec.bins, dtype=np.int64),
-        global_weight=float(spec.global_weight),
+        global_weight=spec.adaptive.global_weight,
         reference=base,
         last_p_value=1.0,
-        weight_decay=float(spec.weight_decay),
-        min_global_weight=float(spec.min_global_weight),
-        center_window=spec.center_window,
-        update_condition=spec.update_condition,
+        settings=spec.adaptive,
     )
 
 
@@ -132,18 +139,19 @@ def adaptive_observe(state: AdaptiveState, batch, verdict, threshold: float) -> 
     p_value = float(p_value)
     if p_value < threshold:
         return state
-    if state.update_condition == "lower" and not p_value < state.last_p_value:
+    settings = state.settings
+    if settings.update_condition == "lower" and not p_value < state.last_p_value:
         return state
 
     batch = _as_sample(batch, "batch")
     counts, _ = np.histogram(batch, bins=state.base.bin_count, range=(0.0, 1.0))
-    if state.center_window is not None:
-        recent = (state.recent_counts + (counts,))[-state.center_window:]
+    if settings.center_window is not None:
+        recent = (state.recent_counts + (counts,))[-settings.center_window:]
         center = np.sum(recent, axis=0, dtype=np.int64)
     else:
         recent = ()
         center = state.center_counts + counts
-    weight = max(state.min_global_weight, state.global_weight - state.weight_decay)
+    weight = max(settings.min_global_weight, state.global_weight - settings.weight_decay)
     reference = blend(state.base, Histogram(center.astype(np.float64)), weight)
     return replace(
         state,

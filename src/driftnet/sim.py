@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .agent import AgentConfig, AgentId, DriftAgent, DriftVerdict, logging_hook, webhook_hook
+from .agent import AgentConfig, AgentId, DriftAgent, DriftVerdict, logging_hook
 from .config import ConfigError, fields_to_dict, setting, validate_fields
 from .metrics import (
     EMPTY_CLASS_POLICIES,
@@ -38,7 +38,7 @@ from .metrics import (
     compute_metrics,
     score_detection,
 )
-from .schemes import UPDATE_CONDITIONS, ReferenceSpec, SchemeKind
+from .schemes import AdaptiveSettings, ReferenceSpec, SchemeKind
 from .severity import SEVERITY_RULES, SeverityRecord, build_severity
 from .stats import RESAMPLE_MODES
 
@@ -140,13 +140,7 @@ class SimConfig:
     threshold: float = setting(0.05, "threshold", float, gt=0.0, lt=1.0)
     permutations: int = setting(1000, "permutations", int, ge=100)
     bins: int = setting(100, "bins", int, ge=2)
-    global_weight: float = setting(1.0, "adaptive.global_weight", float, ge=0.0, le=1.0)
-    weight_decay: float = setting(0.1, "adaptive.weight_decay", float, ge=0.0, le=1.0)
-    min_global_weight: float = setting(0.1, "adaptive.min_global_weight", float, ge=0.0, le=1.0)
-    center_window: int | None = setting(None, "adaptive.center_window", int, optional=True, ge=1)
-    adaptive_update_condition: str = setting(
-        "lower", "adaptive.update_condition", str, choices=UPDATE_CONDITIONS
-    )
+    adaptive: AdaptiveSettings = setting(AdaptiveSettings(), "adaptive", AdaptiveSettings)
     resample: str = setting("permutation", "resample", str, choices=RESAMPLE_MODES)
     severity_tp_rule: str = setting("exact", "severity_tp_rule", str, choices=SEVERITY_RULES)
     batch_label_rho: float = setting(0.5, "batch_label_rho", float, ge=0.0, lt=1.0)
@@ -157,7 +151,6 @@ class SimConfig:
     schemes: tuple[SchemeKind, ...] = setting(tuple(SchemeKind), "schemes", SchemeKind, many=True)
     sites: tuple[SiteSpec, ...] = setting(DEFAULT_SITES, "sites", SiteSpec, many=True)
     model_id: str = setting("model-0", "model_id", str)
-    webhook_url: str | None = setting(None, "webhook_url", str, optional=True)
 
     def __post_init__(self) -> None:
         validate_fields(self)
@@ -165,12 +158,6 @@ class SimConfig:
         for i, site_id in enumerate(ids):
             if site_id in ids[:i]:
                 raise ConfigError(f"sites[{i}].site_id", f"duplicate site_id {site_id!r}")
-        if self.min_global_weight > self.global_weight:
-            raise ConfigError(
-                "adaptive.min_global_weight",
-                f"must be <= adaptive.global_weight ({self.global_weight!r}), "
-                f"got {self.min_global_weight!r}",
-            )
         # The drift segment must fit every augmented synthetic test series
         # (inject_drift's test); file-backed sites are only read per replicate.
         sizes = [s.test_size for s in self.sites if s.reference_csv is None]
@@ -477,10 +464,6 @@ def _run_scheme(
     else:
         streams = site_series
 
-    hooks: list = [logging_hook]
-    if config.webhook_url:
-        hooks.append(webhook_hook(config.webhook_url))
-
     agent_records: list[AgentRunRecord] = []
     for stream in streams:
         window_size = max(2, math.ceil(cell.window_fraction * len(stream)))
@@ -492,11 +475,7 @@ def _run_scheme(
             global_eval=global_eval,
             site_eval=refs[stream.site_id] if scheme is SchemeKind.SITE_REF else None,
             bins=config.bins,
-            global_weight=config.global_weight,
-            weight_decay=config.weight_decay,
-            min_global_weight=config.min_global_weight,
-            center_window=config.center_window,
-            update_condition=config.adaptive_update_condition,
+            adaptive=config.adaptive,
         )
         agent_config = AgentConfig(
             agent_id=AgentId(stream.site_id, config.model_id),
@@ -510,7 +489,7 @@ def _run_scheme(
         agent = DriftAgent(
             agent_config,
             rng=_rng(config, cell, replicate_index, "agent", scheme.value, stream.site_id),
-            hooks=hooks,
+            hooks=(logging_hook,),
         )
         for observation in stream.values:
             verdict = agent.ingest(observation)
@@ -639,13 +618,13 @@ def run_grid(
             return replicate_index, None, f"{type(exc).__name__}: {exc}"
 
     for cell in cells:
+        # Both branches yield outcomes in replicate order.
         indices = range(config.replicates)
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 outcomes = list(pool.map(lambda r: one(cell, r), indices))
         else:
             outcomes = [one(cell, r) for r in indices]
-        outcomes.sort(key=lambda item: item[0])
 
         cell_pools = {
             scheme.value: {"detection": [], "severity": []} for scheme in config.schemes

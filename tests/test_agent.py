@@ -40,20 +40,26 @@ class TestAgentInit:
         assert str(AgentId("DS-2", "model-7")) == "DS-2/model-7"
 
     def test_window_too_small(self):
-        with pytest.raises(ValueError, match="window-too-small"):
+        with pytest.raises(ValueError, match=r"^window_size: "):
             DriftAgent(site_ref_config(window_size=1))
 
     def test_unknown_resample_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown-resample"):
+        with pytest.raises(ValueError, match=r"^resample: "):
             DriftAgent(site_ref_config(resample="jackknife"))
 
     def test_threshold_bounds(self):
-        with pytest.raises(ValueError, match="invalid-threshold"):
+        with pytest.raises(ValueError, match=r"^threshold: "):
             DriftAgent(site_ref_config(threshold=0.0))
 
     def test_min_valid_floor(self):
-        with pytest.raises(ValueError, match="invalid-min-valid"):
+        with pytest.raises(ValueError, match=r"^min_valid: "):
             DriftAgent(site_ref_config(min_valid=1))
+
+    def test_min_valid_above_window_rejected(self):
+        # Such an agent could never test a window.
+        with pytest.raises(ValueError, match=r"^min_valid: must be <= window_size \(6\)"):
+            DriftAgent(site_ref_config(window_size=6, min_valid=7))
+        assert DriftAgent(site_ref_config(window_size=6, min_valid=6)).min_valid == 6
 
     def test_min_valid_defaults_to_half_window(self):
         agent = DriftAgent(site_ref_config(window_size=9))

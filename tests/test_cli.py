@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from driftnet import cli
 from driftnet.cli import ConfigError, config_from_dict, load_config, main
 from driftnet.metrics import EMPTY_CLASS_POLICIES
 
@@ -62,11 +63,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"^adaptive\.min_global_weight: "):
             config_from_dict({"adaptive": {"global_weight": 0.05}})
         config = config_from_dict({"adaptive": {"global_weight": 0.3, "min_global_weight": 0.3}})
-        assert config.min_global_weight == config.global_weight == 0.3
+        assert config.adaptive.min_global_weight == config.adaptive.global_weight == 0.3
 
     def test_update_condition_choices(self):
         config = config_from_dict({"adaptive": {"update_condition": "always"}})
-        assert config.adaptive_update_condition == "always"
+        assert config.adaptive.update_condition == "always"
         with pytest.raises(ConfigError, match=r"^adaptive\.update_condition: "):
             config_from_dict({"adaptive": {"update_condition": "always-when-clean"}})
 
@@ -89,6 +90,9 @@ class TestConfigValidation:
             ({"sites": [{"site_id": "A", "colour": "red"}]}, r"^sites\[0\]\.colour: "),
             ({"sites": [{"site_id": "A", "reference_size": 3, "test_size": 9}]},
              r"^sites\[0\]\.reference_size: "),
+            ({"adaptive": 5}, r"^adaptive: expected an object"),
+            ({"adaptive": {"center_window": 0}}, r"^adaptive\.center_window: "),
+            ({"webhook_url": "http://localhost/alerts"}, r"^webhook_url: unknown"),
         ],
     )
     def test_config_errors_start_with_the_field_path(self, raw, path):
@@ -120,6 +124,28 @@ class TestConfigValidation:
         code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "threshold" in capsys.readouterr().err
+
+
+class TestAtomicWrites:
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            cli._atomic_write_text(tmp_path / "out.txt", None)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.mkdir()
+        (target / "keep").write_text("x")
+        with pytest.raises(OSError):
+            cli._atomic_write_text(target, "text")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_csv_block_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with cli._atomic_csv(tmp_path / "rows.csv", ["a"]) as writer:
+                writer.writerow([1])
+                raise RuntimeError("sink failed")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDatagen:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from driftnet import metrics, schemes, severity, stats
+from driftnet.agent import AgentConfig
 from driftnet.config import ConfigError
 from driftnet.schemes import SchemeKind
 from driftnet.sim import SimConfig, SiteSpec
@@ -19,7 +20,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 class TestCodeBuiltConfig:
     def test_weight_below_its_floor_rejected_at_construction(self):
         with pytest.raises(ConfigError, match=r"^adaptive\.min_global_weight: "):
-            SimConfig(global_weight=0.2, min_global_weight=0.5)
+            SimConfig(adaptive={"global_weight": 0.2, "min_global_weight": 0.5})
 
     def test_grid_bounds_apply_in_code(self):
         with pytest.raises(ConfigError, match=r"^grid\.drift_strength\[0\]: "):
@@ -66,8 +67,8 @@ class TestSnapshot:
         snapshot = SimConfig().to_dict()
         sorted_digest = hashlib.sha256(json.dumps(snapshot, sort_keys=True).encode()).hexdigest()
         ordered_digest = hashlib.sha256(json.dumps(snapshot).encode()).hexdigest()
-        assert sorted_digest[:12] == "a22dfa1f2cb8"
-        assert ordered_digest[:16] == "ee6dceab5dc9a54b"
+        assert sorted_digest[:12] == "a49d799c4a4c"
+        assert ordered_digest[:16] == "f9ad017ad0525d4f"
 
     def test_readme_config_block_is_the_default(self):
         block = re.search(r"```jsonc\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
@@ -80,15 +81,16 @@ class TestSnapshot:
 
 def test_each_choice_tuple_has_one_owner():
     owners = {
-        "adaptive_update_condition": schemes.UPDATE_CONDITIONS,
+        "update_condition": schemes.UPDATE_CONDITIONS,
         "resample": stats.RESAMPLE_MODES,
         "severity_tp_rule": severity.SEVERITY_RULES,
         "empty_class_policy": metrics.EMPTY_CLASS_POLICIES,
     }
-    declared = {
-        f.name: f.metadata["setting"].choices
-        for f in dataclasses.fields(SimConfig)
-        if f.metadata["setting"].choices
-    }
-    assert declared.keys() == owners.keys()
-    assert all(declared[name] is owners[name] for name in owners)
+    declared = [
+        (f.name, f.metadata["setting"].choices)
+        for cls in (SimConfig, schemes.AdaptiveSettings, AgentConfig)
+        for f in dataclasses.fields(cls)
+        if "setting" in f.metadata and f.metadata["setting"].choices
+    ]
+    assert {name for name, _ in declared} == owners.keys()
+    assert all(choices is owners[name] for name, choices in declared)

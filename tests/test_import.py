@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import driftnet
 
 # Lists the third-party packages that `import driftnet` adds to a fresh
@@ -37,7 +39,8 @@ def test_import_loads_no_third_party_package_but_numpy():
 _PUBLIC = """
 __version__ AgentConfig AgentId DriftAgent DriftVerdict logging_hook webhook_hook
 ConfusionCounts MetricSet MetricsSummary aggregate compute_metrics score_detection
-AdaptiveState ReferenceSpec SchemeKind adaptive_observe initial_adaptive_state make_reference
+AdaptiveSettings AdaptiveState ReferenceSpec SchemeKind adaptive_observe initial_adaptive_state
+make_reference
 SeverityRecord build_severity classify_severity severity_score
 DEFAULT_SITES GridCell SimConfig SiteSpec augment cell_label derive_seed inject_drift
 interleave_sites pad_sparsity run_grid run_replicate summary_dict window_truth_labels
@@ -69,6 +72,31 @@ def test_names_the_benchmark_harness_uses_stay_importable():
     spec = driftnet.ReferenceSpec(
         kind=driftnet.SchemeKind.ADAPTIVE_REF, global_eval=[0.2, 0.4, 0.6], bins=10
     )
-    driftnet.AgentConfig(
+    config = driftnet.AgentConfig(
         agent_id=driftnet.AgentId("DS-0", "model-0"), scheme=spec, window_size=8, permutations=100
     )
+    agent = driftnet.DriftAgent(config, rng=np.random.default_rng(0), hooks=[driftnet.logging_hook])
+    assert (agent.config.agent_id.center, agent.verdicts, agent.hook_failures) == ("DS-0", [], [])
+
+
+def test_replicate_fields_the_trace_reads():
+    # perfbench/tracing.py wraps cli.run_grid as run_grid(config, threads=,
+    # replicate_sink=) and counts windows from each replicate it sees.
+    config = driftnet.SimConfig(
+        replicates=1,
+        drift_strength_grid=(0.3,),
+        drift_duration_grid=(0.3,),
+        window_fraction_grid=(0.15,),
+        permutations=100,
+        schemes=["SiteRef", "AdaptiveRef"],
+    )
+    seen = []
+    driftnet.run_grid(config, threads=1, replicate_sink=seen.append)
+    (result,) = seen
+    assert set(result.schemes) == {"SiteRef", "AdaptiveRef"}
+    for record in result.schemes.values():
+        assert [agent.center for agent in record.agents] == ["DS-0", "DS-1", "DS-2", "DS-3"]
+        for agent in record.agents:
+            assert all(isinstance(v.evaluated, bool) for v in agent.verdicts)
+            assert len(agent.truth) >= len(agent.verdicts)
+            assert agent.hook_failures == []

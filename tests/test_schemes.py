@@ -5,6 +5,7 @@ import pytest
 
 from driftnet.schemes import (
     MULTI_CENTER_SCHEMES,
+    AdaptiveSettings,
     AdaptiveState,
     ReferenceSpec,
     SchemeKind,
@@ -15,9 +16,11 @@ from driftnet.schemes import (
 from driftnet.stats import Histogram, blend, build_histogram
 
 
-def global_spec(kind, **kwargs):
+def global_spec(kind, bins=100, **adaptive):
     rng = np.random.default_rng(1)
-    return ReferenceSpec(kind=kind, global_eval=rng.beta(2, 5, 300), **kwargs)
+    return ReferenceSpec(
+        kind=kind, global_eval=rng.beta(2, 5, 300), bins=bins, adaptive=AdaptiveSettings(**adaptive)
+    )
 
 
 class TestSchemeKind:
@@ -41,20 +44,34 @@ class TestSchemeKind:
 
 class TestReferenceSpecValidation:
     def test_weight_bounds(self):
-        with pytest.raises(ValueError, match="invalid-weight"):
+        with pytest.raises(ValueError, match=r"^global_weight: "):
             global_spec(SchemeKind.ADAPTIVE_REF, global_weight=1.2)
 
     def test_min_weight_cannot_exceed_initial(self):
-        with pytest.raises(ValueError, match="invalid-weight"):
+        with pytest.raises(ValueError, match=r"^min_global_weight: "):
             global_spec(SchemeKind.ADAPTIVE_REF, global_weight=0.3, min_global_weight=0.5)
 
     def test_center_window_positive(self):
-        with pytest.raises(ValueError, match="invalid-center-window"):
+        with pytest.raises(ValueError, match=r"^center_window: "):
             global_spec(SchemeKind.ADAPTIVE_REF, center_window=0)
 
     def test_update_condition_checked(self):
-        with pytest.raises(ValueError, match="invalid-update-condition"):
+        with pytest.raises(ValueError, match=r"^update_condition: "):
             global_spec(SchemeKind.ADAPTIVE_REF, update_condition="sometimes")
+
+    def test_kind_and_bins_name_their_field(self):
+        with pytest.raises(ValueError, match=r"^kind: "):
+            ReferenceSpec(kind="MagicRef")
+        with pytest.raises(ValueError, match=r"^bins: "):
+            ReferenceSpec(kind=SchemeKind.ADAPTIVE_REF, bins=1)
+        with pytest.raises(ValueError, match=r"^adaptive\.weight_decay: "):
+            ReferenceSpec(kind=SchemeKind.ADAPTIVE_REF, adaptive={"weight_decay": 2.0})
+
+    def test_state_shares_the_spec_settings(self):
+        spec = global_spec(SchemeKind.ADAPTIVE_REF, global_weight=0.7, min_global_weight=0.2)
+        state = make_reference(spec)
+        assert state.settings is spec.adaptive
+        assert state.global_weight == 0.7
 
 
 class TestMakeReference:
