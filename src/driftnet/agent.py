@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass
 import numpy as np
 
 from . import schemes
-from .config import ConfigError, setting, validate_fields
+from .config import ConfigError, Setting, setting, shared, validate_fields
 from .schemes import AdaptiveState, ReferenceSpec, SchemeKind, make_reference
 from .stats import RESAMPLE_MODES, ks_vs_histogram, permutation_pvalue
 
@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Checks shared with SimConfig, which configures every agent of a campaign.
+THRESHOLD = Setting("threshold", float, gt=0.0, lt=1.0)
+RESAMPLE = Setting("resample", str, choices=RESAMPLE_MODES)
 
 
 @dataclass(frozen=True)
@@ -55,10 +59,10 @@ class AgentConfig:
     agent_id: AgentId
     scheme: ReferenceSpec
     window_size: int = setting(MISSING, "window_size", int, ge=2)
-    threshold: float = setting(0.05, "threshold", float, gt=0.0, lt=1.0)
+    threshold: float = shared(0.05, THRESHOLD)
     permutations: int = 1000
     min_valid: int | None = setting(None, "min_valid", int, optional=True, ge=2)
-    resample: str = setting("permutation", "resample", str, choices=RESAMPLE_MODES)
+    resample: str = shared("permutation", RESAMPLE)
 
     def __post_init__(self) -> None:
         validate_fields(self)

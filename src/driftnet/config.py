@@ -47,7 +47,13 @@ class Setting:
 
 def setting(default, path: str, kind: type, **checks):
     """A dataclass field (no default when `default` is MISSING) with its schema."""
-    return dataclasses.field(default=default, metadata={"setting": Setting(path, kind, **checks)})
+    return shared(default, Setting(path, kind, **checks))
+
+
+def shared(default, spec: Setting):
+    """A dataclass field checked by `spec`, one Setting declared next to its
+    owner and reused wherever the same value is configured."""
+    return dataclasses.field(default=default, metadata={"setting": spec})
 
 
 _BOUNDS = (

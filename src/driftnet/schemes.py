@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError, fields_to_dict, setting, validate_fields
+from .config import ConfigError, Setting, fields_to_dict, setting, shared, validate_fields
 from .stats import Histogram, blend, build_histogram, _as_sample
 
 __all__ = [
@@ -52,6 +52,9 @@ MULTI_CENTER_SCHEMES = (
 # "lower": absorb a clean batch only when its p-value fell below the last
 # accepted one; "always": absorb every clean batch.
 UPDATE_CONDITIONS = ("lower", "always")
+
+# Histogram bin count, shared with SimConfig's campaign-wide `bins`.
+BINS = Setting("bins", int, ge=2)
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ class ReferenceSpec:
     kind: SchemeKind = setting(MISSING, "kind", SchemeKind)
     global_eval: np.ndarray | None = None
     site_eval: np.ndarray | None = None
-    bins: int = setting(100, "bins", int, ge=2)
+    bins: int = shared(100, BINS)
     adaptive: AdaptiveSettings = setting(AdaptiveSettings(), "adaptive", AdaptiveSettings)
 
     def __post_init__(self) -> None:

@@ -27,8 +27,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .agent import AgentConfig, AgentId, DriftAgent, DriftVerdict, logging_hook
-from .config import ConfigError, fields_to_dict, setting, validate_fields
+from .agent import RESAMPLE, THRESHOLD, AgentConfig, AgentId, DriftAgent, DriftVerdict, logging_hook
+from .config import ConfigError, fields_to_dict, setting, shared, validate_fields
 from .metrics import (
     EMPTY_CLASS_POLICIES,
     ConfusionCounts,
@@ -38,9 +38,8 @@ from .metrics import (
     compute_metrics,
     score_detection,
 )
-from .schemes import AdaptiveSettings, ReferenceSpec, SchemeKind
+from .schemes import BINS, AdaptiveSettings, ReferenceSpec, SchemeKind
 from .severity import SEVERITY_RULES, SeverityRecord, build_severity
-from .stats import RESAMPLE_MODES
 
 __all__ = [
     "DEFAULT_SITES",
@@ -137,11 +136,11 @@ class SimConfig:
         (0.05, 0.10, 0.15), "grid.window_fraction", float, many=True, gt=0.0, le=1.0
     )
     augmentation: float = setting(0.10, "augmentation", float, ge=0.0)
-    threshold: float = setting(0.05, "threshold", float, gt=0.0, lt=1.0)
+    threshold: float = shared(0.05, THRESHOLD)
     permutations: int = setting(1000, "permutations", int, ge=100)
-    bins: int = setting(100, "bins", int, ge=2)
+    bins: int = shared(100, BINS)
     adaptive: AdaptiveSettings = setting(AdaptiveSettings(), "adaptive", AdaptiveSettings)
-    resample: str = setting("permutation", "resample", str, choices=RESAMPLE_MODES)
+    resample: str = shared("permutation", RESAMPLE)
     severity_tp_rule: str = setting("exact", "severity_tp_rule", str, choices=SEVERITY_RULES)
     batch_label_rho: float = setting(0.5, "batch_label_rho", float, ge=0.0, lt=1.0)
     min_valid_fraction: float = setting(0.5, "min_valid_fraction", float, ge=0.0, le=1.0)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from driftnet import metrics, schemes, severity, stats
+from driftnet import agent, metrics, schemes, severity, stats
 from driftnet.agent import AgentConfig
 from driftnet.config import ConfigError
 from driftnet.schemes import SchemeKind
@@ -86,11 +86,27 @@ def test_each_choice_tuple_has_one_owner():
         "severity_tp_rule": severity.SEVERITY_RULES,
         "empty_class_policy": metrics.EMPTY_CLASS_POLICIES,
     }
-    declared = [
-        (f.name, f.metadata["setting"].choices)
-        for cls in (SimConfig, schemes.AdaptiveSettings, AgentConfig)
-        for f in dataclasses.fields(cls)
-        if "setting" in f.metadata and f.metadata["setting"].choices
-    ]
-    assert {name for name, _ in declared} == owners.keys()
-    assert all(choices is owners[name] for name, choices in declared)
+    expected = {
+        SimConfig: {"resample", "severity_tp_rule", "empty_class_policy"},
+        schemes.AdaptiveSettings: {"update_condition"},
+        AgentConfig: {"resample"},
+    }
+    for cls, names in expected.items():
+        declared = {
+            f.name: f.metadata["setting"].choices
+            for f in dataclasses.fields(cls)
+            if "setting" in f.metadata and f.metadata["setting"].choices
+        }
+        assert declared.keys() == names, cls.__name__
+        assert all(declared[name] is owners[name] for name in names)
+
+
+def test_shared_checks_have_one_owner():
+    def spec(cls, name):
+        return next(f for f in dataclasses.fields(cls) if f.name == name).metadata["setting"]
+
+    assert spec(SimConfig, "threshold") is spec(AgentConfig, "threshold") is agent.THRESHOLD
+    assert spec(SimConfig, "resample") is spec(AgentConfig, "resample") is agent.RESAMPLE
+    assert spec(SimConfig, "bins") is spec(schemes.ReferenceSpec, "bins") is schemes.BINS
+    with pytest.raises(ConfigError, match=r"^resample: "):
+        SimConfig(resample="jackknife")
