@@ -6,8 +6,8 @@ non-overlapping windows, tests each window against its scheme's
 reference, and reacts to drift verdicts through registered hooks.
 
 AgentConfig declares its checks in the config field table, so a bad
-window, threshold, min_valid or resample value raises a ConfigError
-naming the field at construction, as a bad JSON config does.
+window, threshold, permutations, min_valid or resample value raises a
+ConfigError naming the field at construction, as a bad JSON config does.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ logger = logging.getLogger(__name__)
 # Checks shared with SimConfig, which configures every agent of a campaign.
 THRESHOLD = Setting("threshold", float, gt=0.0, lt=1.0)
 RESAMPLE = Setting("resample", str, choices=RESAMPLE_MODES)
+PERMUTATIONS = Setting("permutations", int, ge=100)
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class AgentConfig:
     scheme: ReferenceSpec
     window_size: int = setting(MISSING, "window_size", int, ge=2)
     threshold: float = shared(0.05, THRESHOLD)
-    permutations: int = 1000
+    permutations: int = shared(1000, PERMUTATIONS)
     min_valid: int | None = setting(None, "min_valid", int, optional=True, ge=2)
     resample: str = shared("permutation", RESAMPLE)
 
@@ -110,15 +111,6 @@ def webhook_hook(url: str, timeout: float = 2.0):
     return hook
 
 
-def _is_null(observation) -> bool:
-    if observation is None:
-        return True
-    try:
-        return math.isnan(float(observation))
-    except (TypeError, ValueError):
-        return False
-
-
 class DriftAgent:
     """Windowed drift monitor for a single output stream.
 
@@ -165,13 +157,10 @@ class DriftAgent:
         the tested sample. Returns None while the window is still filling
         and for the window a ProdRef agent consumes as its reference.
         """
-        if _is_null(observation):
-            self._buffer.append(math.nan)
-        else:
-            value = float(observation)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"invalid-probability: {observation!r} outside [0, 1]")
-            self._buffer.append(value)
+        value = math.nan if observation is None else float(observation)
+        if value < 0.0 or value > 1.0:  # NaN, a null slot, fails both tests
+            raise ValueError(f"invalid-probability: {observation!r} outside [0, 1]")
+        self._buffer.append(value)
         if len(self._buffer) < self.config.window_size:
             return None
         window = np.asarray(self._buffer, dtype=np.float64)

@@ -25,6 +25,7 @@ from . import __version__
 from .config import ConfigError, fields_from_dict
 from .metrics import EMPTY_CLASS_POLICIES, METRIC_NAMES, ConfusionCounts, aggregate, compute_metrics
 from .sim import (
+    FILE_KEYS,
     SimConfig,
     cell_label,
     derive_seed,
@@ -101,7 +102,7 @@ def _resolve_csv_paths(entry, base_dir: Path | None):
         return entry
     return {
         key: str(Path(base_dir or "", value))
-        if key in ("reference_csv", "test_csv") and isinstance(value, str)
+        if key in FILE_KEYS and isinstance(value, str)
         else value
         for key, value in entry.items()
     }
@@ -169,23 +170,6 @@ def _run_overrides(config: SimConfig, args) -> SimConfig:
     return dataclasses.replace(config, **overrides)
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        source, threads = "--threads", args.threads
-    else:
-        env = os.environ.get("DRIFTNET_THREADS")
-        if not env:
-            return 1
-        source = "DRIFTNET_THREADS"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ConfigError(source, f"expected an integer, got {env!r}")
-    if threads < 1:
-        raise ConfigError(source, f"must be >= 1, got {threads}")
-    return threads
-
-
 def cmd_datagen(args) -> int:
     config = load_config(args.config)
     config = _run_overrides(config, args)
@@ -214,7 +198,8 @@ def _run_id(replicate_index: int) -> str:
 def cmd_run(args) -> int:
     config = load_config(args.config)
     config = _run_overrides(config, args)
-    threads = _resolve_threads(args)
+    if args.threads < 1:
+        raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -263,7 +248,7 @@ def cmd_run(args) -> int:
                         ]
                     )
 
-        result = run_grid(config, threads=threads, replicate_sink=sink)
+        result = run_grid(config, threads=args.threads, replicate_sink=sink)
 
     summary = summary_dict(result)
     _atomic_write_text(
@@ -274,7 +259,7 @@ def cmd_run(args) -> int:
         "version": __version__,
         "run_id": config_digest,
         "master_seed": config.master_seed,
-        "threads": threads,
+        "threads": args.threads,
         "started_at": started_at,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": config_snapshot,
@@ -443,11 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="override master seed")
     run.add_argument("--replicates", type=int, help="override replicate count")
     run.add_argument("--schemes", help="comma-separated scheme subset")
-    run.add_argument(
-        "--threads",
-        type=int,
-        help="worker threads (default: DRIFTNET_THREADS or 1)",
-    )
+    run.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
     run.set_defaults(func=cmd_run)
 
     report = sub.add_parser("report", help="derive report files from run outputs")

@@ -15,6 +15,7 @@ execution order and thread count.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -27,7 +28,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .agent import RESAMPLE, THRESHOLD, AgentConfig, AgentId, DriftAgent, DriftVerdict, logging_hook
+from .agent import (
+    PERMUTATIONS,
+    RESAMPLE,
+    THRESHOLD,
+    AgentConfig,
+    AgentId,
+    DriftAgent,
+    DriftVerdict,
+    logging_hook,
+)
 from .config import ConfigError, fields_to_dict, setting, shared, validate_fields
 from .metrics import (
     EMPTY_CLASS_POLICIES,
@@ -69,8 +79,8 @@ CENTRALIZED_STREAM_ID = "ALL"
 
 
 # The JSON keys that only a synthetic or only a file-backed site writes.
-_SYNTHETIC_KEYS = ("reference_size", "test_size", "alpha", "beta")
-_FILE_KEYS = ("reference_csv", "test_csv")
+SYNTHETIC_KEYS = ("reference_size", "test_size", "alpha", "beta")
+FILE_KEYS = ("reference_csv", "test_csv")
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ class SiteSpec:
                     raise ConfigError(name, "required for a synthetic site")
 
     def to_dict(self) -> dict:
-        unused = _SYNTHETIC_KEYS if self.reference_csv is not None else _FILE_KEYS
+        unused = SYNTHETIC_KEYS if self.reference_csv is not None else FILE_KEYS
         return {k: v for k, v in fields_to_dict(self).items() if k not in unused}
 
 
@@ -137,7 +147,7 @@ class SimConfig:
     )
     augmentation: float = setting(0.10, "augmentation", float, ge=0.0)
     threshold: float = shared(0.05, THRESHOLD)
-    permutations: int = setting(1000, "permutations", int, ge=100)
+    permutations: int = shared(1000, PERMUTATIONS)
     bins: int = shared(100, BINS)
     adaptive: AdaptiveSettings = setting(AdaptiveSettings(), "adaptive", AdaptiveSettings)
     resample: str = shared("permutation", RESAMPLE)
@@ -594,67 +604,69 @@ def run_grid(
     """Run every (cell, replicate) combination and aggregate metrics.
 
     Replicates are pure functions of (config, cell, replicate index), so
-    thread count only affects wall time, never results. Per-replicate
-    failures are recorded and skipped, never fatal. The optional sink
-    receives completed replicates in deterministic order.
+    thread count only affects wall time, never results. A replicate that
+    raises ValueError (driftnet's data and config errors) is recorded and
+    skipped; any other exception is a bug and stops the run. The optional
+    sink receives completed replicates in deterministic order, and each
+    is released once the sink and the metric pools have read it.
     """
     if threads < 1:
         raise ValueError("invalid-threads: need at least 1")
-    cells = enumerate_cells(config)
     failures: list[dict] = []
     cell_results: list[CellResult] = []
     overall_pools = {
         scheme.value: {"detection": [], "severity": []} for scheme in config.schemes
     }
 
-    def one(cell: GridCell, replicate_index: int):
+    def attempt(cell: GridCell, replicate_index: int):
         try:
-            return replicate_index, run_replicate(config, cell, replicate_index), None
-        except Exception as exc:
+            return run_replicate(config, cell, replicate_index), None
+        except ValueError as exc:
             logger.warning(
                 "replicate failed cell=%s replicate=%d: %r", cell_label(cell), replicate_index, exc
             )
-            return replicate_index, None, f"{type(exc).__name__}: {exc}"
+            return None, f"{type(exc).__name__}: {exc}"
 
-    for cell in cells:
-        # Both branches yield outcomes in replicate order.
-        indices = range(config.replicates)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(lambda r: one(cell, r), indices))
-        else:
-            outcomes = [one(cell, r) for r in indices]
-
-        cell_pools = {
-            scheme.value: {"detection": [], "severity": []} for scheme in config.schemes
-        }
-        completed = 0
-        for replicate_index, result, error in outcomes:
-            if error is not None:
-                failures.append(
-                    {"cell": cell_label(cell), "replicate": replicate_index, "error": error}
-                )
-                continue
-            completed += 1
-            if replicate_sink is not None:
-                replicate_sink(result)
-            for scheme in config.schemes:
-                record = result.schemes[scheme.value]
-                detection_pool = cell_pools[scheme.value]["detection"]
-                for agent_record in record.agents:
-                    detection_pool.append(
-                        compute_metrics(agent_record.detection, config.empty_class_policy)
+    # Both mappers yield outcomes lazily and in replicate order.
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    mapper = map if pool is None else pool.map
+    try:
+        for cell in enumerate_cells(config):
+            cell_pools = {
+                scheme.value: {"detection": [], "severity": []} for scheme in config.schemes
+            }
+            completed = 0
+            outcomes = mapper(functools.partial(attempt, cell), range(config.replicates))
+            for replicate_index, (result, error) in enumerate(outcomes):
+                if error is not None:
+                    failures.append(
+                        {"cell": cell_label(cell), "replicate": replicate_index, "error": error}
                     )
-                if record.severity_counts is not None:
-                    cell_pools[scheme.value]["severity"].append(
-                        compute_metrics(record.severity_counts, config.empty_class_policy)
-                    )
-        for scheme_name, pool in cell_pools.items():
-            overall_pools[scheme_name]["detection"].extend(pool["detection"])
-            overall_pools[scheme_name]["severity"].extend(pool["severity"])
-        cell_results.append(
-            CellResult(cell=cell, schemes=_summarise_pools(cell_pools), completed=completed)
-        )
+                    continue
+                completed += 1
+                if replicate_sink is not None:
+                    replicate_sink(result)
+                for scheme in config.schemes:
+                    record = result.schemes[scheme.value]
+                    detection_pool = cell_pools[scheme.value]["detection"]
+                    for agent_record in record.agents:
+                        detection_pool.append(
+                            compute_metrics(agent_record.detection, config.empty_class_policy)
+                        )
+                    if record.severity_counts is not None:
+                        cell_pools[scheme.value]["severity"].append(
+                            compute_metrics(record.severity_counts, config.empty_class_policy)
+                        )
+            for scheme_name, cell_pool in cell_pools.items():
+                overall_pools[scheme_name]["detection"].extend(cell_pool["detection"])
+                overall_pools[scheme_name]["severity"].extend(cell_pool["severity"])
+            cell_results.append(
+                CellResult(cell=cell, schemes=_summarise_pools(cell_pools), completed=completed)
+            )
+    finally:
+        if pool is not None:
+            # A failed run does not wait for the replicates still queued.
+            pool.shutdown(cancel_futures=True)
 
     return GridResult(
         config=config,

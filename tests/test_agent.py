@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from driftnet.agent import AgentConfig, AgentId, DriftAgent, DriftVerdict, logging_hook
+from driftnet.config import ConfigError
 from driftnet.schemes import ReferenceSpec, SchemeKind
 
 
@@ -50,6 +51,15 @@ class TestAgentInit:
     def test_threshold_bounds(self):
         with pytest.raises(ValueError, match=r"^threshold: "):
             DriftAgent(site_ref_config(threshold=0.0))
+
+    @pytest.mark.parametrize("permutations", [0, -5, 2.5, 99])
+    @pytest.mark.parametrize("kind", [SchemeKind.SITE_REF, SchemeKind.ADAPTIVE_REF])
+    def test_permutations_checked_at_construction(self, kind, permutations):
+        # One floor for both kernels, before any window is tested.
+        sample = np.linspace(0.1, 0.9, 40)
+        spec = ReferenceSpec(kind=kind, global_eval=sample, site_eval=sample)
+        with pytest.raises(ConfigError, match=r"^permutations: "):
+            site_ref_config(scheme=spec, permutations=permutations)
 
     def test_min_valid_floor(self):
         with pytest.raises(ValueError, match=r"^min_valid: "):
@@ -104,6 +114,32 @@ class TestWindowing:
         agent = DriftAgent(site_ref_config())
         with pytest.raises(ValueError, match="invalid-probability"):
             agent.ingest(1.5)
+
+    @pytest.mark.parametrize(
+        "observation, outcome",
+        [
+            (None, 3),
+            (float("nan"), 3),
+            ("nan", 3),
+            (0.25, 4),
+            ("abc", (ValueError, "could not convert string to float: 'abc'")),
+            (object(), (TypeError, "float() argument must be a string or a")),
+            (float("inf"), (ValueError, "invalid-probability: inf outside [0, 1]")),
+            (-0.1, (ValueError, "invalid-probability: -0.1 outside [0, 1]")),
+        ],
+    )
+    def test_observation_outcomes(self, observation, outcome):
+        # None and NaN fill a null slot; what float() rejects raises its own
+        # error; a number outside [0, 1] is invalid.
+        agent = DriftAgent(site_ref_config(window_size=4, min_valid=2))
+        if isinstance(outcome, int):
+            feed(agent, [observation, 0.2, 0.3, 0.4])
+            assert [v.n_valid for v in agent.verdicts] == [outcome]
+            return
+        error, message = outcome
+        with pytest.raises(error) as info:
+            agent.ingest(observation)
+        assert str(info.value).startswith(message)
 
     def test_verdict_threshold_invariant(self):
         rng = np.random.default_rng(102)

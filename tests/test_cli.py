@@ -216,7 +216,7 @@ class TestRun:
         self, tmp_path, capsys, monkeypatch
     ):
         def fail(config, cell, replicate_index):
-            raise RuntimeError(f"replicate {replicate_index} broke")
+            raise ValueError(f"replicate {replicate_index} broke")
 
         monkeypatch.setattr("driftnet.sim.run_replicate", fail)
         out = tmp_path / "run"
@@ -242,29 +242,12 @@ class TestRun:
         for name in ("summary.json", "verdicts.csv", "severity.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        config_path = write_config(tmp_path, SMALL_CONFIG)
-        out1 = tmp_path / "run1"
-        out2 = tmp_path / "run2"
-        assert main(["run", "--config", config_path, "--out", str(out1)]) == 0
-        monkeypatch.setenv("DRIFTNET_THREADS", "3")
-        assert main(["run", "--config", config_path, "--out", str(out2)]) == 0
-        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
-
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_thread_count_below_one_rejected(self, tmp_path, capsys, threads):
         out = tmp_path / "run"
         argv = ["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", str(out)]
         assert main(argv + ["--threads", threads]) == 2
         assert f"error: --threads: must be >= 1, got {threads}" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
-
-    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
-    def test_threads_env_below_one_rejected(self, tmp_path, capsys, monkeypatch, threads):
-        monkeypatch.setenv("DRIFTNET_THREADS", threads)
-        out = tmp_path / "run"
-        assert main(["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", str(out)]) == 2
-        assert "error: DRIFTNET_THREADS: " in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
     def test_cli_overrides(self, tmp_path):

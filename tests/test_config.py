@@ -108,5 +108,8 @@ def test_shared_checks_have_one_owner():
     assert spec(SimConfig, "threshold") is spec(AgentConfig, "threshold") is agent.THRESHOLD
     assert spec(SimConfig, "resample") is spec(AgentConfig, "resample") is agent.RESAMPLE
     assert spec(SimConfig, "bins") is spec(schemes.ReferenceSpec, "bins") is schemes.BINS
+    assert (
+        spec(SimConfig, "permutations") is spec(AgentConfig, "permutations") is agent.PERMUTATIONS
+    )
     with pytest.raises(ConfigError, match=r"^resample: "):
         SimConfig(resample="jackknife")

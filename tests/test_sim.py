@@ -1,6 +1,7 @@
 """Unit tests for the simulation pipeline and grid runner."""
 
 import os
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -410,6 +411,45 @@ class TestRunGrid:
         assert len(result.failures) == 2
         assert all("drift-exceeds-series" in f["error"] for f in result.failures)
         assert result.cells[0].completed == 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_programming_error_stops_the_run(self, monkeypatch, threads):
+        # Only ValueError (data and config errors) is recorded per replicate.
+        def broken(config, cell, replicate_index):
+            raise TypeError(f"replicate {replicate_index} has a bug")
+
+        monkeypatch.setattr("driftnet.sim.run_replicate", broken)
+        with pytest.raises(TypeError, match="replicate 0 has a bug"):
+            run_grid(small_config(replicates=3), threads=threads)
+
+    def test_failed_sink_cancels_queued_replicates(self, monkeypatch):
+        started = []
+
+        def counted(config, cell, replicate_index):
+            started.append(replicate_index)
+            return run_replicate(config, cell, replicate_index)
+
+        def sink(result):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("driftnet.sim.run_replicate", counted)
+        config = small_config(replicates=20, schemes=(SchemeKind.SITE_REF,))
+        with pytest.raises(OSError, match="disk full"):
+            run_grid(config, threads=2, replicate_sink=sink)
+        assert len(started) < 20
+
+    def test_each_replicate_released_before_the_next_is_sunk(self):
+        refs = []
+
+        def sink(result):
+            # Replicate k - 1 must be gone by the time replicate k arrives.
+            assert all(ref() is None for ref in refs)
+            refs.append(weakref.ref(result))
+
+        config = small_config(replicates=4, schemes=(SchemeKind.SITE_REF,))
+        result = run_grid(config, threads=1, replicate_sink=sink)
+        assert len(refs) == 4
+        assert result.cells[0].completed == 4
 
     def test_invalid_threads_rejected(self):
         with pytest.raises(ValueError, match="invalid-threads"):
