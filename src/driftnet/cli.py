@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="override master seed")
     run.add_argument("--replicates", type=int, help="override replicate count")
     run.add_argument("--schemes", help="comma-separated scheme subset")
-    run.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
+    run.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
     run.set_defaults(func=cmd_run)
 
     report = sub.add_parser("report", help="derive report files from run outputs")

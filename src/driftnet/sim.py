@@ -9,19 +9,20 @@ score its verdicts against the injected ground truth.
 
 Every random draw flows from a seed derived from (master seed, grid
 cell, replicate index, purpose), so results are independent of
-execution order and thread count.
+execution order and worker count.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -596,6 +597,43 @@ def _summarise_pools(pools: dict[str, dict[str, list[MetricSet]]]) -> dict[str, 
     return out
 
 
+# The config a pool worker runs replicates of. The pool initializer sets
+# it once per worker process, so each task carries only (cell, index).
+_worker_config: SimConfig | None = None
+
+
+def _init_worker(config: SimConfig) -> None:
+    global _worker_config
+    _worker_config = config
+
+
+def _attempt(config: SimConfig, task: tuple[GridCell, int]):
+    """One replicate's outcome: (result, None), or (None, error) when it
+    raises ValueError (driftnet's data and config errors)."""
+    cell, replicate_index = task
+    try:
+        return run_replicate(config, cell, replicate_index), None
+    except ValueError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _attempt_in_worker(task: tuple[GridCell, int]):
+    return _attempt(_worker_config, task)
+
+
+def _windowed_map(pool, fn, tasks, window: int):
+    """`pool.map` that yields in task order and keeps at most `window`
+    tasks submitted but not yet consumed, so finished results cannot pile
+    up behind a slow consumer."""
+    pending = collections.deque()
+    for task in tasks:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, task))
+    while pending:
+        yield pending.popleft().result()
+
+
 def run_grid(
     config: SimConfig,
     threads: int = 1,
@@ -603,9 +641,11 @@ def run_grid(
 ) -> GridResult:
     """Run every (cell, replicate) combination and aggregate metrics.
 
-    Replicates are pure functions of (config, cell, replicate index), so
-    thread count only affects wall time, never results. A replicate that
-    raises ValueError (driftnet's data and config errors) is recorded and
+    `threads` is the worker count: at 1 replicates run in this process,
+    above 1 in a pool of at most that many worker processes. Replicates
+    are pure functions of (config, cell, replicate index), so the worker
+    count only affects wall time, never results. A replicate that raises
+    ValueError (driftnet's data and config errors) is recorded and
     skipped; any other exception is a bug and stops the run. The optional
     sink receives completed replicates in deterministic order, and each
     is released once the sink and the metric pools have read it.
@@ -618,27 +658,36 @@ def run_grid(
         scheme.value: {"detection": [], "severity": []} for scheme in config.schemes
     }
 
-    def attempt(cell: GridCell, replicate_index: int):
-        try:
-            return run_replicate(config, cell, replicate_index), None
-        except ValueError as exc:
-            logger.warning(
-                "replicate failed cell=%s replicate=%d: %r", cell_label(cell), replicate_index, exc
-            )
-            return None, f"{type(exc).__name__}: {exc}"
+    # One task stream across cells, so no cell waits for the previous one
+    # to drain; both mappers yield outcomes lazily and in task order.
+    cells = enumerate_cells(config)
+    tasks = ((cell, index) for cell in cells for index in range(config.replicates))
+    workers = min(threads, len(cells) * config.replicates)
+    pool = None
+    if workers == 1:
+        outcomes = map(functools.partial(_attempt, config), tasks)
+    else:
+        # Imported here: multiprocessing would otherwise load with every
+        # `import driftnet`.
+        from concurrent.futures import ProcessPoolExecutor
 
-    # Both mappers yield outcomes lazily and in replicate order.
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    mapper = map if pool is None else pool.map
+        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(config,))
+        outcomes = _windowed_map(pool, _attempt_in_worker, tasks, 2 * workers)
     try:
-        for cell in enumerate_cells(config):
+        for cell in cells:
             cell_pools = {
                 scheme.value: {"detection": [], "severity": []} for scheme in config.schemes
             }
             completed = 0
-            outcomes = mapper(functools.partial(attempt, cell), range(config.replicates))
-            for replicate_index, (result, error) in enumerate(outcomes):
+            cell_outcomes = itertools.islice(outcomes, config.replicates)
+            for replicate_index, (result, error) in enumerate(cell_outcomes):
                 if error is not None:
+                    logger.warning(
+                        "replicate failed cell=%s replicate=%d: %s",
+                        cell_label(cell),
+                        replicate_index,
+                        error,
+                    )
                     failures.append(
                         {"cell": cell_label(cell), "replicate": replicate_index, "error": error}
                     )

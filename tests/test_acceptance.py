@@ -5,7 +5,7 @@ correctness of the detector against independent oracles, the update
 discipline of the adaptive reference, severity scoring, and the headline
 simulation outcomes (multi-center schemes beating the centralized
 baseline, detection quality rising with drift strength, determinism
-across thread counts). Every test finishes with a single PASS line that
+across worker counts). Every test finishes with a single PASS line that
 carries the measured values (visible with pytest -s).
 
 The simulation campaign fixture runs the full pipeline once per module
@@ -331,7 +331,7 @@ def test_grid_covers_default_design():
 
 
 def test_summary_identical_across_thread_counts(tmp_path):
-    # Replicates are pure functions of (config, cell, index), so thread
+    # Replicates are pure functions of (config, cell, index), so the worker
     # count must not leak into any output byte.
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({

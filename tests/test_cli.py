@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,21 @@ SMALL_CONFIG = {
         "window_fraction": [0.1],
     },
 }
+
+
+# `driftnet run --threads 2` under the start method named by argv[1]. The
+# `__main__` guard keeps spawn and forkserver workers, which import this
+# script, from starting runs of their own.
+_START_METHOD_SCRIPT = """
+import multiprocessing
+import sys
+
+from driftnet.cli import main
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    sys.exit(main(["run", "--config", sys.argv[2], "--out", sys.argv[3], "--threads", "2"]))
+"""
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -241,6 +260,26 @@ class TestRun:
         assert main(["run", "--config", config_path, "--out", str(out2), "--threads", "4"]) == 0
         for name in ("summary.json", "verdicts.csv", "severity.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_start_method_does_not_change_outputs(self, tmp_path, method):
+        config_path = write_config(tmp_path, SMALL_CONFIG)
+        serial = tmp_path / "serial"
+        parallel = tmp_path / "parallel"
+        assert main(["run", "--config", config_path, "--out", str(serial), "--threads", "1"]) == 0
+        script = tmp_path / "run_parallel.py"
+        script.write_text(_START_METHOD_SCRIPT)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, str(script), method, config_path, str(parallel)],
+            env=dict(os.environ, PYTHONPATH=path),
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        for name in ("summary.json", "verdicts.csv", "severity.csv"):
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_thread_count_below_one_rejected(self, tmp_path, capsys, threads):

@@ -1,8 +1,13 @@
 """Unit tests for the simulation pipeline and grid runner."""
 
+import logging
+import multiprocessing
 import os
+import time
 import weakref
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -29,6 +34,33 @@ from driftnet.sim import (
     summary_dict,
     window_truth_labels,
 )
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Records the worker count of each pool `run_grid` makes. The pools
+    fork whatever the platform's default start method, because only a
+    forked worker inherits a test's monkeypatch of `driftnet.sim`."""
+    made = []
+    fork = multiprocessing.get_context("fork")
+
+    def make(max_workers, **kwargs):
+        made.append(max_workers)
+        return ProcessPoolExecutor(max_workers, mp_context=fork, **kwargs)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", make)
+    return made
+
+
+def marking(directory):
+    """`run_replicate` that first leaves one marker file per start, where
+    every process can see it."""
+
+    def run(config, cell, replicate_index):
+        (directory / f"{cell_label(cell)}-{replicate_index}").touch()
+        return run_replicate(config, cell, replicate_index)
+
+    return run
 
 
 def clean_series(n=100, seed=0, site_id="S"):
@@ -388,7 +420,7 @@ class TestRunGrid:
         run_grid(config, threads=3, replicate_sink=lambda r: seen.append(r.replicate_index))
         assert seen == [0, 1, 2]
 
-    def test_failures_recorded_not_fatal(self, tmp_path):
+    def test_failures_recorded_not_fatal(self, tmp_path, caplog):
         # A file-backed 4-observation test series cannot absorb a
         # 0.95-duration drift segment (ceil(3.8) = 4 slots); its length is
         # only known per replicate, so config construction accepts it.
@@ -411,32 +443,64 @@ class TestRunGrid:
         assert len(result.failures) == 2
         assert all("drift-exceeds-series" in f["error"] for f in result.failures)
         assert result.cells[0].completed == 0
+        # Worker processes return the failure; this process logs it, in order.
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="driftnet.sim"):
+            parallel = run_grid(config, threads=2)
+        assert parallel.failures == result.failures
+        assert [r.getMessage() for r in caplog.records] == [
+            f"replicate failed cell={f['cell']} replicate={f['replicate']}: {f['error']}"
+            for f in result.failures
+        ]
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_programming_error_stops_the_run(self, monkeypatch, threads):
+    def test_programming_error_stops_the_run(self, threads):
         # Only ValueError (data and config errors) is recorded per replicate.
-        def broken(config, cell, replicate_index):
-            raise TypeError(f"replicate {replicate_index} has a bug")
+        # The bug travels to the workers inside the config, so it needs no
+        # monkeypatch that only a forked worker would inherit.
+        config = small_config(replicates=3)
+        config.augmentation = "ten percent"
+        with pytest.raises(TypeError, match="'<' not supported"):
+            run_grid(config, threads=threads)
 
-        monkeypatch.setattr("driftnet.sim.run_replicate", broken)
-        with pytest.raises(TypeError, match="replicate 0 has a bug"):
-            run_grid(small_config(replicates=3), threads=threads)
+    def test_dead_worker_stops_the_run(self, monkeypatch, pools):
+        def die(config, cell, replicate_index):
+            os._exit(1)
 
-    def test_failed_sink_cancels_queued_replicates(self, monkeypatch):
-        started = []
+        monkeypatch.setattr("driftnet.sim.run_replicate", die)
+        with pytest.raises(BrokenProcessPool):
+            run_grid(small_config(replicates=3), threads=2)
 
-        def counted(config, cell, replicate_index):
-            started.append(replicate_index)
-            return run_replicate(config, cell, replicate_index)
-
+    def test_failed_sink_cancels_queued_replicates(self, monkeypatch, tmp_path, pools):
         def sink(result):
             raise OSError("disk full")
 
-        monkeypatch.setattr("driftnet.sim.run_replicate", counted)
+        monkeypatch.setattr("driftnet.sim.run_replicate", marking(tmp_path))
         config = small_config(replicates=20, schemes=(SchemeKind.SITE_REF,))
         with pytest.raises(OSError, match="disk full"):
             run_grid(config, threads=2, replicate_sink=sink)
-        assert len(started) < 20
+        assert 1 <= len(list(tmp_path.iterdir())) < 20
+
+    def test_slow_sink_bounds_replicates_started_ahead(self, monkeypatch, tmp_path, pools):
+        workers = 2
+        ahead = []
+
+        def sink(result):
+            time.sleep(0.05)
+            ahead.append(len(list(tmp_path.iterdir())) - (result.replicate_index + 1))
+
+        monkeypatch.setattr("driftnet.sim.run_replicate", marking(tmp_path))
+        config = small_config(replicates=20, schemes=(SchemeKind.SITE_REF,))
+        run_grid(config, threads=workers, replicate_sink=sink)
+        assert len(ahead) == 20
+        # At most 2 x workers replicates are in flight; allow one more per
+        # worker for a start that lands while the sink counts.
+        assert max(ahead) <= 2 * workers + workers
+
+    def test_pool_capped_at_replicate_count(self, pools):
+        run_grid(small_config(replicates=2), threads=16)
+        run_grid(small_config(replicates=1), threads=16)
+        assert pools == [2]
 
     def test_each_replicate_released_before_the_next_is_sunk(self):
         refs = []
