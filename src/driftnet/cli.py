@@ -179,20 +179,14 @@ def cmd_datagen(args) -> int:
     if not synthetic:
         raise ConfigError("sites", "no synthetic sites to generate (all are file-backed)")
     rng = np.random.default_rng(derive_seed(config.master_seed, "datagen"))
-    written = []
     for spec in synthetic:
         for prefix, data in zip(("ref", "test"), site_samples(spec, rng)):
             path = out_dir / f"{prefix}_{spec.site_id}.csv"
             with _atomic_csv(path, ["index", "probability"]) as writer:
                 for index, value in enumerate(data):
                     writer.writerow([index, repr(float(value))])
-            written.append(path.name)
-    print(f"wrote {len(written)} series files to {out_dir}")
+    print(f"wrote {2 * len(synthetic)} series files to {out_dir}")
     return 0
-
-
-def _run_id(replicate_index: int) -> str:
-    return f"r{replicate_index:04d}"
 
 
 def cmd_run(args) -> int:
@@ -215,7 +209,7 @@ def cmd_run(args) -> int:
     ):
 
         def sink(result) -> None:
-            run_id = _run_id(result.replicate_index)
+            run_id = f"r{result.replicate_index:04d}"
             label = cell_label(result.cell)
             for scheme_name, record in result.schemes.items():
                 for agent_record in record.agents:

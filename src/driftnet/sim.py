@@ -22,9 +22,7 @@ import itertools
 import json
 import logging
 import math
-import os
 from dataclasses import MISSING, dataclass
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -79,6 +77,38 @@ logger = logging.getLogger(__name__)
 CENTRALIZED_STREAM_ID = "ALL"
 
 
+def load_series_csv(path) -> np.ndarray:
+    """Read and check an 'index,probability' CSV written by datagen: at
+    least 4 rows, every probability in [0, 1]. The array is read-only."""
+    values: list[float] = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or [c.strip().lower() for c in header[:2]] != ["index", "probability"]:
+            raise ValueError(f"invalid-series-file: {path} must start with 'index,probability'")
+        for row_number, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < 2:
+                raise ValueError(f"invalid-series-file: {path} row {row_number} is incomplete")
+            try:
+                value = float(row[1])
+            except ValueError as exc:
+                raise ValueError(
+                    f"invalid-probability: {path} row {row_number}: {row[1]!r}"
+                ) from exc
+            if not 0.0 <= value <= 1.0 or math.isnan(value):
+                raise ValueError(
+                    f"invalid-probability: {path} row {row_number}: {value!r} outside [0, 1]"
+                )
+            values.append(value)
+    if len(values) < 4:
+        raise ValueError(f"invalid-series-file: {path} holds fewer than 4 observations")
+    arr = np.asarray(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
 # The JSON keys that only a synthetic or only a file-backed site writes.
 SYNTHETIC_KEYS = ("reference_size", "test_size", "alpha", "beta")
 FILE_KEYS = ("reference_csv", "test_csv")
@@ -107,6 +137,15 @@ class SiteSpec:
             for name in ("reference_size", "test_size"):
                 if getattr(self, name) is None:
                     raise ConfigError(name, "required for a synthetic site")
+        # A file-backed site's (reference, test) arrays, read once and shared
+        # by every replicate; not a setting, so to_dict() and == ignore them.
+        samples = []
+        for name in FILE_KEYS if self.reference_csv is not None else ():
+            try:
+                samples.append(load_series_csv(getattr(self, name)))
+            except (OSError, ValueError, csv.Error) as exc:
+                raise ConfigError(name, str(exc)) from None
+        object.__setattr__(self, "samples", tuple(samples))
 
     def to_dict(self) -> dict:
         unused = SYNTHETIC_KEYS if self.reference_csv is not None else FILE_KEYS
@@ -168,11 +207,10 @@ class SimConfig:
         for i, site_id in enumerate(ids):
             if site_id in ids[:i]:
                 raise ConfigError(f"sites[{i}].site_id", f"duplicate site_id {site_id!r}")
-        # The drift segment must fit every augmented synthetic test series
-        # (inject_drift's test); file-backed sites are only read per replicate.
-        sizes = [s.test_size for s in self.sites if s.reference_csv is None]
-        if sizes and any(v > 0 for v in self.drift_strength_grid):
-            n = min(sizes) + math.ceil(self.augmentation * min(sizes))
+        # The drift segment must fit every augmented test series (inject_drift's test).
+        if any(v > 0 for v in self.drift_strength_grid):
+            size = min(s.samples[1].size if s.samples else s.test_size for s in self.sites)
+            n = size + math.ceil(self.augmentation * size)
             for i, duration in enumerate(self.drift_duration_grid):
                 length = math.ceil(duration * n)
                 if length >= n:
@@ -367,73 +405,16 @@ def window_truth_labels(values, drift_mask, window_size: int, rho: float = 0.5) 
     return labels
 
 
-# Resolved path -> ((st_mtime_ns, st_size) when read, values).
-_SERIES_CACHE: dict[str, tuple[tuple[int, int], np.ndarray]] = {}
-
-
-def load_series_csv(path) -> np.ndarray:
-    """Read an 'index,probability' CSV written by datagen.
-
-    The values are cached per file and read again once the file's
-    modification time or size changes.
-    """
-    resolved = str(Path(path).resolve())
-    info = os.stat(resolved)
-    stamp = (info.st_mtime_ns, info.st_size)
-    cached = _SERIES_CACHE.get(resolved)
-    if cached is not None and cached[0] == stamp:
-        return cached[1]
-    values: list[float] = []
-    with open(resolved, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["index", "probability"]:
-            raise ValueError(f"invalid-series-file: {path} must start with 'index,probability'")
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"invalid-series-file: {path} row {row_number} is incomplete")
-            try:
-                value = float(row[1])
-            except ValueError as exc:
-                raise ValueError(
-                    f"invalid-probability: {path} row {row_number}: {row[1]!r}"
-                ) from exc
-            if not 0.0 <= value <= 1.0 or math.isnan(value):
-                raise ValueError(
-                    f"invalid-probability: {path} row {row_number}: {value!r} outside [0, 1]"
-                )
-            values.append(value)
-    if len(values) < 4:
-        raise ValueError(f"invalid-series-file: {path} holds fewer than 4 observations")
-    arr = np.asarray(values, dtype=np.float64)
-    arr.setflags(write=False)
-    _SERIES_CACHE[resolved] = (stamp, arr)
-    return arr
-
-
 def site_samples(spec: SiteSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One site's (reference, test) series: read from its CSV files, or
-    drawn from its Beta law, reference first (a file-backed site draws
-    nothing from `rng`)."""
-    if spec.reference_csv is not None:
-        return load_series_csv(spec.reference_csv), load_series_csv(spec.test_csv)
+    """One site's (reference, test) series: the arrays read from its CSV
+    files when the spec was built, or drawn from its Beta law, reference
+    first (a file-backed site draws nothing from `rng`)."""
+    if spec.samples:
+        return spec.samples
     return (
         rng.beta(spec.alpha, spec.beta, size=spec.reference_size),
         rng.beta(spec.alpha, spec.beta, size=spec.test_size),
     )
-
-
-def _site_data(
-    config: SimConfig, cell: GridCell, replicate_index: int
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    data_rng = _rng(config, cell, replicate_index, "data")
-    refs: dict[str, np.ndarray] = {}
-    tests: dict[str, np.ndarray] = {}
-    for spec in config.sites:
-        refs[spec.site_id], tests[spec.site_id] = site_samples(spec, data_rng)
-    return refs, tests
 
 
 @dataclass
@@ -509,11 +490,11 @@ def _run_scheme(
         agent_records.append(
             AgentRunRecord(
                 center=stream.site_id,
-                verdicts=list(agent.verdicts),
+                verdicts=agent.verdicts,
                 truth=truth,
                 detection=detection,
-                adaptive_trace=list(agent.adaptive_trace),
-                hook_failures=list(agent.hook_failures),
+                adaptive_trace=agent.adaptive_trace,
+                hook_failures=agent.hook_failures,
             )
         )
 
@@ -521,16 +502,15 @@ def _run_scheme(
         severity: list[SeverityRecord] = []
         severity_counts = None
     else:
-        n_batches = min(len(record.truth) for record in agent_records)
+        # Padding gives every stream, so every agent, one batch count.
         flags: list[list[int]] = []
-        truths: list[list[int]] = []
         for record in agent_records:
-            agent_flags = [0] * n_batches
+            agent_flags = [0] * len(record.truth)
             for verdict in record.verdicts:
-                if verdict.evaluated and verdict.drift and verdict.batch_index < n_batches:
+                if verdict.evaluated and verdict.drift:
                     agent_flags[verdict.batch_index] = 1
             flags.append(agent_flags)
-            truths.append(list(record.truth[:n_batches]))
+        truths = [record.truth for record in agent_records]
         severity, severity_counts = build_severity(flags, truths, config.severity_tp_rule)
     return SchemeRunRecord(
         agents=agent_records, severity=severity, severity_counts=severity_counts
@@ -539,11 +519,13 @@ def _run_scheme(
 
 def run_replicate(config: SimConfig, cell: GridCell, replicate_index: int) -> ReplicateResult:
     """Run the full pipeline once for one grid cell."""
-    refs, tests = _site_data(config, cell, replicate_index)
+    data_rng = _rng(config, cell, replicate_index, "data")
+    samples = {spec.site_id: site_samples(spec, data_rng) for spec in config.sites}
+    refs = {site_id: ref for site_id, (ref, _) in samples.items()}
     pipeline_rng = _rng(config, cell, replicate_index, "pipeline")
     series = [
-        SiteSeries(spec.site_id, tests[spec.site_id], np.zeros(tests[spec.site_id].size, np.int8))
-        for spec in config.sites
+        SiteSeries(site_id, test, np.zeros(test.size, np.int8))
+        for site_id, (_, test) in samples.items()
     ]
     series = [augment(s, config.augmentation, pipeline_rng) for s in series]
     if cell.drift_strength > 0:
@@ -552,7 +534,7 @@ def run_replicate(config: SimConfig, cell: GridCell, replicate_index: int) -> Re
             for s in series
         ]
     series = pad_sparsity(series, pipeline_rng)
-    global_eval = np.concatenate([refs[spec.site_id] for spec in config.sites])
+    global_eval = np.concatenate(list(refs.values()))
 
     scheme_records = {
         scheme.value: _run_scheme(config, cell, replicate_index, scheme, series, refs, global_eval)
@@ -597,14 +579,22 @@ def _summarise_pools(pools: dict[str, dict[str, list[MetricSet]]]) -> dict[str, 
     return out
 
 
-# The config a pool worker runs replicates of. The pool initializer sets
-# it once per worker process, so each task carries only (cell, index).
+# The config a pool worker runs replicates of, so each task carries only
+# (cell, index), and the queue of its log records at the parent's root
+# level, which go back with each outcome for the parent to handle. The pool
+# initializer sets both once per worker.
 _worker_config: SimConfig | None = None
+_worker_log = None
 
 
-def _init_worker(config: SimConfig) -> None:
-    global _worker_config
-    _worker_config = config
+def _init_worker(config: SimConfig, log_level: int) -> None:
+    import queue
+    from logging.handlers import QueueHandler
+
+    global _worker_config, _worker_log
+    _worker_config, _worker_log = config, queue.SimpleQueue()
+    logging.root.handlers = [QueueHandler(_worker_log)]
+    logging.root.setLevel(log_level)
 
 
 def _attempt(config: SimConfig, task: tuple[GridCell, int]):
@@ -618,7 +608,17 @@ def _attempt(config: SimConfig, task: tuple[GridCell, int]):
 
 
 def _attempt_in_worker(task: tuple[GridCell, int]):
-    return _attempt(_worker_config, task)
+    outcome = _attempt(_worker_config, task)
+    return outcome, [_worker_log.get() for _ in range(_worker_log.qsize())]
+
+
+def _logged(outcomes):
+    """Worker outcomes, each once its log records are handled here, in task
+    order (a `spawn` or `forkserver` worker has no logging set up)."""
+    for outcome, records in outcomes:
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        yield outcome
 
 
 def _windowed_map(pool, fn, tasks, window: int):
@@ -671,8 +671,9 @@ def run_grid(
         # `import driftnet`.
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(config,))
-        outcomes = _windowed_map(pool, _attempt_in_worker, tasks, 2 * workers)
+        initargs = (config, logging.root.level)
+        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=initargs)
+        outcomes = _logged(_windowed_map(pool, _attempt_in_worker, tasks, 2 * workers))
     try:
         for cell in cells:
             cell_pools = {

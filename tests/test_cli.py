@@ -25,9 +25,9 @@ SMALL_CONFIG = {
 }
 
 
-# `driftnet run --threads 2` under the start method named by argv[1]. The
-# `__main__` guard keeps spawn and forkserver workers, which import this
-# script, from starting runs of their own.
+# `driftnet [argv[4:]] run --threads 2` under the start method named by
+# argv[1]. The `__main__` guard keeps spawn and forkserver workers, which
+# import this script, from starting runs of their own.
 _START_METHOD_SCRIPT = """
 import multiprocessing
 import sys
@@ -36,7 +36,8 @@ from driftnet.cli import main
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
-    sys.exit(main(["run", "--config", sys.argv[2], "--out", sys.argv[3], "--threads", "2"]))
+    args = ["run", "--config", sys.argv[2], "--out", sys.argv[3], "--threads", "2"]
+    sys.exit(main(sys.argv[4:] + args))
 """
 
 
@@ -137,6 +138,16 @@ class TestConfigValidation:
         ]
         config = load_config(write_config(tmp_path, payload))
         assert config.sites[0].reference_csv == str(csv_dir / "ref.csv")
+
+    def test_missing_site_file_is_named_at_load(self, tmp_path):
+        (tmp_path / "test.csv").write_text("index,probability\n0,0.2\n1,0.4\n2,0.6\n3,0.8\n")
+        payload = dict(SMALL_CONFIG)
+        payload["sites"] = [
+            {"site_id": "A", "reference_size": 20, "test_size": 30},
+            {"site_id": "B", "reference_csv": "nowhere.csv", "test_csv": "test.csv"},
+        ]
+        with pytest.raises(ConfigError, match=r"^sites\[1\]\.reference_csv: .*No such file"):
+            load_config(write_config(tmp_path, payload))
 
     def test_cli_reports_config_errors(self, tmp_path, capsys):
         path = write_config(tmp_path, {"threshold": 2.0})
@@ -252,6 +263,23 @@ class TestRun:
         assert "error: grid.drift_duration[0]: " in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    def test_bad_site_file_exits_2_before_any_output(self, tmp_path, capsys):
+        assert main(["datagen", "--out", str(tmp_path / "d")]) == 0
+        sites = [
+            {"site_id": s, "reference_csv": f"d/ref_{s}.csv", "test_csv": f"d/test_{s}.csv"}
+            for s in ("DS-0", "DS-1", "DS-2", "DS-3")
+        ]
+        config_path = write_config(tmp_path, dict(SMALL_CONFIG, sites=sites))
+        series = tmp_path / "d" / "test_DS-2.csv"
+        lines = series.read_text().splitlines()
+        lines[3] = "2,1.5"
+        series.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sites[2].test_csv: invalid-probability: ")
+        assert not out.exists()
+
     def test_thread_count_does_not_change_outputs(self, tmp_path):
         config_path = write_config(tmp_path, SMALL_CONFIG)
         out1 = tmp_path / "run1"
@@ -280,6 +308,35 @@ class TestRun:
         )
         for name in ("summary.json", "verdicts.csv", "severity.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_workers_log_like_one_process(self, tmp_path, method):
+        # Workers send their records back, and this process writes them in
+        # replicate order, with its own level and format.
+        config_path = write_config(tmp_path, SMALL_CONFIG)
+        script = tmp_path / "run_parallel.py"
+        script.write_text(_START_METHOD_SCRIPT)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def drift_lines(*argv):
+            stderr = subprocess.run(
+                [sys.executable, *argv],
+                env=dict(os.environ, PYTHONPATH=path),
+                check=True,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            ).stderr
+            return [line for line in stderr.splitlines() if "drift detected" in line]
+
+        serial = drift_lines(
+            "-m", "driftnet.cli", "--verbose", "run", "--config", config_path,
+            "--out", str(tmp_path / "serial"),
+        )
+        parallel = drift_lines(script, method, config_path, tmp_path / "parallel", "--verbose")
+        assert serial[0].startswith("INFO driftnet.agent: drift detected agent=")
+        assert parallel == serial
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_thread_count_below_one_rejected(self, tmp_path, capsys, threads):

@@ -74,9 +74,12 @@ class TestSnapshot:
         block = re.search(r"```jsonc\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
         assert json.loads(re.sub(r"//[^\n]*", "", block)) == SimConfig().to_dict()
 
-    def test_file_backed_site_round_trip(self):
-        site = SiteSpec("F", reference_csv="r.csv", test_csv="t.csv")
-        assert site.to_dict() == {"site_id": "F", "reference_csv": "r.csv", "test_csv": "t.csv"}
+    def test_file_backed_site_round_trip(self, tmp_path):
+        ref, test = str(tmp_path / "r.csv"), str(tmp_path / "t.csv")
+        for path in (ref, test):
+            Path(path).write_text("index,probability\n0,0.2\n1,0.4\n2,0.6\n3,0.8\n")
+        site = SiteSpec("F", reference_csv=ref, test_csv=test)
+        assert site.to_dict() == {"site_id": "F", "reference_csv": ref, "test_csv": test}
 
 
 def test_each_choice_tuple_has_one_owner():

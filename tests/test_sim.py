@@ -12,6 +12,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from driftnet.config import ConfigError
 from driftnet.schemes import SchemeKind
 from driftnet.severity import severity_score
 from driftnet.sim import (
@@ -323,7 +324,6 @@ class TestLoadSeriesCsv(object):
         path.write_text("index,probability\n0,0.9\n1,0.8\n2,0.7\n3,0.6\n4,0.5\n")
         os.utime(path, ns=(stamp + 10**9, stamp + 10**9))
         assert load_series_csv(path).tolist() == [0.9, 0.8, 0.7, 0.6, 0.5]
-        assert load_series_csv(path) is load_series_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "series.csv"
@@ -357,6 +357,23 @@ class TestRunReplicate:
             v1 = [(v.batch_index, v.p_value) for a in r1.schemes[name].agents for v in a.verdicts]
             v2 = [(v.batch_index, v.p_value) for a in r2.schemes[name].agents for v in a.verdicts]
             assert v1 == v2
+
+    def test_file_rewritten_after_load_is_not_read(self, tmp_path):
+        paths = [tmp_path / "ref.csv", tmp_path / "test.csv"]
+        rows = "".join(f"{i},{0.1 + 0.02 * i:.2f}\n" for i in range(40))
+        for path in paths:
+            path.write_text("index,probability\n" + rows)
+        site = SiteSpec("F", reference_csv=str(paths[0]), test_csv=str(paths[1]))
+        config = small_config(sites=(site, DEFAULT_SITES[0]))
+        cell = GridCell(0.3, 0.3, 0.10)
+        before = run_replicate(config, cell, 0)
+        for path in paths:
+            path.write_text("index,probability\n0,0.5\n1,0.5\n2,0.5\n3,0.5\n")
+        after = run_replicate(config, cell, 0)
+        for name, record in before.schemes.items():
+            got = after.schemes[name]
+            assert [a.verdicts for a in got.agents] == [a.verdicts for a in record.agents]
+            assert got.severity == record.severity
 
     def test_zero_strength_produces_no_positives(self):
         config = small_config(drift_strength_grid=(0.0,))
@@ -420,25 +437,12 @@ class TestRunGrid:
         run_grid(config, threads=3, replicate_sink=lambda r: seen.append(r.replicate_index))
         assert seen == [0, 1, 2]
 
-    def test_failures_recorded_not_fatal(self, tmp_path, caplog):
-        # A file-backed 4-observation test series cannot absorb a
-        # 0.95-duration drift segment (ceil(3.8) = 4 slots); its length is
-        # only known per replicate, so config construction accepts it.
-        for name in ("ref.csv", "test.csv"):
-            (tmp_path / name).write_text("index,probability\n0,0.2\n1,0.4\n2,0.6\n3,0.8\n")
-        sites = (
-            SiteSpec(
-                "tiny", reference_csv=str(tmp_path / "ref.csv"), test_csv=str(tmp_path / "test.csv")
-            ),
-            SiteSpec("ok", reference_size=10, test_size=50),
-        )
-        config = small_config(
-            replicates=2,
-            drift_duration_grid=(0.95,),
-            augmentation=0.0,
-            sites=sites,
-            schemes=(SchemeKind.SITE_REF,),
-        )
+    def test_failures_recorded_not_fatal(self, caplog, monkeypatch, pools):
+        def fail(config, cell, replicate_index):
+            raise ValueError(f"drift-exceeds-series: replicate {replicate_index}")
+
+        monkeypatch.setattr("driftnet.sim.run_replicate", fail)
+        config = small_config(replicates=2, schemes=(SchemeKind.SITE_REF,))
         result = run_grid(config)
         assert len(result.failures) == 2
         assert all("drift-exceeds-series" in f["error"] for f in result.failures)
@@ -452,6 +456,21 @@ class TestRunGrid:
             f"replicate failed cell={f['cell']} replicate={f['replicate']}: {f['error']}"
             for f in result.failures
         ]
+
+    def test_drift_segment_must_fit_file_backed_series(self, tmp_path):
+        # A file-backed 4-observation test series cannot absorb a
+        # 0.95-duration drift segment (ceil(3.8) = 4 slots). The file is read
+        # when the site is built, so the config is rejected then.
+        for name in ("ref.csv", "test.csv"):
+            (tmp_path / name).write_text("index,probability\n0,0.2\n1,0.4\n2,0.6\n3,0.8\n")
+        sites = (
+            SiteSpec(
+                "tiny", reference_csv=str(tmp_path / "ref.csv"), test_csv=str(tmp_path / "test.csv")
+            ),
+            SiteSpec("ok", reference_size=10, test_size=50),
+        )
+        with pytest.raises(ConfigError, match=r"^grid\.drift_duration\[0\]: "):
+            small_config(drift_duration_grid=(0.95,), augmentation=0.0, sites=sites)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_programming_error_stops_the_run(self, threads):
