@@ -12,11 +12,9 @@ ConfigError naming the field at construction, as a bad JSON config does.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
-import urllib.request
 from dataclasses import MISSING, dataclass
 
 import numpy as np
@@ -38,9 +36,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # Checks shared with SimConfig, which configures every agent of a campaign.
-THRESHOLD = Setting("threshold", float, gt=0.0, lt=1.0)
-RESAMPLE = Setting("resample", str, choices=RESAMPLE_MODES)
-PERMUTATIONS = Setting("permutations", int, ge=100)
+THRESHOLD = Setting(float, gt=0.0, lt=1.0)
+RESAMPLE = Setting(str, choices=RESAMPLE_MODES)
+PERMUTATIONS = Setting(int, ge=100)
 
 
 @dataclass(frozen=True)
@@ -59,10 +57,10 @@ class AgentConfig:
 
     agent_id: AgentId
     scheme: ReferenceSpec
-    window_size: int = setting(MISSING, "window_size", int, ge=2)
+    window_size: int = setting(MISSING, int, ge=2)
     threshold: float = shared(0.05, THRESHOLD)
     permutations: int = shared(1000, PERMUTATIONS)
-    min_valid: int | None = setting(None, "min_valid", int, optional=True, ge=2)
+    min_valid: int | None = setting(None, int, optional=True, ge=2)
     resample: str = shared("permutation", RESAMPLE)
 
     def __post_init__(self) -> None:
@@ -100,6 +98,11 @@ def logging_hook(record: dict) -> None:
 def webhook_hook(url: str, timeout: float = 2.0):
     """Fire-and-forget JSON POST of drift records to an HTTP endpoint, for
     a deployed agent; simulated agents log their alerts instead."""
+
+    # Imported here: urllib.request loads http.client, ssl and email, which
+    # nothing else needs, and every worker process imports this module.
+    import json
+    import urllib.request
 
     def hook(record: dict) -> None:
         payload = json.dumps(record).encode("utf-8")

@@ -116,9 +116,20 @@ def load_config(path: str | None) -> SimConfig:
         raw = json.loads(file_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}")
     return config_from_dict(raw, base_dir=file_path.parent)
+
+
+def _make_out_dir(path: str) -> Path:
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot create directory {path}: {exc}")
+    return out_dir
 
 
 @contextlib.contextmanager
@@ -173,8 +184,7 @@ def _run_overrides(config: SimConfig, args) -> SimConfig:
 def cmd_datagen(args) -> int:
     config = load_config(args.config)
     config = _run_overrides(config, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out)
     synthetic = [s for s in config.sites if s.reference_csv is None]
     if not synthetic:
         raise ConfigError("sites", "no synthetic sites to generate (all are file-backed)")
@@ -194,8 +204,7 @@ def cmd_run(args) -> int:
     config = _run_overrides(config, args)
     if args.threads < 1:
         raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out)
 
     started_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     config_snapshot = config.to_dict()

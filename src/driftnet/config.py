@@ -1,11 +1,12 @@
 """One schema for configuration dataclasses.
 
-Each field declares, once, in its `dataclasses.field` metadata, its JSON
-path ("grid.drift_duration"), value type and checks (`setting`). One loop
-over `dataclasses.fields` then validates an object built in code
-(`validate_fields`, called from `__post_init__`), builds one from parsed
-JSON (`fields_from_dict`) and writes it back (`fields_to_dict`), so the
-three can never disagree.
+Each field declares, once, in its `dataclasses.field` metadata, its value
+type and checks (`setting`). A field's JSON key is its name, and a nested
+JSON object is a nested config class (`SimConfig.grid`, `.adaptive`,
+`.sites[i]`). One loop over `dataclasses.fields` then validates an object
+built in code (`validate_fields`, called from `__post_init__`), builds one
+from parsed JSON (`fields_from_dict`) and writes it back
+(`fields_to_dict`), so the three can never disagree.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Setting:
-    """A field's JSON path and checks. `many` asks for a nonempty list of
-    `kind`; `optional` admits None; ge/gt/le/lt bound numbers."""
+    """A field's checks. `kind` is a value type, an enum or a config class
+    (a nested object); `many` asks for a nonempty list of `kind`;
+    `optional` admits None; ge/gt/le/lt bound numbers."""
 
-    path: str
     kind: type
     many: bool = False
     optional: bool = False
@@ -45,9 +46,9 @@ class Setting:
     lt: float | None = None
 
 
-def setting(default, path: str, kind: type, **checks):
+def setting(default, kind: type, **checks):
     """A dataclass field (no default when `default` is MISSING) with its schema."""
-    return shared(default, Setting(path, kind, **checks))
+    return shared(default, Setting(kind, **checks))
 
 
 def shared(default, spec: Setting):
@@ -119,46 +120,26 @@ def validate_fields(obj) -> None:
     for f in dataclasses.fields(obj):
         spec = f.metadata.get("setting")
         if spec is not None:
-            object.__setattr__(obj, f.name, _check(spec, getattr(obj, f.name), spec.path))
-
-
-def _place(tree: dict, path: str, value) -> None:
-    """Set `value` at a dotted path in nested dicts, creating groups."""
-    *groups, key = path.split(".")
-    for group in groups:
-        tree = tree.setdefault(group, {})
-    tree[key] = value
+            object.__setattr__(obj, f.name, _check(spec, getattr(obj, f.name), f.name))
 
 
 def fields_from_dict(cls, raw, prefix: str = ""):
     """Build `cls` from parsed JSON, naming the offending path on error.
 
     Unknown keys and missing required fields are rejected here; every
-    value check runs in the constructor.
+    value check, nested objects included, runs in the constructor.
     """
-    tree: dict = {}
-    for f in dataclasses.fields(cls):
-        _place(tree, f.metadata["setting"].path, f.name)
-    kwargs: dict = {}
-
-    def walk(node: dict, value, path: str) -> None:
-        if not isinstance(value, dict):
-            raise ConfigError(path.rstrip(".") or "config", f"expected an object, got {value!r}")
-        for key, item in value.items():
-            target = node.get(key)
-            if target is None:
-                raise ConfigError(path + key, "unknown configuration key")
-            if isinstance(target, dict):
-                walk(target, item, f"{path}{key}.")
-            else:
-                kwargs[target] = item
-
-    walk(tree, raw, prefix)
-    for f in dataclasses.fields(cls):
-        if f.default is dataclasses.MISSING and f.name not in kwargs:
-            raise ConfigError(prefix + f.metadata["setting"].path, "required")
+    if not isinstance(raw, dict):
+        raise ConfigError(prefix.rstrip(".") or "config", f"expected an object, got {raw!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(prefix + key, "unknown configuration key")
+    for name, f in fields.items():
+        if f.default is dataclasses.MISSING and name not in raw:
+            raise ConfigError(prefix + name, "required")
     try:
-        return cls(**kwargs)
+        return cls(**raw)
     except ConfigError as exc:
         raise ConfigError(prefix + exc.path, exc.detail) from None
 
@@ -175,7 +156,4 @@ def _plain(value):
 
 def fields_to_dict(obj) -> dict:
     """The JSON form of `obj`, keys in field declaration order."""
-    out: dict = {}
-    for f in dataclasses.fields(obj):
-        _place(out, f.metadata["setting"].path, _plain(getattr(obj, f.name)))
-    return out
+    return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}

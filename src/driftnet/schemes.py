@@ -54,7 +54,7 @@ MULTI_CENTER_SCHEMES = (
 UPDATE_CONDITIONS = ("lower", "always")
 
 # Histogram bin count, shared with SimConfig's campaign-wide `bins`.
-BINS = Setting("bins", int, ge=2)
+BINS = Setting(int, ge=2)
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,11 @@ class AdaptiveSettings:
     batches the site histogram keeps (None: all), and when a clean batch
     is absorbed."""
 
-    global_weight: float = setting(1.0, "global_weight", float, ge=0.0, le=1.0)
-    weight_decay: float = setting(0.1, "weight_decay", float, ge=0.0, le=1.0)
-    min_global_weight: float = setting(0.1, "min_global_weight", float, ge=0.0, le=1.0)
-    center_window: int | None = setting(None, "center_window", int, optional=True, ge=1)
-    update_condition: str = setting("lower", "update_condition", str, choices=UPDATE_CONDITIONS)
+    global_weight: float = setting(1.0, float, ge=0.0, le=1.0)
+    weight_decay: float = setting(0.1, float, ge=0.0, le=1.0)
+    min_global_weight: float = setting(0.1, float, ge=0.0, le=1.0)
+    center_window: int | None = setting(None, int, optional=True, ge=1)
+    update_condition: str = setting("lower", str, choices=UPDATE_CONDITIONS)
 
     def __post_init__(self) -> None:
         validate_fields(self)
@@ -87,11 +87,11 @@ class AdaptiveSettings:
 class ReferenceSpec:
     """Everything needed to construct the reference for one agent."""
 
-    kind: SchemeKind = setting(MISSING, "kind", SchemeKind)
+    kind: SchemeKind = setting(MISSING, SchemeKind)
     global_eval: np.ndarray | None = None
     site_eval: np.ndarray | None = None
     bins: int = shared(100, BINS)
-    adaptive: AdaptiveSettings = setting(AdaptiveSettings(), "adaptive", AdaptiveSettings)
+    adaptive: AdaptiveSettings = setting(AdaptiveSettings(), AdaptiveSettings)
 
     def __post_init__(self) -> None:
         validate_fields(self)

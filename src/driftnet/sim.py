@@ -52,6 +52,7 @@ from .severity import SEVERITY_RULES, SeverityRecord, build_severity
 
 __all__ = [
     "DEFAULT_SITES",
+    "Grid",
     "GridCell",
     "GridResult",
     "ReplicateResult",
@@ -118,13 +119,13 @@ FILE_KEYS = ("reference_csv", "test_csv")
 class SiteSpec:
     """One site's data source: Beta parameters or a pair of CSV files."""
 
-    site_id: str = setting(MISSING, "site_id", str)
-    reference_size: int | None = setting(None, "reference_size", int, optional=True, ge=4)
-    test_size: int | None = setting(None, "test_size", int, optional=True, ge=4)
-    alpha: float = setting(2.0, "alpha", float, ge=1e-9)
-    beta: float = setting(5.0, "beta", float, ge=1e-9)
-    reference_csv: str | None = setting(None, "reference_csv", str, optional=True)
-    test_csv: str | None = setting(None, "test_csv", str, optional=True)
+    site_id: str = setting(MISSING, str)
+    reference_size: int | None = setting(None, int, optional=True, ge=4)
+    test_size: int | None = setting(None, int, optional=True, ge=4)
+    alpha: float = setting(2.0, float, ge=1e-9)
+    beta: float = setting(5.0, float, ge=1e-9)
+    reference_csv: str | None = setting(None, str, optional=True)
+    test_csv: str | None = setting(None, str, optional=True)
 
     def __post_init__(self) -> None:
         validate_fields(self)
@@ -165,41 +166,52 @@ DEFAULT_SITES: tuple[SiteSpec, ...] = (
 )
 
 
+@dataclass(frozen=True)
+class Grid:
+    """The simulation grid: one cell per (drift strength, drift duration,
+    window fraction) combination."""
+
+    drift_strength: tuple[float, ...] = setting((0.2, 0.3, 0.5), float, many=True, ge=0.0, le=1.0)
+    drift_duration: tuple[float, ...] = setting((0.2, 0.3, 0.5), float, many=True, gt=0.0, lt=1.0)
+    window_fraction: tuple[float, ...] = setting(
+        (0.05, 0.10, 0.15), float, many=True, gt=0.0, le=1.0
+    )
+
+    def __post_init__(self) -> None:
+        validate_fields(self)
+
+    def to_dict(self) -> dict:
+        return fields_to_dict(self)
+
+
 @dataclass
 class SimConfig:
     """Complete, validated description of one simulation campaign.
 
-    Each field declares its JSON path and checks once; construction runs
-    them, so a config built in code meets the same schema as one loaded
-    from JSON, and every error is a ConfigError naming the field path.
+    Each field declares its type and checks once, and its JSON key is its
+    name; `grid`, `adaptive` and each of `sites` are nested config classes,
+    which a caller may also pass as dicts (`SimConfig(grid={...})`).
+    Construction runs every check, so a config built in code meets the
+    same schema as one loaded from JSON, and every error is a ConfigError
+    naming the field path.
     """
 
-    master_seed: int = setting(20260816, "master_seed", int)
-    replicates: int = setting(500, "replicates", int, ge=1)
-    drift_strength_grid: tuple[float, ...] = setting(
-        (0.2, 0.3, 0.5), "grid.drift_strength", float, many=True, ge=0.0, le=1.0
-    )
-    drift_duration_grid: tuple[float, ...] = setting(
-        (0.2, 0.3, 0.5), "grid.drift_duration", float, many=True, gt=0.0, lt=1.0
-    )
-    window_fraction_grid: tuple[float, ...] = setting(
-        (0.05, 0.10, 0.15), "grid.window_fraction", float, many=True, gt=0.0, le=1.0
-    )
-    augmentation: float = setting(0.10, "augmentation", float, ge=0.0)
+    master_seed: int = setting(20260816, int)
+    replicates: int = setting(500, int, ge=1)
+    grid: Grid = setting(Grid(), Grid)
+    augmentation: float = setting(0.10, float, ge=0.0)
     threshold: float = shared(0.05, THRESHOLD)
     permutations: int = shared(1000, PERMUTATIONS)
     bins: int = shared(100, BINS)
-    adaptive: AdaptiveSettings = setting(AdaptiveSettings(), "adaptive", AdaptiveSettings)
+    adaptive: AdaptiveSettings = setting(AdaptiveSettings(), AdaptiveSettings)
     resample: str = shared("permutation", RESAMPLE)
-    severity_tp_rule: str = setting("exact", "severity_tp_rule", str, choices=SEVERITY_RULES)
-    batch_label_rho: float = setting(0.5, "batch_label_rho", float, ge=0.0, lt=1.0)
-    min_valid_fraction: float = setting(0.5, "min_valid_fraction", float, ge=0.0, le=1.0)
-    empty_class_policy: str = setting(
-        "skip", "empty_class_policy", str, choices=EMPTY_CLASS_POLICIES
-    )
-    schemes: tuple[SchemeKind, ...] = setting(tuple(SchemeKind), "schemes", SchemeKind, many=True)
-    sites: tuple[SiteSpec, ...] = setting(DEFAULT_SITES, "sites", SiteSpec, many=True)
-    model_id: str = setting("model-0", "model_id", str)
+    severity_tp_rule: str = setting("exact", str, choices=SEVERITY_RULES)
+    batch_label_rho: float = setting(0.5, float, ge=0.0, lt=1.0)
+    min_valid_fraction: float = setting(0.5, float, ge=0.0, le=1.0)
+    empty_class_policy: str = setting("skip", str, choices=EMPTY_CLASS_POLICIES)
+    schemes: tuple[SchemeKind, ...] = setting(tuple(SchemeKind), SchemeKind, many=True)
+    sites: tuple[SiteSpec, ...] = setting(DEFAULT_SITES, SiteSpec, many=True)
+    model_id: str = setting("model-0", str)
 
     def __post_init__(self) -> None:
         validate_fields(self)
@@ -208,10 +220,10 @@ class SimConfig:
             if site_id in ids[:i]:
                 raise ConfigError(f"sites[{i}].site_id", f"duplicate site_id {site_id!r}")
         # The drift segment must fit every augmented test series (inject_drift's test).
-        if any(v > 0 for v in self.drift_strength_grid):
+        if any(v > 0 for v in self.grid.drift_strength):
             size = min(s.samples[1].size if s.samples else s.test_size for s in self.sites)
             n = size + math.ceil(self.augmentation * size)
-            for i, duration in enumerate(self.drift_duration_grid):
+            for i, duration in enumerate(self.grid.drift_duration):
                 length = math.ceil(duration * n)
                 if length >= n:
                     raise ConfigError(
@@ -241,9 +253,9 @@ def cell_label(cell: GridCell) -> str:
 def enumerate_cells(config: SimConfig) -> list[GridCell]:
     return [
         GridCell(s, d, w)
-        for s in config.drift_strength_grid
-        for d in config.drift_duration_grid
-        for w in config.window_fraction_grid
+        for s in config.grid.drift_strength
+        for d in config.grid.drift_duration
+        for w in config.grid.window_fraction
     ]
 
 
@@ -743,11 +755,7 @@ def summary_dict(result: GridResult) -> dict:
         "schema": "driftnet-summary/1",
         "master_seed": result.config.master_seed,
         "replicates": result.config.replicates,
-        "grid": {
-            "drift_strength": list(result.config.drift_strength_grid),
-            "drift_duration": list(result.config.drift_duration_grid),
-            "window_fraction": list(result.config.window_fraction_grid),
-        },
+        "grid": result.config.grid.to_dict(),
         "schemes": [s.value for s in result.config.schemes],
         "cells": cells,
         "overall": {name: summary.to_dict() for name, summary in result.overall.items()},

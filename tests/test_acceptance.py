@@ -55,9 +55,11 @@ def campaign():
     """
     config = SimConfig(
         replicates=100,
-        drift_strength_grid=(0.2, 0.3, 0.5),
-        drift_duration_grid=(0.3,),
-        window_fraction_grid=(0.10,),
+        grid={
+            "drift_strength": (0.2, 0.3, 0.5),
+            "drift_duration": (0.3,),
+            "window_fraction": (0.10,),
+        },
     )
     traces = []
 

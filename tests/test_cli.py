@@ -113,11 +113,19 @@ class TestConfigValidation:
             ({"adaptive": 5}, r"^adaptive: expected an object"),
             ({"adaptive": {"center_window": 0}}, r"^adaptive\.center_window: "),
             ({"webhook_url": "http://localhost/alerts"}, r"^webhook_url: unknown"),
+            ({"grid": 5}, r"^grid: expected an object"),
+            ({"grid": {"bogus": 1}}, r"^grid\.bogus: unknown"),
         ],
     )
     def test_config_errors_start_with_the_field_path(self, raw, path):
         with pytest.raises(ConfigError, match=path):
             config_from_dict(raw)
+
+    def test_partial_grid_keeps_the_other_axes(self):
+        config = config_from_dict({"grid": {"window_fraction": [0.1]}})
+        assert config.grid.window_fraction == (0.1,)
+        assert config.grid.drift_strength == (0.2, 0.3, 0.5)
+        assert config.grid.drift_duration == (0.2, 0.3, 0.5)
 
     def test_round_trip_through_to_dict(self):
         config = config_from_dict(SMALL_CONFIG)
@@ -154,6 +162,29 @@ class TestConfigValidation:
         code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "threshold" in capsys.readouterr().err
+
+    def test_config_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: config: ")
+        assert not out.exists()
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"model_id": "\xff"}')
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config: cannot read {path}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "datagen"])
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        config_path = write_config(tmp_path, SMALL_CONFIG)
+        assert main([command, "--config", config_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --out: ")
+        assert out.read_text() == "keep"
 
 
 class TestAtomicWrites:

@@ -12,7 +12,7 @@ from driftnet import agent, metrics, schemes, severity, stats
 from driftnet.agent import AgentConfig
 from driftnet.config import ConfigError
 from driftnet.schemes import SchemeKind
-from driftnet.sim import SimConfig, SiteSpec
+from driftnet.sim import FILE_KEYS, Grid, SimConfig, SiteSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,20 +24,20 @@ class TestCodeBuiltConfig:
 
     def test_grid_bounds_apply_in_code(self):
         with pytest.raises(ConfigError, match=r"^grid\.drift_strength\[0\]: "):
-            SimConfig(drift_strength_grid=(5.0,))
+            SimConfig(grid={"drift_strength": (5.0,)})
         with pytest.raises(ConfigError, match=r"^replicates: "):
             SimConfig(replicates=0)
 
     def test_drift_segment_must_fit_shortest_augmented_series(self):
         # DS-3: 18 test values + ceil(0.1 * 18) = 20 slots; ceil(0.96 * 20) = 20.
         with pytest.raises(ConfigError, match=r"^grid\.drift_duration\[1\]: "):
-            SimConfig(drift_duration_grid=(0.3, 0.96))
-        assert SimConfig(drift_duration_grid=(0.95,)).drift_duration_grid == (0.95,)
+            SimConfig(grid={"drift_duration": (0.3, 0.96)})
+        assert SimConfig(grid={"drift_duration": (0.95,)}).grid.drift_duration == (0.95,)
         # Without augmentation the series has 18 slots: ceil(0.95 * 18) = 18.
         with pytest.raises(ConfigError, match=r"^grid\.drift_duration\[0\]: "):
-            SimConfig(drift_duration_grid=(0.95,), augmentation=0.0)
+            SimConfig(grid={"drift_duration": (0.95,)}, augmentation=0.0)
         # No cell injects drift when every strength is 0.
-        SimConfig(drift_strength_grid=(0.0,), drift_duration_grid=(0.99,))
+        SimConfig(grid={"drift_strength": (0.0,), "drift_duration": (0.99,)})
 
     def test_site_entries_given_as_dicts_carry_their_path(self):
         sites = ({"site_id": "A", "reference_size": 10, "test_size": 10}, {"site_id": "B"})
@@ -48,10 +48,10 @@ class TestCodeBuiltConfig:
 
     def test_values_are_normalised(self):
         config = SimConfig(
-            drift_strength_grid=[0, 1], augmentation=1, schemes=["SiteRef"],
+            grid={"drift_strength": [0, 1]}, augmentation=1, schemes=["SiteRef"],
             sites=[{"site_id": "A", "reference_size": 10, "test_size": 10, "alpha": 3}],
         )
-        assert config.drift_strength_grid == (0.0, 1.0)
+        assert config.grid.drift_strength == (0.0, 1.0)
         assert isinstance(config.augmentation, float)
         assert config.schemes == (SchemeKind.SITE_REF,)
         assert config.sites == (SiteSpec("A", reference_size=10, test_size=10, alpha=3.0),)
@@ -73,6 +73,18 @@ class TestSnapshot:
     def test_readme_config_block_is_the_default(self):
         block = re.search(r"```jsonc\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
         assert json.loads(re.sub(r"//[^\n]*", "", block)) == SimConfig().to_dict()
+
+    def test_json_keys_are_field_names_at_every_level(self):
+        def names(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        snapshot = SimConfig().to_dict()
+        assert list(snapshot) == names(SimConfig)
+        assert list(snapshot["grid"]) == names(Grid)
+        assert list(snapshot["adaptive"]) == names(schemes.AdaptiveSettings)
+        # A synthetic site leaves out the keys only a file-backed site writes.
+        for site in snapshot["sites"]:
+            assert list(site) == [name for name in names(SiteSpec) if name not in FILE_KEYS]
 
     def test_file_backed_site_round_trip(self, tmp_path):
         ref, test = str(tmp_path / "r.csv"), str(tmp_path / "t.csv")

@@ -20,16 +20,35 @@ print(" ".join(sorted(added - set(sys.stdlib_module_names))))
 """
 
 
-def test_import_loads_no_third_party_package_but_numpy():
+# Lists the network modules that `import driftnet, driftnet.cli` leaves
+# loaded; only `webhook_hook` needs them, and only when it is called.
+_NETWORK_PROBE = """
+import sys
+import driftnet, driftnet.cli
+print(" ".join(m for m in ("urllib.request", "http.client", "ssl", "email") if m in sys.modules))
+"""
+
+
+def _probe(code: str) -> list[str]:
+    """The words `code` prints in a fresh interpreter that imports this driftnet."""
     src = str(Path(driftnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, check=True, timeout=60
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout.split()
+
+
+def test_import_loads_no_third_party_package_but_numpy():
+    out = _probe(_PROBE)
     # scipy.stats alone takes over a second to import, several times the
     # whole package's import time.
     assert "scipy" not in out
     assert set(out) <= {"driftnet", "numpy"}
+
+
+def test_import_loads_no_network_module():
+    # Every spawn or forkserver worker imports the package again.
+    assert _probe(_NETWORK_PROBE) == []
 
 
 # Every name `driftnet.__all__` listed when it was kept by hand, except the
@@ -84,9 +103,7 @@ def test_replicate_fields_the_trace_reads():
     # replicate_sink=) and counts windows from each replicate it sees.
     config = driftnet.SimConfig(
         replicates=1,
-        drift_strength_grid=(0.3,),
-        drift_duration_grid=(0.3,),
-        window_fraction_grid=(0.15,),
+        grid={"drift_strength": (0.3,), "drift_duration": (0.3,), "window_fraction": (0.15,)},
         permutations=100,
         schemes=["SiteRef", "AdaptiveRef"],
     )

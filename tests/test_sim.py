@@ -69,14 +69,10 @@ def clean_series(n=100, seed=0, site_id="S"):
     return SiteSeries(site_id, values, np.zeros(n, dtype=np.int8))
 
 
-def small_config(**kwargs):
-    defaults = dict(
-        replicates=2,
-        drift_strength_grid=(0.3,),
-        drift_duration_grid=(0.3,),
-        window_fraction_grid=(0.10,),
-        permutations=100,
-    )
+def small_config(grid=None, **kwargs):
+    """A one-cell, 2-replicate config; `grid` overrides some of its axes."""
+    axes = dict(drift_strength=(0.3,), drift_duration=(0.3,), window_fraction=(0.10,))
+    defaults = dict(replicates=2, permutations=100, grid=dict(axes, **(grid or {})))
     defaults.update(kwargs)
     return SimConfig(**defaults)
 
@@ -376,7 +372,7 @@ class TestRunReplicate:
             assert got.severity == record.severity
 
     def test_zero_strength_produces_no_positives(self):
-        config = small_config(drift_strength_grid=(0.0,))
+        config = small_config(grid={"drift_strength": (0.0,)})
         result = run_replicate(config, GridCell(0.0, 0.3, 0.10), 0)
         for record in result.schemes.values():
             for agent in record.agents:
@@ -411,7 +407,7 @@ class TestRunGrid:
     def test_cell_enumeration(self):
         config = SimConfig()
         assert len(enumerate_cells(config)) == 27
-        config = small_config(drift_strength_grid=(0.2, 0.5), drift_duration_grid=(0.3, 0.5))
+        config = small_config(grid={"drift_strength": (0.2, 0.5), "drift_duration": (0.3, 0.5)})
         assert len(enumerate_cells(config)) == 4
 
     def test_cell_label_format(self):
@@ -470,7 +466,7 @@ class TestRunGrid:
             SiteSpec("ok", reference_size=10, test_size=50),
         )
         with pytest.raises(ConfigError, match=r"^grid\.drift_duration\[0\]: "):
-            small_config(drift_duration_grid=(0.95,), augmentation=0.0, sites=sites)
+            small_config(grid={"drift_duration": (0.95,)}, augmentation=0.0, sites=sites)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_programming_error_stops_the_run(self, threads):
