@@ -184,10 +184,10 @@ def _run_overrides(config: SimConfig, args) -> SimConfig:
 def cmd_datagen(args) -> int:
     config = load_config(args.config)
     config = _run_overrides(config, args)
-    out_dir = _make_out_dir(args.out)
     synthetic = [s for s in config.sites if s.reference_csv is None]
     if not synthetic:
         raise ConfigError("sites", "no synthetic sites to generate (all are file-backed)")
+    out_dir = _make_out_dir(args.out)
     rng = np.random.default_rng(derive_seed(config.master_seed, "datagen"))
     for spec in synthetic:
         for prefix, data in zip(("ref", "test"), site_samples(spec, rng)):

@@ -276,6 +276,10 @@ def blend(global_hist: Histogram, center_hist: Histogram, weight: float) -> Hist
     return Histogram(w * global_hist.mass + (1.0 - w) * center_hist.mass)
 
 
+# Five counts probed around each end of a passing band, one row per offset.
+_BAND_PROBE = np.arange(-2.0, 3.0)[:, None]
+
+
 def _band(n: int, edge_cdf: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Per edge, the first and last count c in [0, n] with
     abs(c / n - edge_cdf) < threshold: the test a resampled batch passes
@@ -283,18 +287,35 @@ def _band(n: int, edge_cdf: np.ndarray, threshold: float) -> tuple[np.ndarray, n
 
     c / n - edge_cdf is monotone in c, so each band is an interval. Its
     ends lie within one count of the real-arithmetic crossings, so the
-    same float test is run on five counts around each of them.
+    same float test is run on five counts around each of them. The probe
+    offsets run down the rows, so every reduction is across five rows.
     """
-    offsets = np.arange(-2, 3)
-    rows = np.arange(edge_cdf.size)
-    lo_counts = np.clip(np.ceil((edge_cdf - threshold) * n)[:, None] + offsets, 0, n)
-    hi_counts = np.clip(np.floor((edge_cdf + threshold) * n)[:, None] + offsets, 0, n)
-    lo_pass = np.abs(lo_counts / n - edge_cdf[:, None]) < threshold
-    hi_pass = np.abs(hi_counts / n - edge_cdf[:, None]) < threshold
-    lo = lo_counts[rows, lo_pass.argmax(axis=1)].astype(np.int64)
-    hi = hi_counts[rows, offsets.size - 1 - hi_pass[:, ::-1].argmax(axis=1)].astype(np.int64)
-    lo[~lo_pass.any(axis=1)] = n + 1
-    return lo, hi
+    lo_counts = np.minimum(np.maximum(np.ceil((edge_cdf - threshold) * n) + _BAND_PROBE, 0.0), n)
+    hi_counts = np.minimum(np.maximum(np.floor((edge_cdf + threshold) * n) + _BAND_PROBE, 0.0), n)
+    lo_pass = np.abs(lo_counts / n - edge_cdf) < threshold
+    hi_pass = np.abs(hi_counts / n - edge_cdf) < threshold
+    lo = np.where(lo_pass, lo_counts, n + 1).min(axis=0)
+    hi = np.where(hi_pass, hi_counts, -1).max(axis=0)
+    return lo.astype(np.int64), hi.astype(np.int64)
+
+
+def _binding_edges(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Indices of the inner edges (all but the last) whose band can bind:
+    a nondecreasing count path that ends at n passes every inner band if and
+    only if it passes the bands of these edges.
+
+    The running count never falls, so edge k's lower bound is implied by
+    any earlier edge whose lower bound is at least as high, and its upper
+    bound by any later edge, or the closing count n, that is at least as
+    low. Only a strict new prefix maximum of `lo` (a count in 1..n) or a
+    strict suffix minimum of `hi` (a count in 0..n - 1) binds, so at most
+    2n edges are kept.
+    """
+    floor = np.maximum.accumulate(np.concatenate(([0], lo[:-1])))
+    ceiling = np.minimum.accumulate(np.concatenate((hi[:-1], [n]))[::-1])[::-1]
+    binds = lo[:-1] > floor[:-1]
+    binds |= hi[:-1] < ceiling[1:]
+    return np.flatnonzero(binds)
 
 
 def _histogram_exceed_probability(n: int, mass: np.ndarray, edge_cdf: np.ndarray, threshold: float) -> float:
@@ -303,36 +324,41 @@ def _histogram_exceed_probability(n: int, mass: np.ndarray, edge_cdf: np.ndarray
 
     Poissonisation: with independent bin counts X_k ~ Poisson(n * mass_k),
     the total is Poisson(n), and given total n the counts are
-    Multinomial(n, mass). A forward pass over bins carries the weights of
-    the running count c, convolves them with each bin's Poisson pmf and
-    keeps only the c inside the passing band of that edge. The weight at
-    c = n after the last bin, divided by the Poisson(n) pmf at n, is the
-    probability that every edge passes.
+    Multinomial(n, mass). A forward pass carries the weights of the
+    running count c, convolves them with a Poisson pmf and keeps only the
+    c inside the passing band of an edge. The weight at c = n after the
+    last bin, divided by the Poisson(n) pmf at n, is the probability that
+    every edge passes.
+
+    The pass steps only over the binding edges (`_binding_edges`), at
+    most min(bins - 1, 2n) of them, and the bins between two of them pool
+    into one Poisson step, the sum of their means. This is exact: every
+    other band is implied by a kept one.
 
     Each step drops at most `budget` from either tail of its Poisson pmf
     (cut where Bernstein's bound on the tail reaches it) and from either
     end of the carried weights, 1e-12 of P in all; dropping only lowers
-    the pass weight, so P errs upward. An edge whose band holds every
-    count the step can reach clips nothing and is skipped: its bin joins
-    the next step's Poisson pmf.
+    the pass weight, so P errs upward. A binding edge whose band holds
+    every count the step can reach clips nothing and is skipped: its
+    bins join the next step's Poisson pmf.
     """
     bins = mass.size
     lo, hi = _band(n, edge_cdf, threshold)
     if (lo > hi).any():
         return 1.0
-    lo, hi = lo.tolist(), hi.tolist()
+    edges = _binding_edges(n, lo, hi)
+    lams = np.add.reduceat(n * mass, np.concatenate(([0], edges + 1))).tolist()
     log_fact = np.zeros(n + 1)
     np.cumsum(np.log(np.arange(1, n + 1)), out=log_fact[1:])
-    norm = float(np.exp(n * np.log(n) - n - log_fact[n]))
+    norm = math.exp(n * math.log(n) - n - float(log_fact[n]))
     budget = 1e-12 * norm / (4 * bins)
     log_budget = -math.log(budget)
 
-    lam = (n * mass).tolist()
     counts = np.arange(n + 1, dtype=np.float64)
     weights, start = np.ones(1), 0
     pending = 0.0
-    for k in range(bins - 1):
-        pending += lam[k]
+    for band_lo, band_hi, lam in zip(lo[edges].tolist(), hi[edges].tolist(), lams):
+        pending += lam
         if pending > 0.0:
             # Poisson tails: P(X <= pending - x) <= exp(-x^2 / (2 pending))
             # and P(X >= pending + x) <= exp(-x^2 / (2 (pending + x / 3))).
@@ -345,14 +371,14 @@ def _histogram_exceed_probability(n: int, mass: np.ndarray, edge_cdf: np.ndarray
             first = last = 0
         low = start + first
         high = start + weights.size - 1 + last
-        if lo[k] <= low and high <= hi[k]:
+        if band_lo <= low and high <= band_hi:
             continue
         if pending > 0.0:
             kernel = counts[first : last + 1] * math.log(pending)
             kernel -= pending
             kernel -= log_fact[first : last + 1]
             weights = np.convolve(weights, np.exp(kernel, out=kernel))
-        keep_lo, keep_hi = max(lo[k], low), min(hi[k], high)
+        keep_lo, keep_hi = max(band_lo, low), min(band_hi, high)
         if keep_lo > keep_hi:
             return 1.0
         weights = weights[keep_lo - low : keep_hi - low + 1]
@@ -366,9 +392,9 @@ def _histogram_exceed_probability(n: int, mass: np.ndarray, edge_cdf: np.ndarray
             weights = weights[head : weights.size - tail]
             start += head
 
-    # The last edge sits at the full count n: the remaining bins add one
-    # Poisson step that must land exactly on n.
-    pending += lam[-1]
+    # The last edge sits at the full count n: the bins after the last
+    # binding edge add one Poisson step that must land exactly on n.
+    pending += lams[-1]
     remaining = n - np.arange(start, start + weights.size)
     if pending > 0.0:
         step = np.exp(remaining * math.log(pending) - pending - log_fact[remaining])
@@ -388,7 +414,8 @@ def ks_vs_histogram(batch, ref: Histogram, permutations: int = 1000, rng=None) -
     Multinomial(n, mass), fix the synthetic ECDF at every edge. The
     probability P that such a batch scores at least the observed
     statistic (less 1e-12, so ties count as exceeding) is computed
-    exactly by a pass over bins, not estimated by resampling.
+    exactly, not estimated by resampling, by a pass that steps only over
+    the bin edges whose band can bind, at most min(bins - 1, 2n) of them.
 
     The p-value is (1 + B * P) / (B + 1) with B = `permutations`: the
     expected add-one p-value of B resampled batches, so it keeps that

@@ -239,6 +239,15 @@ class TestDatagen:
         assert main(["datagen", "--out", str(out2), "--seed", "99"]) == 0
         assert (out1 / "ref_DS-0.csv").read_bytes() != (out2 / "ref_DS-0.csv").read_bytes()
 
+    def test_all_file_backed_sites_exit_2_without_an_out_dir(self, tmp_path, capsys):
+        assert main(["datagen", "--out", str(tmp_path / "d")]) == 0
+        sites = [{"site_id": "DS-0", "reference_csv": "d/ref_DS-0.csv", "test_csv": "d/test_DS-0.csv"}]
+        config_path = write_config(tmp_path, dict(SMALL_CONFIG, sites=sites))
+        out = tmp_path / "again"
+        assert main(["datagen", "--config", config_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: sites: ")
+        assert not out.exists()
+
 
 class TestRun:
     def test_outputs_complete_and_consistent(self, tmp_path, capsys):

@@ -18,7 +18,7 @@ from driftnet.stats import (
     permutation_pvalue,
     sample_from_histogram,
 )
-from driftnet.stats import _band
+from driftnet.stats import _band, _binding_edges
 
 
 def brute_force_ks(a, b):
@@ -544,6 +544,47 @@ class TestKsVsHistogram:
         batch = np.clip(sample_from_histogram(ref, 1500, rng=rng) + shift, 0.0, 1.0)
         res = ks_vs_histogram(batch, ref, permutations=1000)
         expected = expected_p_value(binomial_chain_exceed_probability(batch, ref), 1000)
+        assert abs(res.p_value - expected) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_binding_edges_pass_the_same_paths_as_every_edge(self, seed):
+        # Integer bands only: a nondecreasing count path ending at n passes
+        # every inner band exactly when it passes the kept ones.
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            bins = int(rng.integers(2, 7))
+            ends = np.sort(rng.integers(0, n + 1, (bins, 2)), axis=1)
+            lo, hi = ends[:, 0], ends[:, 1]
+            kept = _binding_edges(n, lo, hi)
+            assert kept.size <= min(bins - 1, 2 * n)
+            for path in itertools.combinations_with_replacement(range(n + 1), bins - 1):
+                inside = [lo[k] <= path[k] <= hi[k] for k in range(bins - 1)]
+                assert all(inside) == all(inside[k] for k in kept)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.05, 0.15])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20])
+    def test_exact_null_matches_binomial_chain_at_campaign_sizes(self, n, shift):
+        # Campaign windows: 100 bins of a beta(9, 21) reference, whose low
+        # and high bins hold no mass, tested with a few values each.
+        rng = np.random.default_rng(67)
+        ref = build_histogram(rng.beta(9.0, 21.0, 2000), bins=100)
+        assert ref.mass[0] == 0.0 and ref.mass[-1] == 0.0
+        for _ in range(3):
+            batch = np.clip(sample_from_histogram(ref, n, rng=rng) + shift, 0.0, 1.0)
+            res = ks_vs_histogram(batch, ref, permutations=1000)
+            expected = expected_p_value(binomial_chain_exceed_probability(batch, ref), 1000)
+            assert abs(res.p_value - expected) <= 1e-12
+
+    def test_exact_null_matches_binomial_chain_at_monitor_size(self):
+        # A 450-value window, 10% of it drifted, against the same reference.
+        rng = np.random.default_rng(68)
+        ref = build_histogram(rng.beta(9.0, 21.0, 2000), bins=100)
+        batch = sample_from_histogram(ref, 450, rng=rng)
+        batch[:45] = np.clip(batch[:45] + 0.1, 0.0, 1.0)
+        res = ks_vs_histogram(batch, ref, permutations=1000)
+        expected = expected_p_value(binomial_chain_exceed_probability(batch, ref), 1000)
+        assert 1e-3 < expected < 0.999
         assert abs(res.p_value - expected) <= 1e-10
 
     def test_exact_null_matches_monte_carlo(self):
