@@ -85,6 +85,15 @@ class DriftVerdict:
     n_valid: int
     evaluated: bool
 
+    def alert(self) -> dict:
+        """The record a drift hook receives for this verdict, less its timestamp."""
+        return {
+            "agent_id": str(self.agent_id),
+            "batch_index": self.batch_index,
+            "p_value": self.p_value,
+            "drift": True,
+        }
+
 
 def logging_hook(record: dict) -> None:
     logger.info(
@@ -97,7 +106,7 @@ def logging_hook(record: dict) -> None:
 
 def webhook_hook(url: str, timeout: float = 2.0):
     """Fire-and-forget JSON POST of drift records to an HTTP endpoint, for
-    a deployed agent; simulated agents log their alerts instead."""
+    a deployed agent; `run_grid` logs simulated agents' alerts instead."""
 
     # Imported here: urllib.request loads http.client, ssl and email, which
     # nothing else needs, and every worker process imports this module.
@@ -231,13 +240,7 @@ class DriftAgent:
             )
         self.verdicts.append(verdict)
         if verdict.drift:
-            record = {
-                "agent_id": str(verdict.agent_id),
-                "batch_index": verdict.batch_index,
-                "p_value": verdict.p_value,
-                "drift": True,
-                "timestamp": time.time(),
-            }
+            record = dict(verdict.alert(), timestamp=time.time())
             for hook in self.hooks:
                 try:
                     hook(record)

@@ -110,8 +110,8 @@ def load_series_csv(path) -> np.ndarray:
     return arr
 
 
-# The JSON keys that only a synthetic or only a file-backed site writes.
-SYNTHETIC_KEYS = ("reference_size", "test_size", "alpha", "beta")
+# Keys only a synthetic site takes, with their defaults (None: required), and only a file one.
+SYNTHETIC_KEYS = {"reference_size": None, "test_size": None, "alpha": 2.0, "beta": 5.0}
 FILE_KEYS = ("reference_csv", "test_csv")
 
 
@@ -122,8 +122,8 @@ class SiteSpec:
     site_id: str = setting(MISSING, str)
     reference_size: int | None = setting(None, int, optional=True, ge=4)
     test_size: int | None = setting(None, int, optional=True, ge=4)
-    alpha: float = setting(2.0, float, ge=1e-9)
-    beta: float = setting(5.0, float, ge=1e-9)
+    alpha: float | None = setting(None, float, optional=True, ge=1e-9)
+    beta: float | None = setting(None, float, optional=True, ge=1e-9)
     reference_csv: str | None = setting(None, str, optional=True)
     test_csv: str | None = setting(None, str, optional=True)
 
@@ -134,10 +134,13 @@ class SiteSpec:
         if (self.reference_csv is None) != (self.test_csv is None):
             missing = "reference_csv" if self.reference_csv is None else "test_csv"
             raise ConfigError(missing, "set both reference_csv and test_csv, or neither")
-        if self.reference_csv is None:
-            for name in ("reference_size", "test_size"):
-                if getattr(self, name) is None:
+        for name, default in SYNTHETIC_KEYS.items():
+            if self.reference_csv is not None and getattr(self, name) is not None:
+                raise ConfigError(name, "not used by a file-backed site")
+            if self.reference_csv is None and getattr(self, name) is None:
+                if default is None:
                     raise ConfigError(name, "required for a synthetic site")
+                object.__setattr__(self, name, default)
         # A file-backed site's (reference, test) arrays, read once and shared
         # by every replicate; not a setting, so to_dict() and == ignore them.
         samples = []
@@ -149,8 +152,8 @@ class SiteSpec:
         object.__setattr__(self, "samples", tuple(samples))
 
     def to_dict(self) -> dict:
-        unused = SYNTHETIC_KEYS if self.reference_csv is not None else FILE_KEYS
-        return {k: v for k, v in fields_to_dict(self).items() if k not in unused}
+        # A site's unused keys, the synthetic or the file ones, are all None.
+        return {k: v for k, v in fields_to_dict(self).items() if v is not None}
 
 
 # Default 4-site cohort. Sizes mirror a realistic multisite deployment with
@@ -492,7 +495,6 @@ def _run_scheme(
         agent = DriftAgent(
             agent_config,
             rng=_rng(config, cell, replicate_index, "agent", scheme.value, stream.site_id),
-            hooks=(logging_hook,),
         )
         for observation in stream.values:
             verdict = agent.ingest(observation)
@@ -591,22 +593,13 @@ def _summarise_pools(pools: dict[str, dict[str, list[MetricSet]]]) -> dict[str, 
     return out
 
 
-# The config a pool worker runs replicates of, so each task carries only
-# (cell, index), and the queue of its log records at the parent's root
-# level, which go back with each outcome for the parent to handle. The pool
-# initializer sets both once per worker.
+# The config a pool worker runs replicates of, set once per worker; tasks carry (cell, index).
 _worker_config: SimConfig | None = None
-_worker_log = None
 
 
-def _init_worker(config: SimConfig, log_level: int) -> None:
-    import queue
-    from logging.handlers import QueueHandler
-
-    global _worker_config, _worker_log
-    _worker_config, _worker_log = config, queue.SimpleQueue()
-    logging.root.handlers = [QueueHandler(_worker_log)]
-    logging.root.setLevel(log_level)
+def _init_worker(config: SimConfig) -> None:
+    global _worker_config
+    _worker_config = config
 
 
 def _attempt(config: SimConfig, task: tuple[GridCell, int]):
@@ -620,17 +613,7 @@ def _attempt(config: SimConfig, task: tuple[GridCell, int]):
 
 
 def _attempt_in_worker(task: tuple[GridCell, int]):
-    outcome = _attempt(_worker_config, task)
-    return outcome, [_worker_log.get() for _ in range(_worker_log.qsize())]
-
-
-def _logged(outcomes):
-    """Worker outcomes, each once its log records are handled here, in task
-    order (a `spawn` or `forkserver` worker has no logging set up)."""
-    for outcome, records in outcomes:
-        for record in records:
-            logging.getLogger(record.name).handle(record)
-        yield outcome
+    return _attempt(_worker_config, task)
 
 
 def _windowed_map(pool, fn, tasks, window: int):
@@ -655,12 +638,13 @@ def run_grid(
 
     `threads` is the worker count: at 1 replicates run in this process,
     above 1 in a pool of at most that many worker processes. Replicates
-    are pure functions of (config, cell, replicate index), so the worker
-    count only affects wall time, never results. A replicate that raises
-    ValueError (driftnet's data and config errors) is recorded and
-    skipped; any other exception is a bug and stops the run. The optional
-    sink receives completed replicates in deterministic order, and each
-    is released once the sink and the metric pools have read it.
+    are pure functions of (config, cell, replicate index) and fire no
+    hooks, so the worker count only affects wall time: this process logs
+    each completed replicate's drift alerts, in scheme, agent and batch
+    order. A replicate that raises ValueError (driftnet's data and config
+    errors) is recorded and skipped, with no alerts; any other exception
+    is a bug and stops the run. The optional sink receives completed
+    replicates in order, each released once it and the pools read it.
     """
     if threads < 1:
         raise ValueError("invalid-threads: need at least 1")
@@ -683,9 +667,8 @@ def run_grid(
         # `import driftnet`.
         from concurrent.futures import ProcessPoolExecutor
 
-        initargs = (config, logging.root.level)
-        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=initargs)
-        outcomes = _logged(_windowed_map(pool, _attempt_in_worker, tasks, 2 * workers))
+        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(config,))
+        outcomes = _windowed_map(pool, _attempt_in_worker, tasks, 2 * workers)
     try:
         for cell in cells:
             cell_pools = {
@@ -706,6 +689,11 @@ def run_grid(
                     )
                     continue
                 completed += 1
+                for record in result.schemes.values():
+                    for agent_record in record.agents:
+                        for verdict in agent_record.verdicts:
+                            if verdict.drift:
+                                logging_hook(verdict.alert())
                 if replicate_sink is not None:
                     replicate_sink(result)
                 for scheme in config.schemes:

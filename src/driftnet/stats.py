@@ -11,6 +11,7 @@ functions are safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,15 +82,17 @@ class Histogram:
     def bin_count(self) -> int:
         return int(self.mass.size)
 
-    @property
+    @functools.cached_property
     def edges(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.bin_count + 1)
+        out = np.linspace(0.0, 1.0, self.bin_count + 1)
+        out.setflags(write=False)
+        return out
 
-    @property
+    @functools.cached_property
     def cdf(self) -> np.ndarray:
-        """Cumulative mass at every bin edge, length K + 1, cdf[0] == 0."""
-        out = np.zeros(self.bin_count + 1)
-        np.cumsum(self.mass, out=out[1:])
+        """Cumulative mass at every bin edge, length K + 1, cdf[0] == 0; read-only."""
+        out = np.concatenate(([0.0], np.cumsum(self.mass)))
+        out.setflags(write=False)
         return out
 
 
@@ -337,10 +340,11 @@ def _histogram_exceed_probability(n: int, mass: np.ndarray, edge_cdf: np.ndarray
 
     Each step drops at most `budget` from either tail of its Poisson pmf
     (cut where Bernstein's bound on the tail reaches it) and from either
-    end of the carried weights, 1e-12 of P in all; dropping only lowers
-    the pass weight, so P errs upward. A binding edge whose band holds
-    every count the step can reach clips nothing and is skipped: its
-    bins join the next step's Poisson pmf.
+    end of the carried weights. Dropping only lowers the pass weight, so
+    the truncations err upward, by at most 1e-12 of P in all; the Poisson(n)
+    normaliser adds a rounding error of order 1e-13 in either direction.
+    A binding edge whose band holds every count the step can reach clips
+    nothing and is skipped: its bins join the next step's Poisson pmf.
     """
     bins = mass.size
     lo, hi = _band(n, edge_cdf, threshold)
@@ -413,9 +417,11 @@ def ks_vs_histogram(batch, ref: Histogram, permutations: int = 1000, rng=None) -
     bin): a within-bin draw never crosses an edge, so the bin counts,
     Multinomial(n, mass), fix the synthetic ECDF at every edge. The
     probability P that such a batch scores at least the observed
-    statistic (less 1e-12, so ties count as exceeding) is computed
-    exactly, not estimated by resampling, by a pass that steps only over
-    the bin edges whose band can bind, at most min(bins - 1, 2n) of them.
+    statistic (less 1e-12, so ties count as exceeding) is computed, not
+    estimated by resampling, by a pass that steps only over the bin edges
+    whose band can bind, at most min(bins - 1, 2n) of them. Its tail
+    truncations err upward, by at most 1e-12, and the Poisson(n)
+    normaliser adds a rounding error of order 1e-13 in either direction.
 
     The p-value is (1 + B * P) / (B + 1) with B = `permutations`: the
     expected add-one p-value of B resampled batches, so it keeps that

@@ -14,6 +14,9 @@ from driftnet.cli import ConfigError, config_from_dict, load_config, main
 from driftnet.metrics import EMPTY_CLASS_POLICIES
 
 
+# A file-backed site whose files are never read: a site's keys are checked first.
+FILE_SITE = {"site_id": "F", "reference_csv": "ref.csv", "test_csv": "test.csv"}
+
 SMALL_CONFIG = {
     "replicates": 2,
     "permutations": 100,
@@ -115,6 +118,11 @@ class TestConfigValidation:
             ({"webhook_url": "http://localhost/alerts"}, r"^webhook_url: unknown"),
             ({"grid": 5}, r"^grid: expected an object"),
             ({"grid": {"bogus": 1}}, r"^grid\.bogus: unknown"),
+            *(
+                ({"sites": [dict(FILE_SITE, **{key: value})]}, rf"^sites\[0\]\.{key}: not used by")
+                for key, value in
+                (("reference_size", 5000), ("test_size", 50), ("alpha", 50.0), ("beta", 5.0))
+            ),
         ],
     )
     def test_config_errors_start_with_the_field_path(self, raw, path):
@@ -146,6 +154,12 @@ class TestConfigValidation:
         ]
         config = load_config(write_config(tmp_path, payload))
         assert config.sites[0].reference_csv == str(csv_dir / "ref.csv")
+
+    def test_synthetic_site_keeps_its_beta_defaults(self):
+        config = config_from_dict({"sites": [{"site_id": "A", "reference_size": 9, "test_size": 9}]})
+        assert config.to_dict()["sites"] == [
+            {"site_id": "A", "reference_size": 9, "test_size": 9, "alpha": 2.0, "beta": 5.0}
+        ]
 
     def test_missing_site_file_is_named_at_load(self, tmp_path):
         (tmp_path / "test.csv").write_text("index,probability\n0,0.2\n1,0.4\n2,0.6\n3,0.8\n")
@@ -351,8 +365,8 @@ class TestRun:
 
     @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
     def test_workers_log_like_one_process(self, tmp_path, method):
-        # Workers send their records back, and this process writes them in
-        # replicate order, with its own level and format.
+        # Workers only compute; this process logs each completed replicate's
+        # alerts in replicate order, with its own level and format.
         config_path = write_config(tmp_path, SMALL_CONFIG)
         script = tmp_path / "run_parallel.py"
         script.write_text(_START_METHOD_SCRIPT)

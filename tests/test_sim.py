@@ -453,6 +453,40 @@ class TestRunGrid:
             for f in result.failures
         ]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_replicate_logs_no_alerts(self, caplog, monkeypatch, pools, threads):
+        # Severity is built once a scheme's agents have read their streams,
+        # so these replicates fail after their agents raised alerts.
+        def fail(flags, truths, rule):
+            assert any(map(any, flags)), "no agent raised an alert"
+            raise ValueError("invalid-severity: forced")
+
+        monkeypatch.setattr("driftnet.sim.build_severity", fail)
+        config = small_config(schemes=(SchemeKind.CENTRALIZED, SchemeKind.SITE_REF))
+        with caplog.at_level(logging.INFO, logger="driftnet.agent"):
+            result = run_grid(config, threads=threads)
+        assert len(result.failures) == 2
+        assert [r for r in caplog.records if "drift detected" in r.getMessage()] == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_alerts_logged_are_the_sunk_drift_verdicts(self, caplog, pools, threads):
+        sunk = []
+
+        def sink(result):
+            sunk.extend(
+                f"drift detected agent={v.agent_id} batch={v.batch_index} p={v.p_value}"
+                for record in result.schemes.values()
+                for agent_record in record.agents
+                for v in agent_record.verdicts
+                if v.drift
+            )
+
+        with caplog.at_level(logging.INFO, logger="driftnet.agent"):
+            run_grid(small_config(), threads=threads, replicate_sink=sink)
+        logged = [r.getMessage() for r in caplog.records if r.name == "driftnet.agent"]
+        assert len(sunk) > 0
+        assert logged == sunk
+
     def test_drift_segment_must_fit_file_backed_series(self, tmp_path):
         # A file-backed 4-observation test series cannot absorb a
         # 0.95-duration drift segment (ceil(3.8) = 4 slots). The file is read

@@ -318,6 +318,18 @@ class TestHistogram:
         assert h.edges.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
         assert h.cdf.tolist() == pytest.approx([0.0, 0.25, 0.5, 1.0])
 
+    def test_edges_and_cdf_built_once_read_only(self):
+        mass = np.random.default_rng(3).random(100)
+        h = Histogram(mass)
+        zero_led = np.zeros(101)
+        np.cumsum(h.mass, out=zero_led[1:])
+        for name, expected in (("edges", np.linspace(0.0, 1.0, 101)), ("cdf", zero_led)):
+            first = getattr(h, name)
+            assert getattr(h, name) is first
+            assert first.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                first[1] = 0.5
+
     def test_invalid_mass_rejected(self):
         with pytest.raises(ValueError, match="invalid-mass"):
             Histogram(np.array([0.5, -0.1]))
