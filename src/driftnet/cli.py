@@ -31,7 +31,6 @@ from .sim import (
     derive_seed,
     run_grid,
     site_samples,
-    summary_dict,
 )
 
 VERDICT_COLUMNS = [
@@ -251,12 +250,12 @@ def cmd_run(args) -> int:
                         ]
                     )
 
-        result = run_grid(config, threads=args.threads, replicate_sink=sink)
+        summary = run_grid(config, threads=args.threads, replicate_sink=sink)
 
-    summary = summary_dict(result)
     _atomic_write_text(
         out_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n"
     )
+    failures = len(summary["failures"])
     manifest = {
         "tool": "driftnet",
         "version": __version__,
@@ -271,15 +270,15 @@ def cmd_run(args) -> int:
             "severity": "severity.csv",
             "summary": "summary.json",
         },
-        "cells": [cell_label(c.cell) for c in result.cells],
-        "failures": len(result.failures),
+        "cells": list(summary["cells"]),
+        "failures": failures,
     }
     _atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     print(
-        f"run complete: {len(result.cells)} cells x {config.replicates} replicates, "
-        f"{len(result.failures)} failures, outputs in {out_dir}"
+        f"run complete: {len(summary['cells'])} cells x {config.replicates} replicates, "
+        f"{failures} failures, outputs in {out_dir}"
     )
-    return 1 if result.failures else 0
+    return 1 if failures else 0
 
 
 def _csv_rows(path: Path, columns: list[str]):
@@ -404,7 +403,7 @@ def cmd_report(args) -> int:
     agent_columns = ["scheme", "agent", *STAT_COLUMNS]
     with _atomic_csv(out_dir / "report_agents.csv", agent_columns) as writer:
         for key in sorted(pools):
-            for row in _stat_rows(aggregate(pools[key]).to_dict()):
+            for row in _stat_rows(aggregate(pools[key])):
                 writer.writerow([*key, *row])
 
     print(f"wrote {', '.join(REPORT_FILES)} to {out_dir}")

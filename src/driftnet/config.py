@@ -33,11 +33,13 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Setting:
     """A field's checks. `kind` is a value type, an enum or a config class
-    (a nested object); `many` asks for a nonempty list of `kind`;
+    (a nested object); `many` asks for a nonempty list of `kind`, and
+    `distinct`, the name of one entry, for a list without repeats;
     `optional` admits None; ge/gt/le/lt bound numbers."""
 
     kind: type
     many: bool = False
+    distinct: str | None = None
     optional: bool = False
     choices: tuple = ()
     ge: float | None = None
@@ -109,7 +111,11 @@ def _check(spec: Setting, value, path: str):
         return _check_one(spec, value, path)
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(path, f"expected a nonempty list, got {value!r}")
-    return tuple(_check_one(spec, item, f"{path}[{i}]") for i, item in enumerate(value))
+    items = tuple(_check_one(spec, item, f"{path}[{i}]") for i, item in enumerate(value))
+    for i, item in enumerate(items):
+        if spec.distinct and item in items[:i]:
+            raise ConfigError(f"{path}[{i}]", f"duplicate {spec.distinct} {_plain(item)!r}")
+    return items
 
 
 def validate_fields(obj) -> None:

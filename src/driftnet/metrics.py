@@ -9,8 +9,6 @@ __all__ = [
     "EMPTY_CLASS_POLICIES",
     "ConfusionCounts",
     "MetricSet",
-    "MetricsSummary",
-    "SummaryStat",
     "aggregate",
     "compute_metrics",
     "score_detection",
@@ -122,51 +120,20 @@ def compute_metrics(counts: ConfusionCounts, empty_class_policy: str = "skip") -
     return MetricSet(precision=precision, sensitivity=sensitivity, specificity=specificity, f1=f1)
 
 
-@dataclass(frozen=True)
-class SummaryStat:
-    """Mean and population standard deviation over the defined pool."""
-
-    mean: float | None
-    std: float | None
-    n: int
-    skipped: int
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std, "n": self.n, "skipped": self.skipped}
-
-
-@dataclass(frozen=True)
-class MetricsSummary:
-    precision: SummaryStat
-    sensitivity: SummaryStat
-    specificity: SummaryStat
-    f1: SummaryStat
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name).to_dict() for name in METRIC_NAMES}
-
-
-def _summarise(values: list[float], skipped: int) -> SummaryStat:
-    if not values:
-        return SummaryStat(mean=None, std=None, n=0, skipped=skipped)
-    n = len(values)
-    mean = math.fsum(values) / n
-    variance = math.fsum((v - mean) ** 2 for v in values) / n
-    return SummaryStat(mean=mean, std=math.sqrt(variance), n=n, skipped=skipped)
-
-
-def aggregate(pool: list[MetricSet]) -> MetricsSummary:
-    """Mean and std per metric over a pool of MetricSet entries.
-
-    Entries whose metric is None (undefined under the skip policy) are
-    excluded from that metric and counted in `skipped`.
+def aggregate(pool: list[MetricSet]) -> dict:
+    """{metric: {"mean", "std", "n", "skipped"}} over a pool of MetricSet
+    entries: the mean and population standard deviation of the n defined
+    values, and the count of entries whose metric is None (undefined
+    under the skip policy), which are excluded.
     """
     pool = list(pool)
     if not pool:
         raise ValueError("empty-pool: nothing to aggregate")
     stats = {}
     for name in METRIC_NAMES:
-        values = [getattr(entry, name) for entry in pool]
-        defined = [v for v in values if v is not None]
-        stats[name] = _summarise(defined, skipped=len(values) - len(defined))
-    return MetricsSummary(**stats)
+        values = [v for v in (getattr(entry, name) for entry in pool) if v is not None]
+        n = len(values)
+        mean = math.fsum(values) / n if n else None
+        std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n) if n else None
+        stats[name] = {"mean": mean, "std": std, "n": n, "skipped": len(pool) - n}
+    return stats

@@ -42,7 +42,6 @@ from .metrics import (
     EMPTY_CLASS_POLICIES,
     ConfusionCounts,
     MetricSet,
-    MetricsSummary,
     aggregate,
     compute_metrics,
     score_detection,
@@ -54,7 +53,6 @@ __all__ = [
     "DEFAULT_SITES",
     "Grid",
     "GridCell",
-    "GridResult",
     "ReplicateResult",
     "SimConfig",
     "SiteSeries",
@@ -69,7 +67,6 @@ __all__ = [
     "run_grid",
     "run_replicate",
     "site_samples",
-    "summary_dict",
     "window_truth_labels",
 ]
 
@@ -174,10 +171,14 @@ class Grid:
     """The simulation grid: one cell per (drift strength, drift duration,
     window fraction) combination."""
 
-    drift_strength: tuple[float, ...] = setting((0.2, 0.3, 0.5), float, many=True, ge=0.0, le=1.0)
-    drift_duration: tuple[float, ...] = setting((0.2, 0.3, 0.5), float, many=True, gt=0.0, lt=1.0)
+    drift_strength: tuple[float, ...] = setting(
+        (0.2, 0.3, 0.5), float, many=True, distinct="value", ge=0.0, le=1.0
+    )
+    drift_duration: tuple[float, ...] = setting(
+        (0.2, 0.3, 0.5), float, many=True, distinct="value", gt=0.0, lt=1.0
+    )
     window_fraction: tuple[float, ...] = setting(
-        (0.05, 0.10, 0.15), float, many=True, gt=0.0, le=1.0
+        (0.05, 0.10, 0.15), float, many=True, distinct="value", gt=0.0, le=1.0
     )
 
     def __post_init__(self) -> None:
@@ -212,7 +213,9 @@ class SimConfig:
     batch_label_rho: float = setting(0.5, float, ge=0.0, lt=1.0)
     min_valid_fraction: float = setting(0.5, float, ge=0.0, le=1.0)
     empty_class_policy: str = setting("skip", str, choices=EMPTY_CLASS_POLICIES)
-    schemes: tuple[SchemeKind, ...] = setting(tuple(SchemeKind), SchemeKind, many=True)
+    schemes: tuple[SchemeKind, ...] = setting(
+        tuple(SchemeKind), SchemeKind, many=True, distinct="scheme"
+    )
     sites: tuple[SiteSpec, ...] = setting(DEFAULT_SITES, SiteSpec, many=True)
     model_id: str = setting("model-0", str)
 
@@ -557,40 +560,13 @@ def run_replicate(config: SimConfig, cell: GridCell, replicate_index: int) -> Re
     return ReplicateResult(cell=cell, replicate_index=replicate_index, schemes=scheme_records)
 
 
-@dataclass
-class SchemeSummary:
-    detection: MetricsSummary | None
-    severity: MetricsSummary | None
-
-    def to_dict(self) -> dict:
-        return {
-            "detection": self.detection.to_dict() if self.detection else None,
-            "severity": self.severity.to_dict() if self.severity else None,
-        }
-
-
-@dataclass
-class CellResult:
-    cell: GridCell
-    schemes: dict[str, SchemeSummary]
-    completed: int
-
-
-@dataclass
-class GridResult:
-    config: SimConfig
-    cells: list[CellResult]
-    overall: dict[str, SchemeSummary]
-    failures: list[dict]
-
-
-def _summarise_pools(pools: dict[str, dict[str, list[MetricSet]]]) -> dict[str, SchemeSummary]:
-    out: dict[str, SchemeSummary] = {}
-    for scheme_name, pool in pools.items():
-        detection = aggregate(pool["detection"]) if pool["detection"] else None
-        severity = aggregate(pool["severity"]) if pool["severity"] else None
-        out[scheme_name] = SchemeSummary(detection=detection, severity=severity)
-    return out
+def _summarise_pools(pools: dict[str, dict[str, list[MetricSet]]]) -> dict:
+    """{scheme: {"detection": ..., "severity": ...}}, each task the
+    aggregate of its pool, or None when the pool is empty."""
+    return {
+        scheme_name: {task: aggregate(pool[task]) if pool[task] else None for task in pool}
+        for scheme_name, pool in pools.items()
+    }
 
 
 # The config a pool worker runs replicates of, set once per worker; tasks carry (cell, index).
@@ -633,8 +609,11 @@ def run_grid(
     config: SimConfig,
     threads: int = 1,
     replicate_sink: Callable[[ReplicateResult], None] | None = None,
-) -> GridResult:
-    """Run every (cell, replicate) combination and aggregate metrics.
+) -> dict:
+    """Run every (cell, replicate) combination and return summary.json's
+    dict: the per-cell and overall metric aggregates of each scheme, keyed
+    by `cell_label`, and the failed replicates. It holds no timestamps, so
+    a rerun is byte-stable.
 
     `threads` is the worker count: at 1 replicates run in this process,
     above 1 in a pool of at most that many worker processes. Replicates
@@ -649,7 +628,7 @@ def run_grid(
     if threads < 1:
         raise ValueError("invalid-threads: need at least 1")
     failures: list[dict] = []
-    cell_results: list[CellResult] = []
+    cell_summaries: dict[str, dict] = {}
     overall_pools = {
         scheme.value: {"detection": [], "severity": []} for scheme in config.schemes
     }
@@ -671,6 +650,7 @@ def run_grid(
         outcomes = _windowed_map(pool, _attempt_in_worker, tasks, 2 * workers)
     try:
         for cell in cells:
+            label = cell_label(cell)
             cell_pools = {
                 scheme.value: {"detection": [], "severity": []} for scheme in config.schemes
             }
@@ -679,14 +659,9 @@ def run_grid(
             for replicate_index, (result, error) in enumerate(cell_outcomes):
                 if error is not None:
                     logger.warning(
-                        "replicate failed cell=%s replicate=%d: %s",
-                        cell_label(cell),
-                        replicate_index,
-                        error,
+                        "replicate failed cell=%s replicate=%d: %s", label, replicate_index, error
                     )
-                    failures.append(
-                        {"cell": cell_label(cell), "replicate": replicate_index, "error": error}
-                    )
+                    failures.append({"cell": label, "replicate": replicate_index, "error": error})
                     continue
                 completed += 1
                 for record in result.schemes.values():
@@ -710,42 +685,23 @@ def run_grid(
             for scheme_name, cell_pool in cell_pools.items():
                 overall_pools[scheme_name]["detection"].extend(cell_pool["detection"])
                 overall_pools[scheme_name]["severity"].extend(cell_pool["severity"])
-            cell_results.append(
-                CellResult(cell=cell, schemes=_summarise_pools(cell_pools), completed=completed)
-            )
+            cell_summaries[label] = {
+                **cell._asdict(),
+                "completed": completed,
+                "schemes": _summarise_pools(cell_pools),
+            }
     finally:
         if pool is not None:
             # A failed run does not wait for the replicates still queued.
             pool.shutdown(cancel_futures=True)
 
-    return GridResult(
-        config=config,
-        cells=cell_results,
-        overall=_summarise_pools(overall_pools),
-        failures=failures,
-    )
-
-
-def summary_dict(result: GridResult) -> dict:
-    """JSON-ready summary; contains no timestamps so reruns are byte-stable."""
-    cells = {}
-    for cell_result in result.cells:
-        cells[cell_label(cell_result.cell)] = {
-            "drift_strength": cell_result.cell.drift_strength,
-            "drift_duration": cell_result.cell.drift_duration,
-            "window_fraction": cell_result.cell.window_fraction,
-            "completed": cell_result.completed,
-            "schemes": {
-                name: summary.to_dict() for name, summary in cell_result.schemes.items()
-            },
-        }
     return {
         "schema": "driftnet-summary/1",
-        "master_seed": result.config.master_seed,
-        "replicates": result.config.replicates,
-        "grid": result.config.grid.to_dict(),
-        "schemes": [s.value for s in result.config.schemes],
-        "cells": cells,
-        "overall": {name: summary.to_dict() for name, summary in result.overall.items()},
-        "failures": result.failures,
+        "master_seed": config.master_seed,
+        "replicates": config.replicates,
+        "grid": config.grid.to_dict(),
+        "schemes": [scheme.value for scheme in config.schemes],
+        "cells": cell_summaries,
+        "overall": _summarise_pools(overall_pools),
+        "failures": failures,
     }

@@ -89,6 +89,13 @@ class Histogram:
         return out
 
     @functools.cached_property
+    def pmf(self) -> np.ndarray:
+        """`mass` divided by its sum, which may miss 1 by up to 1e-12; read-only."""
+        out = self.mass / self.mass.sum()
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
     def cdf(self) -> np.ndarray:
         """Cumulative mass at every bin edge, length K + 1, cdf[0] == 0; read-only."""
         out = np.concatenate(([0.0], np.cumsum(self.mass)))
@@ -439,8 +446,7 @@ def ks_vs_histogram(batch, ref: Histogram, permutations: int = 1000, rng=None) -
     batch_cdf = np.searchsorted(np.sort(batch), ref.edges, side="right") / n
     d_obs = float(np.abs(batch_cdf - ref_cdf).max())
 
-    mass = ref.mass / ref.mass.sum()
-    exceed = _histogram_exceed_probability(n, mass, ref_cdf[1:], d_obs - 1e-12)
+    exceed = _histogram_exceed_probability(n, ref.pmf, ref_cdf[1:], d_obs - 1e-12)
     resamples = int(permutations)
     return KsResult(statistic=d_obs, p_value=(1 + resamples * exceed) / (resamples + 1))
 
@@ -450,7 +456,7 @@ def sample_from_histogram(ref: Histogram, n: int, rng=None) -> np.ndarray:
     if n < 1:
         raise ValueError("empty-sample: cannot draw fewer than 1 value")
     gen = np.random.default_rng(rng)
-    cdf = np.cumsum(ref.mass / ref.mass.sum())
+    cdf = np.cumsum(ref.pmf)
     bins = np.searchsorted(cdf, gen.random(n), side="right")
     bins = np.minimum(bins, ref.bin_count - 1)
     width = 1.0 / ref.bin_count

@@ -49,7 +49,7 @@ MULTI_CENTER = ("GlobalRef", "SiteRef", "ProdRef", "AdaptiveRef")
 def campaign():
     """One 100-replicate campaign over drift strengths 0.2 / 0.3 / 0.5.
 
-    Returns the grid result, every AdaptiveRef trace row observed during
+    Returns run_grid's summary dict, every AdaptiveRef trace row seen during
     the run, and the wall time. All headline-outcome tests read from
     this single run so the expensive part executes once.
     """
@@ -79,10 +79,10 @@ def campaign():
 def f1_by_strength(result):
     """Map drift strength -> {scheme: mean detection F1} for a 1D grid."""
     out = {}
-    for cell_result in result.cells:
-        out[cell_result.cell.drift_strength] = {
-            name: summary.detection.f1.mean
-            for name, summary in cell_result.schemes.items()
+    for cell in result["cells"].values():
+        out[cell["drift_strength"]] = {
+            name: summary["detection"]["f1"]["mean"]
+            for name, summary in cell["schemes"].items()
         }
     return out
 
@@ -275,7 +275,7 @@ def test_multicenter_beats_centralized_at_moderate_drift(campaign):
     # multi-center scheme more than 0.01 below it. The whole campaign
     # has to finish inside ten minutes.
     result = campaign["result"]
-    assert result.failures == [], f"replicates failed: {result.failures[:3]}"
+    assert result["failures"] == [], f"replicates failed: {result['failures'][:3]}"
     table = f1_by_strength(result)[0.3]
     centralized = table["Centralized"]
     assert table["SiteRef"] >= centralized + 0.03, (

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from driftnet import cli
 from driftnet.cli import ConfigError, config_from_dict, load_config, main
 from driftnet.metrics import EMPTY_CLASS_POLICIES
+from driftnet.sim import run_grid
 
 
 # A file-backed site whose files are never read: a site's keys are checked first.
@@ -123,6 +125,9 @@ class TestConfigValidation:
                 for key, value in
                 (("reference_size", 5000), ("test_size", 50), ("alpha", 50.0), ("beta", 5.0))
             ),
+            ({"grid": {"drift_strength": [0.3, 0.3]}},
+             r"^grid\.drift_strength\[1\]: duplicate value 0\.3$"),
+            ({"schemes": ["SiteRef", "SiteRef"]}, r"^schemes\[1\]: duplicate scheme 'SiteRef'$"),
         ],
     )
     def test_config_errors_start_with_the_field_path(self, raw, path):
@@ -295,6 +300,37 @@ class TestRun:
         assert manifest["version"]
         assert manifest["config"]["permutations"] == 100
         assert manifest["outputs"]["summary"] == "summary.json"
+
+    def test_outputs_pinned_at_a_fixed_seed(self, tmp_path, capsys):
+        # A refactor must leave every output byte where it was; the digests
+        # also assume numpy's Beta and uniform draws stay stable.
+        out = tmp_path / "run"
+        argv = ["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", str(out)]
+        assert main(argv + ["--seed", "1"]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("summary.json", "verdicts.csv", "severity.csv")
+        }
+        assert digests == {
+            "summary.json": "d8a53295ac27d89165d8e327b0c0b53ebf58989d0a5261e09fd4fa793e2223db",
+            "verdicts.csv": "0d82ae92481b083d21c6e5f4e84d9c355f53069df50dc23e05414563824e992c",
+            "severity.csv": "2ff71779946a18349e3a1fbba912f428d0342d015cfd67a48c1337b717399258",
+        }
+
+    def test_summary_file_is_run_grids_dict(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "run"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 0
+        summary = run_grid(load_config(config_path))
+        expected = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        assert (out / "summary.json").read_bytes() == expected.encode()
+
+    def test_repeated_scheme_exits_2_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", str(out)]
+        assert main(argv + ["--schemes", "SiteRef,SiteRef"]) == 2
+        assert capsys.readouterr().err == "error: schemes[1]: duplicate scheme 'SiteRef'\n"
+        assert not out.exists()
 
     def test_failed_replicates_exit_nonzero_after_writing_outputs(
         self, tmp_path, capsys, monkeypatch

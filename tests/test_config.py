@@ -46,6 +46,18 @@ class TestCodeBuiltConfig:
         with pytest.raises(ConfigError, match=r"^sites\[1\]\.site_id: duplicate"):
             SimConfig(sites=(sites[0], sites[0]))
 
+    def test_repeated_grid_values_and_schemes_rejected(self):
+        # A repeated value would run one cell twice under the same seeds, and a
+        # repeated scheme would pool each of its agents twice.
+        with pytest.raises(ConfigError, match=r"^grid\.drift_strength\[1\]: duplicate value 0\.3$"):
+            SimConfig(grid={"drift_strength": (0.3, 0.3)})
+        with pytest.raises(ConfigError, match=r"^grid\.window_fraction\[2\]: duplicate value 0\.1$"):
+            SimConfig(grid={"window_fraction": (0.1, 0.15, 0.10)})
+        with pytest.raises(ConfigError, match=r"^drift_duration\[1\]: duplicate value 0\.2$"):
+            Grid(drift_duration=(0.2, 0.2))
+        with pytest.raises(ConfigError, match=r"^schemes\[1\]: duplicate scheme 'SiteRef'$"):
+            SimConfig(schemes=(SchemeKind.SITE_REF, "SiteRef"))
+
     def test_values_are_normalised(self):
         config = SimConfig(
             grid={"drift_strength": [0, 1]}, augmentation=1, schemes=["SiteRef"],

@@ -53,16 +53,17 @@ def test_import_loads_no_network_module():
 
 # Every name `driftnet.__all__` listed when it was kept by hand, except the
 # three deleted with the reference wrappers and the synthetic-site helper
-# (AdaptiveReference, SampleReference, generate_synthetic_sites) and
-# SeverityOutcome, merged into SeverityRecord.
+# (AdaptiveReference, SampleReference, generate_synthetic_sites),
+# SeverityOutcome, merged into SeverityRecord, and MetricsSummary and
+# summary_dict, deleted when run_grid came to return summary.json's dict.
 _PUBLIC = """
 __version__ AgentConfig AgentId DriftAgent DriftVerdict logging_hook webhook_hook
-ConfusionCounts MetricSet MetricsSummary aggregate compute_metrics score_detection
+ConfusionCounts MetricSet aggregate compute_metrics score_detection
 AdaptiveSettings AdaptiveState ReferenceSpec SchemeKind adaptive_observe initial_adaptive_state
 make_reference
 SeverityRecord build_severity classify_severity severity_score
 DEFAULT_SITES GridCell SimConfig SiteSpec augment cell_label derive_seed inject_drift
-interleave_sites pad_sparsity run_grid run_replicate summary_dict window_truth_labels
+interleave_sites pad_sparsity run_grid run_replicate window_truth_labels
 Histogram KsResult blend build_histogram ks_statistic ks_vs_histogram permutation_pvalue
 sample_from_histogram
 """.split()

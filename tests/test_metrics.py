@@ -95,8 +95,8 @@ class TestComputeMetrics:
         assert compute_metrics(ConfusionCounts(), policy) == MetricSet(None, None, None, None)
         tables = (ConfusionCounts(tn=3), ConfusionCounts())
         pool = [compute_metrics(counts, policy) for counts in tables]
-        specificity = aggregate(pool).specificity
-        assert (specificity.mean, specificity.n, specificity.skipped) == (1.0, 1, 1)
+        specificity = aggregate(pool)["specificity"]
+        assert (specificity["mean"], specificity["n"], specificity["skipped"]) == (1.0, 1, 1)
 
     def test_no_negatives_leaves_specificity_undefined(self):
         m = compute_metrics(ConfusionCounts(tp=4, fp=0, tn=0, fn=0))
@@ -116,16 +116,16 @@ class TestAggregate:
         ]
         summary = aggregate(pool)
         for name in ("precision", "sensitivity", "specificity", "f1"):
-            stat = getattr(summary, name)
-            assert stat.mean == pytest.approx(0.7)
-            assert stat.std == pytest.approx(0.1)
-            assert stat.n == 2
-            assert stat.skipped == 0
+            stat = summary[name]
+            assert stat["mean"] == pytest.approx(0.7)
+            assert stat["std"] == pytest.approx(0.1)
+            assert stat["n"] == 2
+            assert stat["skipped"] == 0
 
     def test_identical_pool_has_zero_std(self):
         pool = [MetricSet(0.5, 0.5, 0.5, 0.5)] * 7
         summary = aggregate(pool)
-        assert summary.f1.std == 0.0
+        assert summary["f1"]["std"] == 0.0
 
     def test_none_entries_are_skipped_and_counted(self):
         pool = [
@@ -133,25 +133,24 @@ class TestAggregate:
             MetricSet(0.9, 0.7, 0.7, 0.8),
         ]
         summary = aggregate(pool)
-        assert summary.precision.mean == pytest.approx(0.9)
-        assert summary.precision.n == 1
-        assert summary.precision.skipped == 1
-        assert summary.sensitivity.n == 2
+        assert summary["precision"]["mean"] == pytest.approx(0.9)
+        assert summary["precision"]["n"] == 1
+        assert summary["precision"]["skipped"] == 1
+        assert summary["sensitivity"]["n"] == 2
 
     def test_all_skipped_metric_is_undefined(self):
         pool = [MetricSet(None, 0.5, 0.5, None)]
         summary = aggregate(pool)
-        assert summary.f1.mean is None
-        assert summary.f1.std is None
-        assert summary.f1.n == 0
-        assert summary.f1.skipped == 1
+        assert summary["f1"]["mean"] is None
+        assert summary["f1"]["std"] is None
+        assert summary["f1"]["n"] == 0
+        assert summary["f1"]["skipped"] == 1
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty-pool"):
             aggregate([])
 
     def test_to_dict_shape(self):
-        summary = aggregate([MetricSet(0.5, 0.5, 0.5, 0.5)])
-        d = summary.to_dict()
+        d = aggregate([MetricSet(0.5, 0.5, 0.5, 0.5)])
         assert set(d) == {"precision", "sensitivity", "specificity", "f1"}
         assert set(d["f1"]) == {"mean", "std", "n", "skipped"}

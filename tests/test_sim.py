@@ -32,7 +32,6 @@ from driftnet.sim import (
     run_grid,
     run_replicate,
     site_samples,
-    summary_dict,
     window_truth_labels,
 )
 
@@ -415,10 +414,8 @@ class TestRunGrid:
 
     def test_summary_shape_and_determinism_across_threads(self):
         config = small_config()
-        r1 = run_grid(config, threads=1)
-        r2 = run_grid(config, threads=4)
-        d1 = summary_dict(r1)
-        d2 = summary_dict(r2)
+        d1 = run_grid(config, threads=1)
+        d2 = run_grid(config, threads=4)
         assert d1 == d2
         assert d1["schema"] == "driftnet-summary/1"
         assert list(d1["cells"]) == ["strength0.3_duration0.3_window0.1"]
@@ -440,17 +437,18 @@ class TestRunGrid:
         monkeypatch.setattr("driftnet.sim.run_replicate", fail)
         config = small_config(replicates=2, schemes=(SchemeKind.SITE_REF,))
         result = run_grid(config)
-        assert len(result.failures) == 2
-        assert all("drift-exceeds-series" in f["error"] for f in result.failures)
-        assert result.cells[0].completed == 0
+        assert len(result["failures"]) == 2
+        assert all("drift-exceeds-series" in f["error"] for f in result["failures"])
+        (cell,) = result["cells"].values()
+        assert cell["completed"] == 0
         # Worker processes return the failure; this process logs it, in order.
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="driftnet.sim"):
             parallel = run_grid(config, threads=2)
-        assert parallel.failures == result.failures
+        assert parallel["failures"] == result["failures"]
         assert [r.getMessage() for r in caplog.records] == [
             f"replicate failed cell={f['cell']} replicate={f['replicate']}: {f['error']}"
-            for f in result.failures
+            for f in result["failures"]
         ]
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -465,7 +463,7 @@ class TestRunGrid:
         config = small_config(schemes=(SchemeKind.CENTRALIZED, SchemeKind.SITE_REF))
         with caplog.at_level(logging.INFO, logger="driftnet.agent"):
             result = run_grid(config, threads=threads)
-        assert len(result.failures) == 2
+        assert len(result["failures"]) == 2
         assert [r for r in caplog.records if "drift detected" in r.getMessage()] == []
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -562,7 +560,8 @@ class TestRunGrid:
         config = small_config(replicates=4, schemes=(SchemeKind.SITE_REF,))
         result = run_grid(config, threads=1, replicate_sink=sink)
         assert len(refs) == 4
-        assert result.cells[0].completed == 4
+        (cell,) = result["cells"].values()
+        assert cell["completed"] == 4
 
     def test_invalid_threads_rejected(self):
         with pytest.raises(ValueError, match="invalid-threads"):

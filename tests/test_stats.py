@@ -330,6 +330,15 @@ class TestHistogram:
             with pytest.raises(ValueError, match="read-only"):
                 first[1] = 0.5
 
+    def test_pmf_built_once_read_only(self):
+        # A sum within 1e-12 of 1 is kept as given, so pmf still divides.
+        h = Histogram(np.array([0.25, 0.75 + 5e-13]))
+        assert h.mass.sum() != 1.0
+        assert h.pmf is h.pmf
+        assert h.pmf.tobytes() == (h.mass / h.mass.sum()).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            h.pmf[0] = 0.5
+
     def test_invalid_mass_rejected(self):
         with pytest.raises(ValueError, match="invalid-mass"):
             Histogram(np.array([0.5, -0.1]))
