@@ -23,7 +23,14 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, fields_from_dict
-from .metrics import EMPTY_CLASS_POLICIES, METRIC_NAMES, ConfusionCounts, aggregate, compute_metrics
+from .metrics import (
+    CONFUSION_SLOT,
+    EMPTY_CLASS_POLICIES,
+    METRIC_NAMES,
+    ConfusionCounts,
+    aggregate,
+    compute_metrics,
+)
 from .sim import (
     FILE_KEYS,
     SimConfig,
@@ -79,9 +86,6 @@ TIMELINE_COLUMNS = [
     "c_pred",
     "category",
 ]
-# (drift, truth) of an evaluated verdict row -> its ConfusionCounts field
-# (tp, fp, tn, fn).
-_CONFUSION_SLOT = {("1", "1"): 0, ("1", "0"): 1, ("0", "0"): 2, ("0", "1"): 3}
 
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> SimConfig:
@@ -175,8 +179,8 @@ def _run_overrides(config: SimConfig, args) -> SimConfig:
         overrides["master_seed"] = args.seed
     if getattr(args, "replicates", None) is not None:
         overrides["replicates"] = args.replicates
-    if getattr(args, "schemes", None):
-        overrides["schemes"] = [name.strip() for name in args.schemes.split(",") if name.strip()]
+    if getattr(args, "schemes", None) is not None:
+        overrides["schemes"] = [name.strip() for name in args.schemes.split(",")]
     return dataclasses.replace(config, **overrides)
 
 
@@ -363,7 +367,7 @@ def _write_timeline(out_dir: Path) -> dict:
             )
             tally = tallies.setdefault((scheme, agent, cell, run_id), [0, 0, 0, 0])
             if p_value:
-                tally[_CONFUSION_SLOT[drift, truth]] += 1
+                tally[CONFUSION_SLOT[drift == "1", truth == "1"]] += 1
     return tallies
 
 

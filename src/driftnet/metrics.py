@@ -28,14 +28,13 @@ class ConfusionCounts:
     tn: int = 0
     fn: int = 0
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp, self.fp + other.fp, self.tn + other.tn, self.fn + other.fn
-        )
-
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
+
+
+# (predicted drift, true drift) of an evaluated window -> index in (tp, fp, tn, fn).
+CONFUSION_SLOT = {(True, True): 0, (True, False): 1, (False, False): 2, (False, True): 3}
 
 
 def score_detection(verdicts, truth_labels) -> ConfusionCounts:
@@ -47,7 +46,7 @@ def score_detection(verdicts, truth_labels) -> ConfusionCounts:
     """
     truth_labels = list(truth_labels)
     seen: set[int] = set()
-    tp = fp = tn = fn = 0
+    tally = [0, 0, 0, 0]
     for verdict in verdicts:
         if not verdict.evaluated:
             continue
@@ -59,18 +58,8 @@ def score_detection(verdicts, truth_labels) -> ConfusionCounts:
         if index in seen:
             raise ValueError(f"batch-misalignment: duplicate verdict for batch {index}")
         seen.add(index)
-        truth = bool(truth_labels[index])
-        if verdict.drift:
-            if truth:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if truth:
-                fn += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+        tally[CONFUSION_SLOT[bool(verdict.drift), bool(truth_labels[index])]] += 1
+    return ConfusionCounts(*tally)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .stats import Histogram, blend, build_histogram, _as_sample
 __all__ = [
     "AdaptiveSettings",
     "AdaptiveState",
-    "MULTI_CENTER_SCHEMES",
     "ReferenceSpec",
     "SchemeKind",
     "UPDATE_CONDITIONS",
@@ -41,13 +40,6 @@ class SchemeKind(str, enum.Enum):
     PROD_REF = "ProdRef"
     ADAPTIVE_REF = "AdaptiveRef"
 
-
-MULTI_CENTER_SCHEMES = (
-    SchemeKind.GLOBAL_REF,
-    SchemeKind.SITE_REF,
-    SchemeKind.PROD_REF,
-    SchemeKind.ADAPTIVE_REF,
-)
 
 # "lower": absorb a clean batch only when its p-value fell below the last
 # accepted one; "always": absorb every clean batch.

@@ -8,7 +8,10 @@ batch drifted, with multisite (>= 2 sites) events as the positive class.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .metrics import ConfusionCounts
 
@@ -17,23 +20,11 @@ __all__ = [
     "SeverityRecord",
     "build_severity",
     "classify_severity",
-    "severity_score",
 ]
 
 # How a batch where 2+ sites truly drift counts as TP: "exact" asks the
 # predicted count to match, "threshold" only asks for 2+ agents.
 SEVERITY_RULES = ("exact", "threshold")
-
-
-def severity_score(detections) -> float:
-    """Mean of binary per-agent drift flags for one batch."""
-    detections = list(detections)
-    if not detections:
-        raise ValueError("no-agents: severity needs at least one detection flag")
-    for flag in detections:
-        if flag not in (0, 1, False, True):
-            raise ValueError(f"invalid-detection: {flag!r} is not a binary flag")
-    return sum(bool(flag) for flag in detections) / len(detections)
 
 
 def classify_severity(c_true: int, c_pred: int, rule: str = "exact") -> str:
@@ -78,8 +69,8 @@ def build_severity(
 ) -> tuple[list[SeverityRecord], ConfusionCounts]:
     """Score every shared batch index across a scheme's agents.
 
-    `per_agent_flags[i][t]` is 1 when agent i flagged drift at batch t
-    (agents that could not evaluate a window contribute 0), and
+    `per_agent_flags[i][t]` is nonzero when agent i flagged drift at
+    batch t (agents that could not evaluate a window contribute 0), and
     `per_agent_truth[i][t]` is that site's ground-truth batch label. All
     agents must cover the same number of batches.
     """
@@ -92,16 +83,12 @@ def build_severity(
         if len(flags) != n_batches or len(truth) != n_batches:
             raise ValueError("batch-misalignment: agents cover different batch counts")
 
-    rows: list[SeverityRecord] = []
-    counts = {"TP": 0, "FP": 0, "TN": 0, "FN": 0}
-    for t in range(n_batches):
-        detections = [int(bool(flags[t])) for flags in per_agent_flags]
-        c_pred = sum(detections)
-        c_true = sum(int(bool(truth[t])) for truth in per_agent_truth)
-        category = classify_severity(c_true, c_pred, rule)
-        counts[category] += 1
-        rows.append(SeverityRecord(t, c_true, c_pred, severity_score(detections), category))
-    confusion = ConfusionCounts(
-        tp=counts["TP"], fp=counts["FP"], tn=counts["TN"], fn=counts["FN"]
-    )
-    return rows, confusion
+    c_pred = np.count_nonzero(per_agent_flags, axis=0).tolist()
+    c_true = np.count_nonzero(per_agent_truth, axis=0).tolist()
+    n_agents = len(per_agent_flags)
+    rows = [
+        SeverityRecord(t, true, pred, pred / n_agents, classify_severity(true, pred, rule))
+        for t, (true, pred) in enumerate(zip(c_true, c_pred))
+    ]
+    categories = Counter(row.category for row in rows)
+    return rows, ConfusionCounts(*(categories[name] for name in ("TP", "FP", "TN", "FN")))

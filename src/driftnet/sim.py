@@ -412,15 +412,12 @@ def window_truth_labels(values, drift_mask, window_size: int, rho: float = 0.5) 
     if window_size < 2:
         raise ValueError(f"window-too-small: window_size={window_size}, need >= 2")
     values = np.asarray(values, dtype=np.float64)
-    drift_mask = np.asarray(drift_mask)
-    labels: list[int] = []
-    for t in range(values.size // window_size):
-        chunk = slice(t * window_size, (t + 1) * window_size)
-        valid = ~np.isnan(values[chunk])
-        n_valid = int(valid.sum())
-        drifted = int(drift_mask[chunk][valid].sum())
-        labels.append(1 if n_valid > 0 and drifted > rho * n_valid else 0)
-    return labels
+    # One row per full window; a trailing partial window is dropped.
+    full = values.size - values.size % window_size
+    valid = ~np.isnan(values[:full]).reshape(-1, window_size)
+    drifted = (np.asarray(drift_mask)[:full].reshape(-1, window_size) * valid).sum(axis=1)
+    n_valid = valid.sum(axis=1)
+    return ((n_valid > 0) & (drifted > rho * n_valid)).astype(int).tolist()
 
 
 def site_samples(spec: SiteSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -515,23 +512,18 @@ def _run_scheme(
             )
         )
 
-    if scheme is SchemeKind.CENTRALIZED:
-        severity: list[SeverityRecord] = []
-        severity_counts = None
-    else:
-        # Padding gives every stream, so every agent, one batch count.
-        flags: list[list[int]] = []
-        for record in agent_records:
-            agent_flags = [0] * len(record.truth)
+    # Severity scores agreement across sites; Centralized's one agent has none.
+    severity, severity_counts = [], None
+    if scheme is not SchemeKind.CENTRALIZED:
+        # Padding gives every stream, so every agent, one batch count. An
+        # unevaluated verdict never has drift, so its batch keeps its 0.
+        flags = [[0] * len(record.truth) for record in agent_records]
+        for agent_flags, record in zip(flags, agent_records):
             for verdict in record.verdicts:
-                if verdict.evaluated and verdict.drift:
-                    agent_flags[verdict.batch_index] = 1
-            flags.append(agent_flags)
+                agent_flags[verdict.batch_index] = int(verdict.drift)
         truths = [record.truth for record in agent_records]
         severity, severity_counts = build_severity(flags, truths, config.severity_tp_rule)
-    return SchemeRunRecord(
-        agents=agent_records, severity=severity, severity_counts=severity_counts
-    )
+    return SchemeRunRecord(agents=agent_records, severity=severity, severity_counts=severity_counts)
 
 
 def run_replicate(config: SimConfig, cell: GridCell, replicate_index: int) -> ReplicateResult:

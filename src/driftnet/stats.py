@@ -3,10 +3,10 @@
 Pure routines over 1-D samples of model output probabilities in [0, 1]:
 the two-sample Kolmogorov-Smirnov statistic with an exact permutation
 null (or a bootstrap one), fixed-range histograms, convex histogram
-blending, a KS test against a histogram with an exact null, and sampling
-from a histogram. Randomness enters only through an explicitly passed
-numpy Generator (or seed), so every result is reproducible and all
-functions are safe to call concurrently.
+blending, and a KS test against a histogram with an exact null.
+Randomness enters only through an explicitly passed numpy Generator (or
+seed), so every result is reproducible and all functions are safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "ks_statistic",
     "ks_vs_histogram",
     "permutation_pvalue",
-    "sample_from_histogram",
 ]
 
 # How `permutation_pvalue` re-splits the pool: without or with replacement.
@@ -90,7 +89,8 @@ class Histogram:
 
     @functools.cached_property
     def pmf(self) -> np.ndarray:
-        """`mass` divided by its sum, which may miss 1 by up to 1e-12; read-only."""
+        """`mass` divided by its sum, which may miss 1 by up to 1e-12: the bin
+        probabilities of `ks_vs_histogram`'s null; read-only."""
         out = self.mass / self.mass.sum()
         out.setflags(write=False)
         return out
@@ -449,15 +449,3 @@ def ks_vs_histogram(batch, ref: Histogram, permutations: int = 1000, rng=None) -
     exceed = _histogram_exceed_probability(n, ref.pmf, ref_cdf[1:], d_obs - 1e-12)
     resamples = int(permutations)
     return KsResult(statistic=d_obs, p_value=(1 + resamples * exceed) / (resamples + 1))
-
-
-def sample_from_histogram(ref: Histogram, n: int, rng=None) -> np.ndarray:
-    """Draw n values from a histogram: bin by mass, uniform within the bin."""
-    if n < 1:
-        raise ValueError("empty-sample: cannot draw fewer than 1 value")
-    gen = np.random.default_rng(rng)
-    cdf = np.cumsum(ref.pmf)
-    bins = np.searchsorted(cdf, gen.random(n), side="right")
-    bins = np.minimum(bins, ref.bin_count - 1)
-    width = 1.0 / ref.bin_count
-    return (bins + gen.random(n)) * width

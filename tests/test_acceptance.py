@@ -32,7 +32,6 @@ from driftnet import (
     permutation_pvalue,
     run_grid,
     run_replicate,
-    severity_score,
 )
 from driftnet.cli import main
 from driftnet.sim import enumerate_cells
@@ -256,11 +255,12 @@ def test_severity_scores_match_hand_computation():
         for row in rows:
             batch_flags = [agent_flags[row.batch_index] for agent_flags in flags]
             assert row.c_pred == sum(batch_flags)
-            assert row.score == severity_score(batch_flags) == row.c_pred / n_agents
+            assert row.score == sum(batch_flags) / len(batch_flags) == row.c_pred / n_agents
 
     for _ in range(100):
         flags = list((np.random.default_rng(int(rng.integers(1 << 30))).random(6) < 0.5).astype(int))
-        assert severity_score(flags) == sum(flags) / len(flags)
+        (row,), _ = build_severity([[flag] for flag in flags], [[0]] * len(flags))
+        assert row.score == sum(flags) / len(flags)
     print("PASS severity-oracle: perfect detector scores F1 = 1.0, scores match flag means")
 
 

@@ -13,6 +13,7 @@ import pytest
 from driftnet import cli
 from driftnet.cli import ConfigError, config_from_dict, load_config, main
 from driftnet.metrics import EMPTY_CLASS_POLICIES
+from driftnet.schemes import SchemeKind
 from driftnet.sim import run_grid
 
 
@@ -50,6 +51,18 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_digests(tmp_path, payload):
+    """sha256 of the summary.json, verdicts.csv and severity.csv that
+    `driftnet run --seed 1` writes for `payload`."""
+    out = tmp_path / "run"
+    argv = ["run", "--config", write_config(tmp_path, payload), "--out", str(out)]
+    assert main(argv + ["--seed", "1"]) == 0
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("summary.json", "verdicts.csv", "severity.csv")
+    }
 
 
 def read_rows(path):
@@ -304,18 +317,53 @@ class TestRun:
     def test_outputs_pinned_at_a_fixed_seed(self, tmp_path, capsys):
         # A refactor must leave every output byte where it was; the digests
         # also assume numpy's Beta and uniform draws stay stable.
-        out = tmp_path / "run"
-        argv = ["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", str(out)]
-        assert main(argv + ["--seed", "1"]) == 0
-        digests = {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("summary.json", "verdicts.csv", "severity.csv")
-        }
-        assert digests == {
+        assert run_digests(tmp_path, SMALL_CONFIG) == {
             "summary.json": "d8a53295ac27d89165d8e327b0c0b53ebf58989d0a5261e09fd4fa793e2223db",
             "verdicts.csv": "0d82ae92481b083d21c6e5f4e84d9c355f53069df50dc23e05414563824e992c",
             "severity.csv": "2ff71779946a18349e3a1fbba912f428d0342d015cfd67a48c1337b717399258",
         }
+
+    def test_outputs_pinned_under_the_other_scoring_rules(self, tmp_path, capsys):
+        # The threshold severity rule, the "one" empty-class policy and a
+        # drift-free cell, none of which the SMALL_CONFIG digests reach.
+        payload = dict(
+            SMALL_CONFIG,
+            severity_tp_rule="threshold",
+            empty_class_policy="one",
+            grid=dict(SMALL_CONFIG["grid"], drift_strength=[0.0, 0.3]),
+        )
+        assert run_digests(tmp_path, payload) == {
+            "summary.json": "a35a0900d7c518f26bf9740fa693dcbccebff156a436f6a31ceaf046e3079b90",
+            "verdicts.csv": "1365f53fe870ccb7367884c12749066bb569a2fcaff9b3e705a481e270d1226e",
+            "severity.csv": "76b2e0db6226662ec2c27b6ec08dba47dbc8b7216e504ba2efbf8b5a8b92ecc5",
+        }
+
+    def test_centralized_only_run_has_no_severity(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", str(out)]
+        assert main(argv + ["--schemes", "Centralized"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        (cell,) = summary["cells"].values()
+        assert cell["schemes"]["Centralized"]["severity"] is None
+        assert summary["overall"]["Centralized"]["severity"] is None
+        assert cell["schemes"]["Centralized"]["detection"] is not None
+        assert (out / "severity.csv").read_text() == ",".join(cli.SEVERITY_COLUMNS) + "\n"
+        assert main(["report", "--out", str(out)]) == 0
+        assert "severity" not in (out / "report_tables.txt").read_text()
+        tasks = {row["task"] for row in read_rows(out / "report_breakdown.csv")}
+        assert tasks == {"detection"}
+
+    @pytest.mark.parametrize(
+        "schemes, path",
+        [("", "schemes[0]"), (",", "schemes[0]"), ("SiteRef,", "schemes[1]"), (" ", "schemes[0]")],
+    )
+    def test_empty_scheme_name_exits_2_before_any_output(self, tmp_path, capsys, schemes, path):
+        out = tmp_path / "run"
+        argv = ["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", str(out)]
+        assert main(argv + ["--schemes", schemes]) == 2
+        names = [kind.value for kind in SchemeKind]
+        assert capsys.readouterr().err == f"error: {path}: expected one of {names}, got ''\n"
+        assert not out.exists()
 
     def test_summary_file_is_run_grids_dict(self, tmp_path, capsys):
         config_path = write_config(tmp_path, SMALL_CONFIG)

@@ -54,18 +54,19 @@ def test_import_loads_no_network_module():
 # Every name `driftnet.__all__` listed when it was kept by hand, except the
 # three deleted with the reference wrappers and the synthetic-site helper
 # (AdaptiveReference, SampleReference, generate_synthetic_sites),
-# SeverityOutcome, merged into SeverityRecord, and MetricsSummary and
-# summary_dict, deleted when run_grid came to return summary.json's dict.
+# SeverityOutcome, merged into SeverityRecord, MetricsSummary and
+# summary_dict, deleted when run_grid came to return summary.json's dict,
+# severity_score, folded into build_severity, and sample_from_histogram,
+# which only the tests called and which moved into them.
 _PUBLIC = """
 __version__ AgentConfig AgentId DriftAgent DriftVerdict logging_hook webhook_hook
 ConfusionCounts MetricSet aggregate compute_metrics score_detection
 AdaptiveSettings AdaptiveState ReferenceSpec SchemeKind adaptive_observe initial_adaptive_state
 make_reference
-SeverityRecord build_severity classify_severity severity_score
+SeverityRecord build_severity classify_severity
 DEFAULT_SITES GridCell SimConfig SiteSpec augment cell_label derive_seed inject_drift
 interleave_sites pad_sparsity run_grid run_replicate window_truth_labels
 Histogram KsResult blend build_histogram ks_statistic ks_vs_histogram permutation_pvalue
-sample_from_histogram
 """.split()
 
 

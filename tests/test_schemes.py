@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from driftnet.schemes import (
-    MULTI_CENTER_SCHEMES,
     AdaptiveSettings,
     AdaptiveState,
     ReferenceSpec,
@@ -32,10 +31,6 @@ class TestSchemeKind:
             "ProdRef",
             "AdaptiveRef",
         }
-
-    def test_multi_center_excludes_centralized(self):
-        assert SchemeKind.CENTRALIZED not in MULTI_CENTER_SCHEMES
-        assert len(MULTI_CENTER_SCHEMES) == 4
 
     def test_coerces_from_string(self):
         spec = ReferenceSpec(kind="GlobalRef", global_eval=np.array([0.1, 0.2]))

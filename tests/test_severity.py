@@ -1,33 +1,55 @@
 """Unit tests for cross-agent severity scoring and classification."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from driftnet.metrics import ConfusionCounts
 from driftnet.severity import (
+    SEVERITY_RULES,
+    SeverityRecord,
     build_severity,
     classify_severity,
-    severity_score,
 )
 
 
+def severity_oracle(per_agent_flags, per_agent_truth, rule):
+    """Score each batch on its own: count the agents whose flag and the
+    sites whose truth label are nonzero, and classify the pair."""
+    rows, categories = [], Counter()
+    n_agents = len(per_agent_flags)
+    for t in range(len(per_agent_flags[0])):
+        c_pred = sum(1 for flags in per_agent_flags if flags[t])
+        c_true = sum(1 for truth in per_agent_truth if truth[t])
+        category = classify_severity(c_true, c_pred, rule)
+        categories[category] += 1
+        rows.append(SeverityRecord(t, c_true, c_pred, c_pred / n_agents, category))
+    counts = ConfusionCounts(*(categories[c] for c in ("TP", "FP", "TN", "FN")))
+    return rows, counts
+
+
 class TestSeverityScore:
+    """A batch's score is the share of agents that flag it."""
+
+    @staticmethod
+    def score(flags):
+        (row,), _ = build_severity([[flag] for flag in flags], [[0]] * len(flags))
+        return row.score
+
     def test_half_agents(self):
-        assert severity_score([1, 1, 0, 0]) == 0.5
+        assert self.score([1, 1, 0, 0]) == 0.5
 
     def test_none_and_all(self):
-        assert severity_score([0, 0, 0, 0]) == 0.0
-        assert severity_score([1, 1, 1, 1]) == 1.0
+        assert self.score([0, 0, 0, 0]) == 0.0
+        assert self.score([1, 1, 1, 1]) == 1.0
 
     def test_single_agent(self):
-        assert severity_score([1]) == 1.0
+        assert self.score([1]) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no-agents"):
-            severity_score([])
-
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValueError, match="invalid-detection"):
-            severity_score([1, 0.5, 0])
+            self.score([])
 
 
 class TestClassifySeverity:
@@ -90,6 +112,26 @@ class TestBuildSeverity:
     def test_no_agents_rejected(self):
         with pytest.raises(ValueError, match="no-agents"):
             build_severity([], [])
+
+    @pytest.mark.parametrize("rule", SEVERITY_RULES)
+    def test_matches_the_per_batch_loop(self, rule):
+        # Any nonzero entry counts as a flag or a drifted site.
+        rng = np.random.default_rng(17)
+        entries = [0, 0, 0, 1, 1, 2, -1, 0.5, True, False]
+
+        def draw(shape):
+            return [[entries[i] for i in row] for row in rng.integers(0, len(entries), shape)]
+
+        for _ in range(200):
+            shape = (int(rng.integers(1, 7)), int(rng.integers(0, 12)))  # (agents, batches)
+            flags, truth = draw(shape), draw(shape)
+            rows, counts = build_severity(flags, truth, rule)
+            assert (rows, counts) == severity_oracle(flags, truth, rule)
+            for row in rows:
+                # csv and JSON print a numpy scalar's repr, not its value.
+                assert [type(v) for v in (row.batch_index, row.c_true, row.c_pred)] == [int] * 3
+                assert type(row.score) is float
+            assert all(type(v) is int for v in (counts.tp, counts.fp, counts.tn, counts.fn))
 
     def test_threshold_rule_propagates(self):
         flags = [[1], [1], [1]]

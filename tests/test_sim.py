@@ -14,7 +14,6 @@ import pytest
 
 from driftnet.config import ConfigError
 from driftnet.schemes import SchemeKind
-from driftnet.severity import severity_score
 from driftnet.sim import (
     DEFAULT_SITES,
     GridCell,
@@ -291,6 +290,45 @@ class TestWindowTruthLabels:
         with pytest.raises(ValueError, match="window-too-small"):
             window_truth_labels([0.5], [0], 1)
 
+    def test_matches_the_per_window_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        # A slot is (value draw, NaN draw, mask bit); the NaN share sets
+        # how many of the values are missing.
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            slots=st.lists(
+                st.tuples(st.floats(0, 1), st.floats(0, 1), st.integers(0, 1)), max_size=80
+            ),
+            nan_share=st.floats(0, 1),
+            window_size=st.integers(2, 12),
+            rho=st.floats(0, 1, exclude_max=True),
+        )
+        def check(slots, nan_share, window_size, rho):
+            values = [np.nan if u < nan_share else v for v, u, _ in slots]
+            mask = np.array([bit for _, _, bit in slots], dtype=np.int8)
+            labels = window_truth_labels(values, mask, window_size, rho)
+            assert labels == window_truth_oracle(values, mask, window_size, rho)
+            assert all(type(label) is int for label in labels)
+
+        check()
+
+
+def window_truth_oracle(values, drift_mask, window_size, rho):
+    """Label each full window on its own: 1 when its drifted valid slots
+    outnumber rho of its valid slots; a trailing partial window is dropped."""
+    values = np.asarray(values, dtype=np.float64)
+    drift_mask = np.asarray(drift_mask)
+    labels = []
+    for t in range(values.size // window_size):
+        chunk = slice(t * window_size, (t + 1) * window_size)
+        valid = ~np.isnan(values[chunk])
+        n_valid = int(valid.sum())
+        drifted = int(drift_mask[chunk][valid].sum())
+        labels.append(1 if n_valid > 0 and drifted > rho * n_valid else 0)
+    return labels
+
 
 class TestSeedDerivation:
     def test_deterministic_and_distinct(self):
@@ -399,7 +437,7 @@ class TestRunReplicate:
                 flags_by_agent[a.center].get(sev.batch_index, 0) for a in record.agents
             ]
             assert sev.c_pred == sum(expected)
-            assert sev.score == severity_score(expected)
+            assert sev.score == sum(expected) / len(expected)
 
 
 class TestRunGrid:

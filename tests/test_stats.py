@@ -16,9 +16,20 @@ from driftnet.stats import (
     ks_statistic,
     ks_vs_histogram,
     permutation_pvalue,
-    sample_from_histogram,
 )
 from driftnet.stats import _band, _binding_edges
+
+
+def sample_from_histogram(ref: Histogram, n: int, rng=None) -> np.ndarray:
+    """Draw n values from a histogram: bin by mass, uniform within the bin."""
+    if n < 1:
+        raise ValueError("empty-sample: cannot draw fewer than 1 value")
+    gen = np.random.default_rng(rng)
+    cdf = np.cumsum(ref.pmf)
+    bins = np.searchsorted(cdf, gen.random(n), side="right")
+    bins = np.minimum(bins, ref.bin_count - 1)
+    width = 1.0 / ref.bin_count
+    return (bins + gen.random(n)) * width
 
 
 def brute_force_ks(a, b):
