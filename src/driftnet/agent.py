@@ -1,9 +1,10 @@
 """Drift monitoring agent: buffer windows, test, record, act.
 
 One agent watches one output stream for one (center, model) pair. It
-consumes observations one at a time, cuts them into fixed,
-non-overlapping windows, tests each window against its scheme's
-reference, and reacts to drift verdicts through registered hooks.
+consumes observations one at a time or a whole series at once, cuts
+them into fixed, non-overlapping windows, tests each window against its
+scheme's reference, and reacts to drift verdicts through registered
+hooks.
 
 AgentConfig declares its checks in the config field table, so a bad
 window, threshold, permutations, min_valid or resample value raises a
@@ -12,6 +13,7 @@ ConfigError naming the field at construction, as a bad JSON config does.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -22,7 +24,7 @@ import numpy as np
 from . import schemes
 from .config import ConfigError, Setting, setting, shared, validate_fields
 from .schemes import AdaptiveState, ReferenceSpec, SchemeKind, make_reference
-from .stats import RESAMPLE_MODES, ks_vs_histogram, permutation_pvalue
+from .stats import RESAMPLE_MODES, ks_vs_histogram, permutation_pvalue, permutation_pvalues
 
 __all__ = [
     "AgentConfig",
@@ -131,10 +133,11 @@ class DriftAgent:
     pass each verdict to act() to log it and fire drift hooks. For
     AdaptiveRef, act() also applies the controlled reference update, so
     the reference only ever changes after the verdict that sanctioned it.
+    run() does both for a whole series.
 
     `reference` is the read-only sample a window is tested against, or
     for AdaptiveRef the current AdaptiveState; ProdRef holds None until
-    its first usable window.
+    its first usable window. `rng` seeds the bootstrap null's draws.
     """
 
     def __init__(self, config: AgentConfig, rng=None, hooks=()) -> None:
@@ -142,7 +145,7 @@ class DriftAgent:
         self.min_valid = (
             max(2, config.window_size // 2) if config.min_valid is None else config.min_valid
         )
-        self.rng = np.random.default_rng(rng)
+        self._seed = rng
         self.hooks = list(hooks)
         self.batch_index = 0
         self.verdicts: list[DriftVerdict] = []
@@ -157,6 +160,12 @@ class DriftAgent:
             self.reference = None
         else:
             self.reference = make_reference(config.scheme)
+
+    @functools.cached_property
+    def rng(self) -> np.random.Generator:
+        """The bootstrap null's generator, built on its first draw: the
+        exact nulls draw nothing."""
+        return np.random.default_rng(self._seed)
 
     @property
     def evaluated_verdicts(self) -> list[DriftVerdict]:
@@ -181,6 +190,73 @@ class DriftAgent:
         self.batch_index += 1
         return self._evaluate_window(index, window)
 
+    def run(self, values) -> None:
+        """Ingest a whole series and act on each verdict in order: the same
+        verdicts, state and errors as ingest() and act() called on each
+        observation in turn.
+
+        Against a fixed reference with the exact null (every scheme but
+        AdaptiveRef, and ProdRef once seeded), all complete windows are
+        tested in one `permutation_pvalues` call; otherwise each act()
+        can change the next window's reference, so windows go one by one.
+        """
+        try:
+            series = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError):
+            series = None  # float() decides, one observation at a time
+        if series is None or series.ndim != 1:
+            for observation in values:
+                verdict = self.ingest(observation)
+                if verdict is not None:
+                    self.act(verdict)
+            return
+        # NaN, a null slot, fails both tests.
+        invalid = np.flatnonzero((series < 0.0) | (series > 1.0))
+        stop = int(invalid[0]) if invalid.size else series.size
+        slots = np.concatenate((self._buffer, series[:stop]))
+        size = self.config.window_size
+        count = slots.size // size
+        self._buffer = slots[count * size :].tolist()
+        windows = slots[: count * size].reshape(count, size)
+        done = 0
+        while done < count and not self._fixed_reference():
+            index = self.batch_index
+            self.batch_index += 1
+            verdict = self._evaluate_window(index, windows[done])
+            done += 1
+            if verdict is not None:
+                self.act(verdict)
+        if done < count:
+            index = self.batch_index
+            self.batch_index += count - done
+            for verdict in self._evaluate_fixed(index, windows[done:]):
+                self.act(verdict)
+        if invalid.size:
+            self.ingest(values[stop])  # raises ingest's error for this observation
+
+    def _fixed_reference(self) -> bool:
+        """Whether every later window is tested against the same sample by
+        the exact null, so no act() can change the next test."""
+        reference = self.reference
+        return (
+            reference is not None
+            and not isinstance(reference, AdaptiveState)
+            and self.config.resample == "permutation"
+        )
+
+    def _evaluate_fixed(self, index: int, windows: np.ndarray) -> list[DriftVerdict]:
+        """The verdicts of consecutive windows from batch `index` on, under
+        a fixed reference: the tested ones in one kernel call."""
+        valid = [window[~np.isnan(window)] for window in windows]
+        tested = [sample for sample in valid if sample.size >= self.min_valid]
+        results = iter(permutation_pvalues(tested, self.reference, self.config.permutations))
+        return [
+            self._evaluated(i, sample.size, next(results))
+            if sample.size >= self.min_valid
+            else self._unevaluated(i, sample.size)
+            for i, sample in enumerate(valid, start=index)
+        ]
+
     def _evaluate_window(self, index: int, window: np.ndarray) -> DriftVerdict | None:
         valid = window[~np.isnan(window)]
         reference = self.reference
@@ -195,25 +271,24 @@ class DriftAgent:
         if valid.size < self.min_valid:
             return self._unevaluated(index, valid.size)
         if isinstance(reference, AdaptiveState):
-            result = ks_vs_histogram(
-                valid, reference.reference, self.config.permutations, self.rng
+            result = ks_vs_histogram(valid, reference.reference, self.config.permutations)
+            self._pending = (index, valid)
+        elif self.config.resample == "bootstrap":
+            result = permutation_pvalue(
+                valid, reference, self.config.permutations, self.rng, resample="bootstrap"
             )
         else:
-            result = permutation_pvalue(
-                valid,
-                reference,
-                self.config.permutations,
-                self.rng,
-                resample=self.config.resample,
-            )
-        self._pending = (index, valid)
+            result = permutation_pvalue(valid, reference, self.config.permutations)
+        return self._evaluated(index, valid.size, result)
+
+    def _evaluated(self, index: int, n_valid: int, result) -> DriftVerdict:
         return DriftVerdict(
             agent_id=self.config.agent_id,
             batch_index=index,
             statistic=result.statistic,
             p_value=result.p_value,
             drift=result.p_value < self.config.threshold,
-            n_valid=int(valid.size),
+            n_valid=int(n_valid),
             evaluated=True,
         )
 
@@ -239,7 +314,7 @@ class DriftAgent:
                 f"foreign-verdict: {verdict.agent_id} does not belong to {self.config.agent_id}"
             )
         self.verdicts.append(verdict)
-        if verdict.drift:
+        if verdict.drift and self.hooks:
             record = dict(verdict.alert(), timestamp=time.time())
             for hook in self.hooks:
                 try:

@@ -273,8 +273,8 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(payload.encode()).digest()[:8], "little")
 
 
-def _rng(config: SimConfig, cell: GridCell, replicate_index: int, *parts) -> np.random.Generator:
-    seed = derive_seed(
+def _seed(config: SimConfig, cell: GridCell, replicate_index: int, *parts) -> int:
+    return derive_seed(
         config.master_seed,
         cell.drift_strength,
         cell.drift_duration,
@@ -282,7 +282,10 @@ def _rng(config: SimConfig, cell: GridCell, replicate_index: int, *parts) -> np.
         replicate_index,
         *parts,
     )
-    return np.random.default_rng(seed)
+
+
+def _rng(config: SimConfig, cell: GridCell, replicate_index: int, *parts) -> np.random.Generator:
+    return np.random.default_rng(_seed(config, cell, replicate_index, *parts))
 
 
 @dataclass
@@ -298,7 +301,8 @@ class SiteSeries:
         self.drift_mask = np.asarray(self.drift_mask, dtype=np.int8).ravel()
         if self.values.size != self.drift_mask.size:
             raise ValueError("batch-misalignment: values and drift_mask lengths differ")
-        if not np.isin(self.drift_mask, (0, 1)).all():
+        # Read unsigned, a negative entry is above 1 too.
+        if (self.drift_mask.view(np.uint8) > 1).any():
             raise ValueError("invalid-mask: drift_mask entries must be 0 or 1")
         if (self.drift_mask[np.isnan(self.values)] != 0).any():
             raise ValueError("invalid-mask: null slots cannot be marked as drifted")
@@ -456,26 +460,29 @@ class ReplicateResult:
     schemes: dict[str, SchemeRunRecord]
 
 
-def _run_scheme(
-    config: SimConfig,
-    cell: GridCell,
-    replicate_index: int,
-    scheme: SchemeKind,
-    site_series: list[SiteSeries],
-    refs: dict[str, np.ndarray],
-    global_eval: np.ndarray,
-) -> SchemeRunRecord:
-    if scheme is SchemeKind.CENTRALIZED:
-        streams = [interleave_sites(site_series)]
-    else:
-        streams = site_series
-
-    agent_records: list[AgentRunRecord] = []
+def _agent_streams(config: SimConfig, cell: GridCell, streams: list[SiteSeries]) -> list[tuple]:
+    """Each agent's input: (stream, window size, per-window truth labels)."""
+    out = []
     for stream in streams:
         window_size = max(2, math.ceil(cell.window_fraction * len(stream)))
         truth = window_truth_labels(
             stream.values, stream.drift_mask, window_size, config.batch_label_rho
         )
+        out.append((stream, window_size, truth))
+    return out
+
+
+def _run_scheme(
+    config: SimConfig,
+    cell: GridCell,
+    replicate_index: int,
+    scheme: SchemeKind,
+    streams: list[tuple],
+    refs: dict[str, np.ndarray],
+    global_eval: np.ndarray,
+) -> SchemeRunRecord:
+    agent_records: list[AgentRunRecord] = []
+    for stream, window_size, truth in streams:
         spec = ReferenceSpec(
             kind=scheme,
             global_eval=global_eval,
@@ -494,12 +501,9 @@ def _run_scheme(
         )
         agent = DriftAgent(
             agent_config,
-            rng=_rng(config, cell, replicate_index, "agent", scheme.value, stream.site_id),
+            rng=_seed(config, cell, replicate_index, "agent", scheme.value, stream.site_id),
         )
-        for observation in stream.values:
-            verdict = agent.ingest(observation)
-            if verdict is not None:
-                agent.act(verdict)
+        agent.run(stream.values)
         detection = score_detection(agent.evaluated_verdicts, truth)
         agent_records.append(
             AgentRunRecord(
@@ -545,10 +549,18 @@ def run_replicate(config: SimConfig, cell: GridCell, replicate_index: int) -> Re
     series = pad_sparsity(series, pipeline_rng)
     global_eval = np.concatenate(list(refs.values()))
 
-    scheme_records = {
-        scheme.value: _run_scheme(config, cell, replicate_index, scheme, series, refs, global_eval)
-        for scheme in config.schemes
-    }
+    # Centralized runs one agent over the interleaved union; the per-site
+    # schemes share each site's stream, window size and truth labels.
+    agent_streams: dict[bool, list[tuple]] = {}
+    scheme_records = {}
+    for scheme in config.schemes:
+        centralized = scheme is SchemeKind.CENTRALIZED
+        if centralized not in agent_streams:
+            streams = [interleave_sites(series)] if centralized else series
+            agent_streams[centralized] = _agent_streams(config, cell, streams)
+        scheme_records[scheme.value] = _run_scheme(
+            config, cell, replicate_index, scheme, agent_streams[centralized], refs, global_eval
+        )
     return ReplicateResult(cell=cell, replicate_index=replicate_index, schemes=scheme_records)
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "ks_statistic",
     "ks_vs_histogram",
     "permutation_pvalue",
+    "permutation_pvalues",
 ]
 
 # How `permutation_pvalue` re-splits the pool: without or with replacement.
@@ -114,12 +115,47 @@ def _as_sample(values, name: str = "sample") -> np.ndarray:
     return arr
 
 
-def _ks_numerator(a_sorted: np.ndarray, b_sorted: np.ndarray) -> int:
-    """Largest ECDF gap in exact integer units of 1 / (len(a) * len(b))."""
-    pooled = np.concatenate([a_sorted, b_sorted])
-    count_a = np.searchsorted(a_sorted, pooled, side="right")
-    count_b = np.searchsorted(b_sorted, pooled, side="right")
-    return int(np.abs(count_a * b_sorted.size - count_b * a_sorted.size).max())
+def _resample_count(permutations, least: int) -> int:
+    """B, the resample count: `permutations`, checked to be a whole number
+    no smaller than `least`."""
+    if not float(permutations).is_integer():
+        raise ValueError(f"invalid-permutations: {permutations!r} is not a whole number")
+    if permutations < least:
+        plural = "" if least == 1 else "s"
+        raise ValueError(f"insufficient-permutations: need at least {least} resample{plural}")
+    return int(permutations)
+
+
+def _pool(samples: list[np.ndarray], ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pool each sample with the sorted sample `ref`, one row per sample:
+    the tie ends and the exact KS numerators.
+
+    Row i sorts sample i with `ref`, then +inf pads it to the longest
+    pool. `ends[i, t]` is True when pooled position t closes a tie group;
+    padding closes none. Both ECDFs jump at tied values together, so the
+    supremum is attained at a tie end, where the t + 1 pooled values up
+    to position t hold c of `ref`'s: the ECDF gap there is
+    |(t + 1) * len(ref) - c * (n + len(ref))| in exact integer units of
+    1 / (n * len(ref)), and the numerator is its largest value.
+    """
+    m = ref.size
+    sizes = [sample.size for sample in samples]
+    width = max(sizes) + m
+    pooled = np.empty((len(samples), width))
+    pooled[:, :m] = ref
+    for row, sample in zip(pooled, samples):
+        row[m : m + sample.size] = sample
+        row[m + sample.size :] = np.inf
+    pooled.sort(axis=1)
+    ends = np.empty(pooled.shape, dtype=bool)
+    np.not_equal(pooled[:, :-1], pooled[:, 1:], out=ends[:, :-1])
+    # A pool's last value is followed by padding, or ends the row.
+    ends[:, -1] = np.equal(sizes, width - m)
+    gaps = np.searchsorted(ref, pooled, side="right")
+    gaps *= np.add(sizes, m)[:, None]
+    gaps -= np.arange(m, (width + 1) * m, m)
+    numerators = np.abs(gaps, out=gaps).max(axis=1, initial=0, where=ends)
+    return ends, numerators
 
 
 def ks_statistic(a, b) -> float:
@@ -129,9 +165,10 @@ def ks_statistic(a, b) -> float:
     the supremum is attained at one of the pooled values, so the result is
     exact. Symmetric in its arguments; runs in O(n log n).
     """
-    a = np.sort(_as_sample(a, "a"))
+    a = _as_sample(a, "a")
     b = np.sort(_as_sample(b, "b"))
-    return _ks_numerator(a, b) / (a.size * b.size)
+    _, numerators = _pool([a], b)
+    return int(numerators[0]) / (a.size * b.size)
 
 
 def _bootstrap_cumulative(gen: np.random.Generator, rows: int, n: int, size: int) -> np.ndarray:
@@ -142,46 +179,27 @@ def _bootstrap_cumulative(gen: np.random.Generator, rows: int, n: int, size: int
     return counts.cumsum(axis=1)
 
 
-def _split_exceed_probability(k: int, m: int, d: int, ends: np.ndarray) -> float:
-    """P(D >= d) for a uniformly random split of the k + m pooled sort
-    positions into sides of k and m, where D is the split's KS numerator:
-    the maximum, over the tie ends t, of |c * (k + m) - t * k| with c the
-    k side's share of the first t positions. `ends[t - 1]` is True when
-    position t closes a tie group.
+def _lattice_pass_probability(k: int, m: int, bounds, closes: np.ndarray, reach: int) -> float:
+    """The share of the C(k + m, k) monotone lattice paths from (0, 0) to
+    (k, m) that `permutation_pvalues` counts as passing, given per row i
+    the (first, last, lo, hi) of `bounds`: the columns carried and the
+    band |i * m - j * k| < d.
 
-    Lattice paths (Hodges 1958): a split is a monotone path from (0, 0) to
-    (k, m), and at (i, j) the numerator is |i * m - j * k|. All C(k + m, k)
-    paths are equally likely, so P is one minus the share of paths that
-    stay inside the band |i * m - j * k| < d at every point whose i + j is
-    a tie end. The paths to (i, j) number the running sum over j of row
-    i - 1, so each row is one cumulative sum, over the band alone when the
-    pool has no ties. With ties (Schroer & Trenkler 1995), a path may leave
-    the band between tie ends, at most `reach` points (the longest run of
-    positions that close no group), so the row is widened by `reach` and
-    its sum restarts after each blocked point, one on a tie end outside the
-    band: the sum less its value at the last blocked point, which is its
-    running maximum over blocked points since the sum never falls.
+    The paths to (i, j) number the running sum over j of row i - 1, so
+    each row is one cumulative sum, over the band alone when the pool has
+    no ties. With ties (`reach` > 0), a path may leave the band between
+    tie ends, so the row is widened by `reach` and its sum restarts after
+    each blocked point, one on a tie end (`closes`) outside the band: the
+    sum less its value at the last blocked point, which is its running
+    maximum over blocked points since the sum never falls.
     """
-    if d <= 0:
-        return 1.0
-    n = k + m
-    rows = np.arange(k + 1) * m
-    lo = np.maximum((rows - d) // k + 1, 0)
-    hi = np.minimum((rows + d - 1) // k, m)
-    closes = np.concatenate(([True], ends))
-    reach = int(np.diff(np.flatnonzero(closes)).max()) - 1
-    first = lo[np.maximum(np.arange(k + 1) - reach, 0)]
-    last = np.minimum(hi + reach, m) + 1
-    if (first >= last).any():
-        return 1.0
-
     weights = np.zeros(m + 1)
     weights[0] = 1.0
     accumulate = np.add.accumulate
     shift = 0
-    for i, (start, stop, band_lo, band_hi) in enumerate(
-        zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist())
-    ):
+    for i, (start, stop, band_lo, band_hi) in enumerate(bounds):
+        if start >= stop:
+            return 0.0  # no path crosses this row
         row = weights[start:stop]
         accumulate(row, out=row)
         if row[-1] > 2.0**_RESCALE_BITS:
@@ -192,11 +210,85 @@ def _split_exceed_probability(k: int, m: int, d: int, ends: np.ndarray) -> float
             blocked[band_lo - start : band_hi + 1 - start] = False
             row -= np.maximum.accumulate(np.where(blocked, row, 0.0))
 
-    # passed = weights[m] * 2**shift / C(n, k), without overflow.
-    paths = math.comb(n, k)
+    # weights[m] * 2**shift / C(k + m, k), without overflow.
+    paths = math.comb(k + m, k)
     bits = paths.bit_length()
-    passed = math.ldexp(float(weights[m]) / (paths / (1 << bits)), shift - bits)
-    return min(1.0, max(0.0, 1.0 - passed))
+    return math.ldexp(float(weights[m]) / (paths / (1 << bits)), shift - bits)
+
+
+def permutation_pvalues(samples, reference, permutations: int = 1000) -> list[KsResult]:
+    """`permutation_pvalue(sample, reference, permutations)` for each of
+    `samples`, in order, with the same statistic and p-value bytes.
+
+    The reference is validated and sorted once. The pooled sorts, tie
+    ends, KS numerators, tie reach and lattice bands of all samples are
+    built together, one row per sample; only each sample's lattice pass,
+    min(n, len(reference)) + 1 cumulative sums, runs on its own.
+
+    A uniformly random re-split of sample and reference into their sizes
+    k <= m is a monotone lattice path from (0, 0) to (k, m) (Hodges 1958),
+    whose numerator at (i, j) is |i * m - j * k|. It scores at least the
+    observed numerator d unless it stays inside the band
+    |i * m - j * k| < d at every point whose i + j is a tie end. With
+    ties (Schroer & Trenkler 1995), a path may leave the band between tie
+    ends, at most `reach` points at a time (the longest run of pooled
+    positions that close no tie group), so each row is widened by `reach`.
+    """
+    ref = np.sort(_as_sample(reference, "reference"))
+    resamples = _resample_count(permutations, 100)
+    arrays = [np.asarray(sample, dtype=np.float64).ravel() for sample in samples]
+    if not arrays:
+        return []
+    sizes = [array.size for array in arrays]
+    if min(sizes) == 0:
+        raise ValueError("empty-sample: a sample has no observations")
+    _as_sample(arrays[0] if len(arrays) == 1 else np.concatenate(arrays), "sample")
+    if min(sizes) < 2 or ref.size < 2:
+        raise ValueError("insufficient-observations: both samples need >= 2 values")
+
+    ends, numerators = _pool(arrays, ref)
+    ks = [min(size, ref.size) for size in sizes]
+    ms = [max(size, ref.size) for size in sizes]
+    k, m, d = np.array(ks)[:, None], np.array(ms)[:, None], numerators[:, None]
+    # Lattice row i passes the columns lo..hi: those j with |i * m - j * k| < d.
+    row = np.arange(max(ks) + 1)
+    scaled = row * m
+    lo = (scaled - d) // k
+    lo += 1
+    np.maximum(lo, 0, out=lo)
+    scaled += d - 1
+    hi = np.floor_divide(scaled, k, out=scaled)
+    np.minimum(hi, m, out=hi)
+    if np.count_nonzero(ends) < sum(sizes) + len(sizes) * ref.size:
+        # Ties: `closes[i, t]` is True when pooled position t - 1 of pool
+        # i closes a tie group; position 0 and padding close too. The
+        # reach is the longest run of positions that close none.
+        closes = np.ones((len(sizes), ends.shape[1] + 1), dtype=bool)
+        closes[:, 1:] = ends
+        column = np.arange(closes.shape[1])
+        closes[:, 1:] |= column[1:] > np.add(sizes, ref.size)[:, None]
+        reach = column - np.maximum.accumulate(np.where(closes, column, 0), axis=1)
+        reach = reach.max(axis=1)[:, None]
+        first = np.take_along_axis(lo, np.maximum(row - reach, 0), axis=1)
+        last = np.minimum(hi + reach, m)
+        reach = reach[:, 0].tolist()
+    else:
+        closes, reach = [None] * len(sizes), [0] * len(sizes)
+        first, last = lo, hi.copy()
+    last += 1
+
+    bounds = zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist())
+    results = []
+    for i, (n, num, columns) in enumerate(zip(sizes, numerators.tolist(), bounds)):
+        passed = 0.0  # identical pools: every re-split scores at least 0
+        if num > 0:
+            rows = zip(*(column[: ks[i] + 1] for column in columns))
+            passed = _lattice_pass_probability(ks[i], ms[i], rows, closes[i], reach[i])
+        exceed = min(1.0, max(0.0, 1.0 - passed))
+        results.append(
+            KsResult(statistic=num / (n * ref.size), p_value=(1 + resamples * exceed) / (resamples + 1))
+        )
+    return results
 
 
 def permutation_pvalue(a, b, permutations: int = 1000, rng=None, *, resample: str = "permutation") -> KsResult:
@@ -204,12 +296,14 @@ def permutation_pvalue(a, b, permutations: int = 1000, rng=None, *, resample: st
 
     The permutation null is exact: P, the probability that a uniformly
     random re-split of the pooled sample into the original sizes scores at
-    least the observed statistic, is counted over lattice paths, not
+    least the observed statistic, is counted over lattice paths
+    (`permutation_pvalues`, of which this is a batch of one), not
     estimated by resampling. The p-value is (1 + B * P) / (B + 1) with
-    B = `permutations`: the expected add-one p-value of B re-splits, so it
-    keeps that estimate's floor of 1 / (B + 1), lies in (0, 1] and equals
-    1.0 when the samples are identical. It is the same for (a, b) and
-    (b, a), and `rng` is unused: the result is deterministic.
+    B = `permutations`, a whole number: the expected add-one p-value of B
+    re-splits, so it keeps that estimate's floor of 1 / (B + 1), lies in
+    (0, 1] and equals 1.0 when the samples are identical. It is the same
+    for (a, b) and (b, a), and `rng` is unused: the result is
+    deterministic.
 
     `resample="bootstrap"` re-draws both samples from the pool with
     replacement `permutations` times and returns the add-one fraction of
@@ -220,31 +314,21 @@ def permutation_pvalue(a, b, permutations: int = 1000, rng=None, *, resample: st
     tie ends only. The exact pass costs O(min(n1, n2)) numpy calls over
     the band of the lattice that passing re-splits stay in.
     """
+    if resample not in RESAMPLE_MODES:
+        raise ValueError(f"unknown-resample: {resample!r}, expected one of {RESAMPLE_MODES}")
+    if resample == "permutation":
+        return permutation_pvalues([a], b, permutations)[0]
+
     a = _as_sample(a, "a")
     b = _as_sample(b, "b")
     if a.size < 2 or b.size < 2:
         raise ValueError("insufficient-observations: both samples need >= 2 values")
-    if permutations < 100:
-        raise ValueError("insufficient-permutations: need at least 100 resamples")
-    if resample not in RESAMPLE_MODES:
-        raise ValueError(f"unknown-resample: {resample!r}, expected one of {RESAMPLE_MODES}")
-
+    resamples = _resample_count(permutations, 100)
     n1, n2 = a.size, b.size
     n = n1 + n2
-    pooled = np.sort(np.concatenate([a, b]))
-    # Both ECDFs jump at tied values together, so the supremum over x is
-    # attained at the last sort position of a tie group.
-    ends = np.empty(n, dtype=bool)
-    ends[:-1] = pooled[:-1] != pooled[1:]
-    ends[-1] = True
-    d_obs_num = _ks_numerator(np.sort(a), np.sort(b))
-    statistic = d_obs_num / (n1 * n2)
-    resamples = int(permutations)
-
-    if resample == "permutation":
-        exceed = _split_exceed_probability(min(n1, n2), max(n1, n2), d_obs_num, ends)
-        return KsResult(statistic=statistic, p_value=(1 + resamples * exceed) / (resamples + 1))
-
+    ends, numerators = _pool([a], np.sort(b))
+    ends = ends[0]
+    d_obs_num = int(numerators[0])
     gen = np.random.default_rng(rng)
     hits = 0
     remaining = resamples
@@ -256,7 +340,7 @@ def permutation_pvalue(a, b, permutations: int = 1000, rng=None, *, resample: st
         d_null = np.abs(cum_a * n2 - cum_b * n1)[:, ends].max(axis=1)
         hits += int((d_null >= d_obs_num).sum())
         remaining -= rows
-    return KsResult(statistic=statistic, p_value=(1 + hits) / (resamples + 1))
+    return KsResult(statistic=d_obs_num / (n1 * n2), p_value=(1 + hits) / (resamples + 1))
 
 
 def build_histogram(sample, bins: int = 100) -> Histogram:
@@ -328,6 +412,17 @@ def _binding_edges(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.flatnonzero(binds)
 
 
+@functools.lru_cache(maxsize=256)
+def _poisson_terms(n: int) -> tuple[np.ndarray, float]:
+    """log(c!) for c in 0..n, read-only, and the Poisson(n) pmf at n:
+    the per-size tables of `_histogram_exceed_probability`, which a
+    monitor's windows ask for at a few sizes again and again."""
+    log_fact = np.zeros(n + 1)
+    np.cumsum(np.log(np.arange(1, n + 1)), out=log_fact[1:])
+    log_fact.setflags(write=False)
+    return log_fact, math.exp(n * math.log(n) - n - float(log_fact[n]))
+
+
 def _histogram_exceed_probability(n: int, mass: np.ndarray, edge_cdf: np.ndarray, threshold: float) -> float:
     """P(max_k |C_k / n - edge_cdf[k]| >= threshold), where C is the
     running sum of a Multinomial(n, mass) count vector.
@@ -359,9 +454,7 @@ def _histogram_exceed_probability(n: int, mass: np.ndarray, edge_cdf: np.ndarray
         return 1.0
     edges = _binding_edges(n, lo, hi)
     lams = np.add.reduceat(n * mass, np.concatenate(([0], edges + 1))).tolist()
-    log_fact = np.zeros(n + 1)
-    np.cumsum(np.log(np.arange(1, n + 1)), out=log_fact[1:])
-    norm = math.exp(n * math.log(n) - n - float(log_fact[n]))
+    log_fact, norm = _poisson_terms(n)
     budget = 1e-12 * norm / (4 * bins)
     log_budget = -math.log(budget)
 
@@ -438,8 +531,7 @@ def ks_vs_histogram(batch, ref: Histogram, permutations: int = 1000, rng=None) -
     batch = _as_sample(batch, "batch")
     if batch.size < 2:
         raise ValueError("insufficient-observations: batch needs >= 2 values")
-    if permutations < 1:
-        raise ValueError("insufficient-permutations: need at least 1 resample")
+    resamples = _resample_count(permutations, 1)
 
     n = batch.size
     ref_cdf = ref.cdf
@@ -447,5 +539,4 @@ def ks_vs_histogram(batch, ref: Histogram, permutations: int = 1000, rng=None) -
     d_obs = float(np.abs(batch_cdf - ref_cdf).max())
 
     exceed = _histogram_exceed_probability(n, ref.pmf, ref_cdf[1:], d_obs - 1e-12)
-    resamples = int(permutations)
     return KsResult(statistic=d_obs, p_value=(1 + resamples * exceed) / (resamples + 1))

@@ -282,3 +282,114 @@ class TestDeterminism:
             return [(v.batch_index, v.statistic, v.p_value, v.drift) for v in agent.verdicts]
 
         assert run() == run()
+
+
+def scheme_config(kind, resample="permutation", window_size=7):
+    rng = np.random.default_rng(112)
+    spec = ReferenceSpec(
+        kind=kind, global_eval=rng.beta(2, 5, 60), site_eval=rng.beta(2, 5, 9), bins=20
+    )
+    return AgentConfig(
+        agent_id=AgentId("DS-0", "model-0"),
+        scheme=spec,
+        window_size=window_size,
+        permutations=200,
+        min_valid=4,
+        resample=resample,
+    )
+
+
+def agent_state(agent):
+    return (
+        agent.verdicts,
+        agent.batch_index,
+        agent.consumed_batch,
+        np.asarray(agent._buffer).tobytes(),
+        agent.adaptive_trace,
+    )
+
+
+def run_stream(seed, size=150):
+    """Clean values, a drifted stretch, nulls (None and NaN) and ties."""
+    rng = np.random.default_rng(seed)
+    values = rng.beta(2, 5, size)
+    values[size // 2 : size // 2 + 30] = rng.uniform(0.7, 0.95, 30)
+    values = np.round(values, 2 if seed % 2 else 6)
+    values[rng.random(size) < 0.2] = np.nan
+    stream = values.tolist()
+    stream[3] = None
+    return stream
+
+
+CASES = [(kind, "permutation") for kind in SchemeKind] + [
+    (SchemeKind.SITE_REF, "bootstrap"),
+    (SchemeKind.PROD_REF, "bootstrap"),
+]
+
+
+class TestRun:
+    @pytest.mark.parametrize("kind, resample", CASES)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_run_equals_the_ingest_act_loop(self, kind, resample, seed):
+        stream = run_stream(seed)
+        looped = feed(DriftAgent(scheme_config(kind, resample), rng=seed), stream)
+        for head in (0, 5):
+            # A partly filled window from ingest() carries into run().
+            agent = DriftAgent(scheme_config(kind, resample), rng=seed)
+            feed(agent, stream[:head])
+            agent.run(np.asarray(stream[head:], dtype=np.float64))
+            assert agent_state(agent) == agent_state(looped)
+        listed = DriftAgent(scheme_config(kind, resample), rng=seed)
+        listed.run(stream)
+        assert agent_state(listed) == agent_state(looped)
+        assert any(v.evaluated for v in looped.verdicts)
+
+    @pytest.mark.parametrize("kind, resample", CASES)
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("inf")])
+    def test_invalid_value_mid_series_raises_after_the_same_verdicts(self, kind, resample, bad):
+        stream = run_stream(3, size=60)
+        stream[45] = bad
+        for values in (stream, np.asarray(stream, dtype=np.float64)):
+            looped = DriftAgent(scheme_config(kind, resample), rng=3)
+            with pytest.raises(ValueError) as looped_error:
+                feed(looped, values)
+            agent = DriftAgent(scheme_config(kind, resample), rng=3)
+            with pytest.raises(ValueError) as error:
+                agent.run(values)
+            assert str(error.value) == str(looped_error.value)
+            assert agent_state(agent) == agent_state(looped)
+            assert looped.batch_index == 45 // 7
+
+    def test_unconvertible_value_raises_float_error_after_the_same_verdicts(self):
+        stream = run_stream(4, size=60)
+        stream[45] = "abc"
+        looped = DriftAgent(scheme_config(SchemeKind.GLOBAL_REF))
+        with pytest.raises(ValueError, match="could not convert"):
+            feed(looped, stream)
+        agent = DriftAgent(scheme_config(SchemeKind.GLOBAL_REF))
+        with pytest.raises(ValueError, match="could not convert"):
+            agent.run(stream)
+        assert agent_state(agent) == agent_state(looped)
+
+    def test_fixed_reference_windows_take_one_kernel_call(self, monkeypatch):
+        import driftnet.agent as agent_module
+
+        calls = []
+        batched = agent_module.permutation_pvalues
+        monkeypatch.setattr(
+            agent_module, "permutation_pvalues", lambda *a: calls.append(len(a[0])) or batched(*a)
+        )
+        agent = DriftAgent(scheme_config(SchemeKind.PROD_REF))
+        agent.run(run_stream(1))
+        assert agent.consumed_batch == 0
+        assert calls == [sum(v.evaluated for v in agent.verdicts)]
+
+
+class TestLazyGenerator:
+    def test_exact_null_builds_no_generator(self):
+        agent = feed(DriftAgent(scheme_config(SchemeKind.SITE_REF), rng=5), run_stream(1))
+        assert "rng" not in vars(agent)
+
+    def test_bootstrap_draws_from_the_seeded_generator(self):
+        agent = DriftAgent(scheme_config(SchemeKind.SITE_REF, "bootstrap"), rng=5)
+        assert agent.rng.random() == np.random.default_rng(5).random()

@@ -67,6 +67,7 @@ SeverityRecord build_severity classify_severity
 DEFAULT_SITES GridCell SimConfig SiteSpec augment cell_label derive_seed inject_drift
 interleave_sites pad_sparsity run_grid run_replicate window_truth_labels
 Histogram KsResult blend build_histogram ks_statistic ks_vs_histogram permutation_pvalue
+permutation_pvalues
 """.split()
 
 

@@ -128,6 +128,21 @@ class TestGenerateSyntheticSites:
         assert abs(sample.mean() - mean) < 3 * se
 
 
+class TestSiteSeries:
+    @pytest.mark.parametrize("mask", [[0, 2, 0], [0, -1, 0], [0, 1, 255]])
+    def test_mask_entries_other_than_zero_and_one_rejected(self, mask):
+        with pytest.raises(ValueError, match="invalid-mask: drift_mask entries"):
+            SiteSeries("S", np.array([0.5, 0.6, 0.7]), np.array(mask))
+
+    def test_null_slot_marked_drifted_rejected(self):
+        with pytest.raises(ValueError, match="invalid-mask: null slots"):
+            SiteSeries("S", np.array([0.5, np.nan]), np.array([0, 1]))
+
+    def test_binary_mask_accepted(self):
+        series = SiteSeries("S", np.array([0.5, 0.6, np.nan]), [1, 0, 0])
+        assert series.drift_mask.tolist() == [1, 0, 0]
+
+
 class TestAugment:
     def test_length_grows_by_ceiling(self):
         out = augment(clean_series(100), 0.10, np.random.default_rng(4))
@@ -407,6 +422,22 @@ class TestRunReplicate:
             got = after.schemes[name]
             assert [a.verdicts for a in got.agents] == [a.verdicts for a in record.agents]
             assert got.severity == record.severity
+
+    def test_truth_labels_made_once_per_stream(self, monkeypatch):
+        # The four per-site schemes share each site's labels; Centralized
+        # labels its interleaved stream.
+        import driftnet.sim as sim_module
+
+        calls = []
+        labels = sim_module.window_truth_labels
+        monkeypatch.setattr(
+            sim_module, "window_truth_labels", lambda *a: calls.append(a[2]) or labels(*a)
+        )
+        result = run_replicate(small_config(), GridCell(0.3, 0.3, 0.10), 0)
+        assert len(calls) == 1 + len(DEFAULT_SITES)
+        for name in ("GlobalRef", "SiteRef", "ProdRef", "AdaptiveRef"):
+            truths = [agent.truth for agent in result.schemes[name].agents]
+            assert truths == [agent.truth for agent in result.schemes["SiteRef"].agents]
 
     def test_zero_strength_produces_no_positives(self):
         config = small_config(grid={"drift_strength": (0.0,)})

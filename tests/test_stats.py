@@ -16,8 +16,9 @@ from driftnet.stats import (
     ks_statistic,
     ks_vs_histogram,
     permutation_pvalue,
+    permutation_pvalues,
 )
-from driftnet.stats import _band, _binding_edges
+from driftnet.stats import _RESCALE_BITS, _band, _binding_edges
 
 
 def sample_from_histogram(ref: Histogram, n: int, rng=None) -> np.ndarray:
@@ -150,6 +151,150 @@ class TestPermutationPvalue:
     def test_too_few_permutations_rejected(self):
         with pytest.raises(ValueError, match="insufficient-permutations"):
             permutation_pvalue([0.1, 0.2], [0.3, 0.4], permutations=50)
+
+    @pytest.mark.parametrize("resample", ["permutation", "bootstrap"])
+    @pytest.mark.parametrize("permutations", [150.7, 1000.5, float("inf"), float("nan")])
+    def test_non_integral_permutations_rejected(self, permutations, resample):
+        # B sets the p-value's floor 1 / (B + 1); a fractional B used to be truncated.
+        with pytest.raises(ValueError, match="invalid-permutations"):
+            permutation_pvalue([0.1, 0.2], [0.3, 0.4], permutations=permutations, resample=resample)
+        with pytest.raises(ValueError, match="invalid-permutations"):
+            permutation_pvalues([[0.1, 0.2]], [0.3, 0.4], permutations=permutations)
+
+    def test_integral_float_permutations_accepted(self):
+        assert permutation_pvalue([0.1, 0.2], [0.3, 0.4], permutations=150.0) == permutation_pvalue(
+            [0.1, 0.2], [0.3, 0.4], permutations=150
+        )
+
+
+def parent_ks_numerator(a_sorted, b_sorted):
+    """Largest ECDF gap in exact integer units of 1 / (len(a) * len(b))."""
+    pooled = np.concatenate([a_sorted, b_sorted])
+    count_a = np.searchsorted(a_sorted, pooled, side="right")
+    count_b = np.searchsorted(b_sorted, pooled, side="right")
+    return int(np.abs(count_a * b_sorted.size - count_b * a_sorted.size).max())
+
+
+def parent_split_exceed_probability(k, m, d, ends):
+    """The per-call lattice pass that `permutation_pvalues` batches."""
+    if d <= 0:
+        return 1.0
+    n = k + m
+    rows = np.arange(k + 1) * m
+    lo = np.maximum((rows - d) // k + 1, 0)
+    hi = np.minimum((rows + d - 1) // k, m)
+    closes = np.concatenate(([True], ends))
+    reach = int(np.diff(np.flatnonzero(closes)).max()) - 1
+    first = lo[np.maximum(np.arange(k + 1) - reach, 0)]
+    last = np.minimum(hi + reach, m) + 1
+    if (first >= last).any():
+        return 1.0
+    weights = np.zeros(m + 1)
+    weights[0] = 1.0
+    shift = 0
+    for i, (start, stop, band_lo, band_hi) in enumerate(
+        zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist())
+    ):
+        row = weights[start:stop]
+        np.add.accumulate(row, out=row)
+        if row[-1] > 2.0**_RESCALE_BITS:
+            row *= 2.0**-_RESCALE_BITS
+            shift += _RESCALE_BITS
+        if reach:
+            blocked = closes[i + start : i + stop].copy()
+            blocked[band_lo - start : band_hi + 1 - start] = False
+            row -= np.maximum.accumulate(np.where(blocked, row, 0.0))
+    paths = math.comb(n, k)
+    bits = paths.bit_length()
+    passed = math.ldexp(float(weights[m]) / (paths / (1 << bits)), shift - bits)
+    return min(1.0, max(0.0, 1.0 - passed))
+
+
+def parent_permutation_pvalue(a, b, permutations):
+    """The exact permutation null one call at a time, as the kernel stood
+    before it was batched: the oracle `permutation_pvalues` must match
+    byte for byte."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    n1, n2 = a.size, b.size
+    pooled = np.sort(np.concatenate([a, b]))
+    ends = np.append(pooled[:-1] != pooled[1:], True)
+    d_obs_num = parent_ks_numerator(np.sort(a), np.sort(b))
+    exceed = parent_split_exceed_probability(min(n1, n2), max(n1, n2), d_obs_num, ends)
+    return d_obs_num / (n1 * n2), (1 + permutations * exceed) / (permutations + 1)
+
+
+def assert_matches_parent(samples, reference, permutations=1000):
+    got = permutation_pvalues(samples, reference, permutations)
+    assert len(got) == len(samples)
+    for sample, result in zip(samples, got):
+        statistic, p_value = parent_permutation_pvalue(sample, reference, permutations)
+        assert (result.statistic.hex(), result.p_value.hex()) == (statistic.hex(), p_value.hex())
+        assert result == permutation_pvalue(sample, reference, permutations)
+
+
+class TestPermutationPvalues:
+    def test_matches_parent_kernel_byte_for_byte(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def values(decimals, min_size, max_size):
+            floats = st.floats(min_value=0.0, max_value=1.0)
+            if decimals is not None:
+                floats = floats.map(lambda v: round(v, decimals))
+            return st.lists(floats, min_size=min_size, max_size=max_size)
+
+        @st.composite
+        def batches(draw):
+            # Rounded values tie within and across samples; sizes fall on
+            # both sides of the reference's, and one sample may copy it.
+            decimals = draw(st.sampled_from([None, 1, 2]))
+            reference = draw(values(decimals, 2, 40))
+            samples = draw(st.lists(values(decimals, 2, 70), min_size=1, max_size=6))
+            if draw(st.booleans()):
+                samples.insert(draw(st.integers(0, len(samples))), list(reference))
+            return samples, reference, draw(st.integers(100, 5000))
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(batches())
+        def check(batch):
+            assert_matches_parent(*batch)
+
+        check()
+
+    @pytest.mark.parametrize("decimals", [None, 2, 1], ids=["tie_free", "ties", "heavy_ties"])
+    def test_matches_parent_kernel_on_a_large_pool(self, decimals):
+        # 450 x 450: C(900, 450) paths pass 2**600, so the pass rescales.
+        rng = np.random.default_rng(450)
+        reference = rng.beta(9, 21, 450)
+        samples = [rng.beta(9, 21, 450), np.clip(rng.beta(9, 21, 450) + 0.01, 0, 1), rng.beta(9, 21, 30)]
+        if decimals is not None:
+            reference = np.round(reference, decimals)
+            samples = [np.round(sample, decimals) for sample in samples]
+        assert math.comb(900, 450) > 2**_RESCALE_BITS
+        assert_matches_parent(samples, reference)
+
+    def test_identical_samples_give_p_one(self):
+        reference = [0.1, 0.2, 0.2, 0.4]
+        (result,) = permutation_pvalues([reference[::-1]], reference, 300)
+        assert result == KsResult(statistic=0.0, p_value=1.0)
+
+    def test_empty_batch(self):
+        assert permutation_pvalues([], [0.3, 0.4], 1000) == []
+
+    @pytest.mark.parametrize(
+        "samples, reference, error",
+        [
+            ([[0.1, 0.2], []], [0.3, 0.4], "empty-sample"),
+            ([[0.1, 0.2], [0.3]], [0.3, 0.4], "insufficient-observations"),
+            ([[0.1, 0.2]], [0.3], "insufficient-observations"),
+            ([[0.1, 0.2], [0.3, 1.5]], [0.3, 0.4], "invalid-probability"),
+            ([[0.1, float("nan")]], [0.3, 0.4], "invalid-probability"),
+            ([[0.1, 0.2]], [0.3, -0.4], "invalid-probability"),
+        ],
+    )
+    def test_bad_input_rejected(self, samples, reference, error):
+        with pytest.raises(ValueError, match=error):
+            permutation_pvalues(samples, reference, 1000)
 
 
 def _golden_inputs(seed, n1, n2, shift, decimals):
@@ -516,6 +661,13 @@ class TestKsVsHistogram:
         ref = Histogram(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="insufficient-observations"):
             ks_vs_histogram([0.4], ref, permutations=200)
+
+    def test_non_integral_permutations_rejected(self):
+        ref = Histogram(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="invalid-permutations"):
+            ks_vs_histogram([0.4, 0.6], ref, permutations=150.7)
+        with pytest.raises(ValueError, match="insufficient-permutations"):
+            ks_vs_histogram([0.4, 0.6], ref, permutations=0)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_exact_null_matches_enumeration(self, seed):
