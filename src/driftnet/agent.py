@@ -4,7 +4,9 @@ One agent watches one output stream for one (center, model) pair. It
 consumes observations one at a time or a whole series at once, cuts
 them into fixed, non-overlapping windows, tests each window against its
 scheme's reference, and reacts to drift verdicts through registered
-hooks.
+hooks. Both entry points hand their complete windows to one evaluator,
+which tests windows against a fixed reference under the exact null in
+one kernel call, however many there are.
 
 AgentConfig declares its checks in the config field table, so a bad
 window, threshold, permutations, min_valid or resample value raises a
@@ -133,7 +135,11 @@ class DriftAgent:
     pass each verdict to act() to log it and fire drift hooks. For
     AdaptiveRef, act() also applies the controlled reference update, so
     the reference only ever changes after the verdict that sanctioned it.
-    run() does both for a whole series.
+    run() does both for a whole series. Either way the complete windows
+    go through one generator, which yields each verdict before it tests
+    the next window (so act() can update AdaptiveRef in between) and,
+    once the reference is a fixed sample under the exact null, tests all
+    remaining windows in one `permutation_pvalues` call.
 
     `reference` is the read-only sample a window is tested against, or
     for AdaptiveRef the current AdaptiveState; ProdRef holds None until
@@ -167,10 +173,6 @@ class DriftAgent:
         exact nulls draw nothing."""
         return np.random.default_rng(self._seed)
 
-    @property
-    def evaluated_verdicts(self) -> list[DriftVerdict]:
-        return [v for v in self.verdicts if v.evaluated]
-
     def ingest(self, observation) -> DriftVerdict | None:
         """Add one observation; return a verdict when a window completes.
 
@@ -186,20 +188,12 @@ class DriftAgent:
             return None
         window = np.asarray(self._buffer, dtype=np.float64)
         self._buffer = []
-        index = self.batch_index
-        self.batch_index += 1
-        return self._evaluate_window(index, window)
+        return next(self._verdicts(window[None]), None)
 
     def run(self, values) -> None:
         """Ingest a whole series and act on each verdict in order: the same
         verdicts, state and errors as ingest() and act() called on each
-        observation in turn.
-
-        Against a fixed reference with the exact null (every scheme but
-        AdaptiveRef, and ProdRef once seeded), all complete windows are
-        tested in one `permutation_pvalues` call; otherwise each act()
-        can change the next window's reference, so windows go one by one.
-        """
+        observation in turn."""
         try:
             series = np.asarray(values, dtype=np.float64)
         except (TypeError, ValueError):
@@ -217,90 +211,63 @@ class DriftAgent:
         size = self.config.window_size
         count = slots.size // size
         self._buffer = slots[count * size :].tolist()
-        windows = slots[: count * size].reshape(count, size)
-        done = 0
-        while done < count and not self._fixed_reference():
-            index = self.batch_index
-            self.batch_index += 1
-            verdict = self._evaluate_window(index, windows[done])
-            done += 1
-            if verdict is not None:
-                self.act(verdict)
-        if done < count:
-            index = self.batch_index
-            self.batch_index += count - done
-            for verdict in self._evaluate_fixed(index, windows[done:]):
-                self.act(verdict)
+        for verdict in self._verdicts(slots[: count * size].reshape(count, size)):
+            self.act(verdict)
         if invalid.size:
             self.ingest(values[stop])  # raises ingest's error for this observation
 
-    def _fixed_reference(self) -> bool:
-        """Whether every later window is tested against the same sample by
-        the exact null, so no act() can change the next test."""
-        reference = self.reference
-        return (
-            reference is not None
-            and not isinstance(reference, AdaptiveState)
-            and self.config.resample == "permutation"
-        )
+    def _verdicts(self, windows: np.ndarray):
+        """Yield the verdicts of consecutive complete windows, in order.
 
-    def _evaluate_fixed(self, index: int, windows: np.ndarray) -> list[DriftVerdict]:
-        """The verdicts of consecutive windows from batch `index` on, under
-        a fixed reference: the tested ones in one kernel call."""
-        valid = [window[~np.isnan(window)] for window in windows]
-        tested = [sample for sample in valid if sample.size >= self.min_valid]
-        results = iter(permutation_pvalues(tested, self.reference, self.config.permutations))
-        return [
-            self._evaluated(i, sample.size, next(results))
-            if sample.size >= self.min_valid
-            else self._unevaluated(i, sample.size)
-            for i, sample in enumerate(valid, start=index)
-        ]
+        Each verdict is yielded before the next window is tested, so an
+        act() on it can change AdaptiveRef's reference first. A fixed
+        sample under the exact null is a reference no act() can change:
+        from the first window tested against it on, every window is
+        tested in one `permutation_pvalues` call.
+        """
+        samples = [window[~np.isnan(window)] for window in windows]
+        for done, valid in enumerate(samples):
+            index = self.batch_index
+            self.batch_index += 1
+            reference = self.reference
+            if reference is None:
+                # ProdRef seeding: the first window with enough signal becomes
+                # the frozen reference and is never itself evaluated.
+                if valid.size >= 2:
+                    self.reference = make_reference(self.config.scheme, first_prod_batch=valid)
+                    self.consumed_batch = index
+                    continue
+                result = None
+            elif valid.size < self.min_valid:
+                result = None
+            elif not isinstance(reference, AdaptiveState) and self.config.resample == "permutation":
+                rest = samples[done:]
+                self.batch_index = index + len(rest)
+                tested = [sample for sample in rest if sample.size >= self.min_valid]
+                results = iter(permutation_pvalues(tested, reference, self.config.permutations))
+                for i, sample in enumerate(rest, start=index):
+                    result = next(results) if sample.size >= self.min_valid else None
+                    yield self._verdict(i, sample.size, result)
+                return
+            elif isinstance(reference, AdaptiveState):
+                result = ks_vs_histogram(valid, reference.reference, self.config.permutations)
+                self._pending = (index, valid)
+            else:
+                result = permutation_pvalue(
+                    valid, reference, self.config.permutations, self.rng, resample="bootstrap"
+                )
+            yield self._verdict(index, valid.size, result)
 
-    def _evaluate_window(self, index: int, window: np.ndarray) -> DriftVerdict | None:
-        valid = window[~np.isnan(window)]
-        reference = self.reference
-        if reference is None:
-            # ProdRef seeding: the first window with enough signal becomes
-            # the frozen reference and is never itself evaluated.
-            if valid.size >= 2:
-                self.reference = make_reference(self.config.scheme, first_prod_batch=valid)
-                self.consumed_batch = index
-                return None
-            return self._unevaluated(index, valid.size)
-        if valid.size < self.min_valid:
-            return self._unevaluated(index, valid.size)
-        if isinstance(reference, AdaptiveState):
-            result = ks_vs_histogram(valid, reference.reference, self.config.permutations)
-            self._pending = (index, valid)
-        elif self.config.resample == "bootstrap":
-            result = permutation_pvalue(
-                valid, reference, self.config.permutations, self.rng, resample="bootstrap"
-            )
-        else:
-            result = permutation_pvalue(valid, reference, self.config.permutations)
-        return self._evaluated(index, valid.size, result)
-
-    def _evaluated(self, index: int, n_valid: int, result) -> DriftVerdict:
+    def _verdict(self, index: int, n_valid: int, result) -> DriftVerdict:
+        """Batch `index`'s verdict; without a test result it is unevaluated."""
         return DriftVerdict(
             agent_id=self.config.agent_id,
             batch_index=index,
-            statistic=result.statistic,
-            p_value=result.p_value,
-            drift=result.p_value < self.config.threshold,
+            statistic=None if result is None else result.statistic,
+            p_value=None if result is None else result.p_value,
+            drift=result is not None and result.p_value < self.config.threshold,
             n_valid=int(n_valid),
-            evaluated=True,
-        )
-
-    def _unevaluated(self, index: int, n_valid: int) -> DriftVerdict:
-        return DriftVerdict(
-            agent_id=self.config.agent_id,
-            batch_index=index,
-            statistic=None,
-            p_value=None,
-            drift=False,
-            n_valid=int(n_valid),
-            evaluated=False,
+            evaluated=result is not None,
         )
 
     def act(self, verdict: DriftVerdict) -> None:

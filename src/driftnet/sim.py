@@ -504,7 +504,7 @@ def _run_scheme(
             rng=_seed(config, cell, replicate_index, "agent", scheme.value, stream.site_id),
         )
         agent.run(stream.values)
-        detection = score_detection(agent.evaluated_verdicts, truth)
+        detection = score_detection(agent.verdicts, truth)
         agent_records.append(
             AgentRunRecord(
                 center=stream.site_id,

