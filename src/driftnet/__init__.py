@@ -1,7 +1,7 @@
 """Agent-based output drift monitoring for multisite model deployments.
 
 The package pairs a statistical kernel (two-sample and sample-vs-histogram
-Kolmogorov-Smirnov tests with exact or bootstrap p-values) with per-site
+Kolmogorov-Smirnov tests with exact-null p-values) with per-site
 monitoring agents, five reference schemes, severity scoring across agents,
 and a deterministic simulation grid for evaluating all of it in silico.
 """

@@ -4,18 +4,18 @@ One agent watches one output stream for one (center, model) pair. It
 consumes observations one at a time or a whole series at once, cuts
 them into fixed, non-overlapping windows, tests each window against its
 scheme's reference, and reacts to drift verdicts through registered
-hooks. Both entry points hand their complete windows to one evaluator,
-which tests windows against a fixed reference under the exact null in
-one kernel call, however many there are.
+hooks. Every window is tested under an exact null. Both entry points
+hand their complete windows to one evaluator, which tests windows
+against a fixed reference in one kernel call, however many there are,
+and AdaptiveRef's windows one at a time.
 
 AgentConfig declares its checks in the config field table, so a bad
-window, threshold, permutations, min_valid or resample value raises a
-ConfigError naming the field at construction, as a bad JSON config does.
+window, threshold, permutations or min_valid value raises a ConfigError
+naming the field at construction, as a bad JSON config does.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import time
@@ -26,7 +26,9 @@ import numpy as np
 from . import schemes
 from .config import ConfigError, Setting, setting, shared, validate_fields
 from .schemes import AdaptiveState, ReferenceSpec, SchemeKind, make_reference
-from .stats import RESAMPLE_MODES, ks_vs_histogram, permutation_pvalue, permutation_pvalues
+# Uncalled here: perfbench/tracing.py patches driftnet.agent.permutation_pvalue.
+from .stats import permutation_pvalue  # noqa: F401
+from .stats import ks_vs_histogram, permutation_pvalues
 
 __all__ = [
     "AgentConfig",
@@ -41,7 +43,6 @@ logger = logging.getLogger(__name__)
 
 # Checks shared with SimConfig, which configures every agent of a campaign.
 THRESHOLD = Setting(float, gt=0.0, lt=1.0)
-RESAMPLE = Setting(str, choices=RESAMPLE_MODES)
 PERMUTATIONS = Setting(int, ge=100)
 
 
@@ -65,7 +66,6 @@ class AgentConfig:
     threshold: float = shared(0.05, THRESHOLD)
     permutations: int = shared(1000, PERMUTATIONS)
     min_valid: int | None = setting(None, int, optional=True, ge=2)
-    resample: str = shared("permutation", RESAMPLE)
 
     def __post_init__(self) -> None:
         validate_fields(self)
@@ -138,12 +138,13 @@ class DriftAgent:
     run() does both for a whole series. Either way the complete windows
     go through one generator, which yields each verdict before it tests
     the next window (so act() can update AdaptiveRef in between) and,
-    once the reference is a fixed sample under the exact null, tests all
-    remaining windows in one `permutation_pvalues` call.
+    once the reference is a fixed sample, tests all remaining windows in
+    one `permutation_pvalues` call.
 
     `reference` is the read-only sample a window is tested against, or
     for AdaptiveRef the current AdaptiveState; ProdRef holds None until
-    its first usable window. `rng` seeds the bootstrap null's draws.
+    its first usable window. Both nulls are exact, so the agent draws
+    nothing: `rng` is unused, kept because perfbench/run.py passes it.
     """
 
     def __init__(self, config: AgentConfig, rng=None, hooks=()) -> None:
@@ -151,7 +152,6 @@ class DriftAgent:
         self.min_valid = (
             max(2, config.window_size // 2) if config.min_valid is None else config.min_valid
         )
-        self._seed = rng
         self.hooks = list(hooks)
         self.batch_index = 0
         self.verdicts: list[DriftVerdict] = []
@@ -166,12 +166,6 @@ class DriftAgent:
             self.reference = None
         else:
             self.reference = make_reference(config.scheme)
-
-    @functools.cached_property
-    def rng(self) -> np.random.Generator:
-        """The bootstrap null's generator, built on its first draw: the
-        exact nulls draw nothing."""
-        return np.random.default_rng(self._seed)
 
     def ingest(self, observation) -> DriftVerdict | None:
         """Add one observation; return a verdict when a window completes.
@@ -221,9 +215,9 @@ class DriftAgent:
 
         Each verdict is yielded before the next window is tested, so an
         act() on it can change AdaptiveRef's reference first. A fixed
-        sample under the exact null is a reference no act() can change:
-        from the first window tested against it on, every window is
-        tested in one `permutation_pvalues` call.
+        sample is a reference no act() can change: from the first window
+        tested against it on, every window is tested in one
+        `permutation_pvalues` call.
         """
         samples = [window[~np.isnan(window)] for window in windows]
         for done, valid in enumerate(samples):
@@ -240,7 +234,10 @@ class DriftAgent:
                 result = None
             elif valid.size < self.min_valid:
                 result = None
-            elif not isinstance(reference, AdaptiveState) and self.config.resample == "permutation":
+            elif isinstance(reference, AdaptiveState):
+                result = ks_vs_histogram(valid, reference.reference, self.config.permutations)
+                self._pending = (index, valid)
+            else:
                 rest = samples[done:]
                 self.batch_index = index + len(rest)
                 tested = [sample for sample in rest if sample.size >= self.min_valid]
@@ -249,13 +246,6 @@ class DriftAgent:
                     result = next(results) if sample.size >= self.min_valid else None
                     yield self._verdict(i, sample.size, result)
                 return
-            elif isinstance(reference, AdaptiveState):
-                result = ks_vs_histogram(valid, reference.reference, self.config.permutations)
-                self._pending = (index, valid)
-            else:
-                result = permutation_pvalue(
-                    valid, reference, self.config.permutations, self.rng, resample="bootstrap"
-                )
             yield self._verdict(index, valid.size, result)
 
     def _verdict(self, index: int, n_valid: int, result) -> DriftVerdict:

@@ -2,7 +2,7 @@
 
 The pipeline mirrors a multisite production deployment. Per replicate:
 draw (or load) per-site output series, grow each test series by a
-bootstrap fraction, overwrite one contiguous segment per site with
+resampled fraction, overwrite one contiguous segment per site with
 drifted values, equalise series lengths by scattering nulls, then run
 one monitoring agent per site (or one over the interleaved union) and
 score its verdicts against the injected ground truth.
@@ -29,7 +29,6 @@ import numpy as np
 
 from .agent import (
     PERMUTATIONS,
-    RESAMPLE,
     THRESHOLD,
     AgentConfig,
     AgentId,
@@ -208,7 +207,8 @@ class SimConfig:
     permutations: int = shared(1000, PERMUTATIONS)
     bins: int = shared(100, BINS)
     adaptive: AdaptiveSettings = setting(AdaptiveSettings(), AdaptiveSettings)
-    resample: str = shared("permutation", RESAMPLE)
+    # Set by perfbench/run.py's configs; every window is tested under an exact null.
+    resample: str = setting("permutation", str, choices=("permutation",))
     severity_tp_rule: str = setting("exact", str, choices=SEVERITY_RULES)
     batch_label_rho: float = setting(0.5, float, ge=0.0, lt=1.0)
     min_valid_fraction: float = setting(0.5, float, ge=0.0, le=1.0)
@@ -273,19 +273,10 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(payload.encode()).digest()[:8], "little")
 
 
-def _seed(config: SimConfig, cell: GridCell, replicate_index: int, *parts) -> int:
-    return derive_seed(
-        config.master_seed,
-        cell.drift_strength,
-        cell.drift_duration,
-        cell.window_fraction,
-        replicate_index,
-        *parts,
-    )
-
-
-def _rng(config: SimConfig, cell: GridCell, replicate_index: int, *parts) -> np.random.Generator:
-    return np.random.default_rng(_seed(config, cell, replicate_index, *parts))
+def _rng(
+    config: SimConfig, cell: GridCell, replicate_index: int, purpose: str
+) -> np.random.Generator:
+    return np.random.default_rng(derive_seed(config.master_seed, *cell, replicate_index, purpose))
 
 
 @dataclass
@@ -474,8 +465,6 @@ def _agent_streams(config: SimConfig, cell: GridCell, streams: list[SiteSeries])
 
 def _run_scheme(
     config: SimConfig,
-    cell: GridCell,
-    replicate_index: int,
     scheme: SchemeKind,
     streams: list[tuple],
     refs: dict[str, np.ndarray],
@@ -497,12 +486,8 @@ def _run_scheme(
             threshold=config.threshold,
             permutations=config.permutations,
             min_valid=max(2, int(window_size * config.min_valid_fraction)),
-            resample=config.resample,
         )
-        agent = DriftAgent(
-            agent_config,
-            rng=_seed(config, cell, replicate_index, "agent", scheme.value, stream.site_id),
-        )
+        agent = DriftAgent(agent_config)
         agent.run(stream.values)
         detection = score_detection(agent.verdicts, truth)
         agent_records.append(
@@ -559,7 +544,7 @@ def run_replicate(config: SimConfig, cell: GridCell, replicate_index: int) -> Re
             streams = [interleave_sites(series)] if centralized else series
             agent_streams[centralized] = _agent_streams(config, cell, streams)
         scheme_records[scheme.value] = _run_scheme(
-            config, cell, replicate_index, scheme, agent_streams[centralized], refs, global_eval
+            config, scheme, agent_streams[centralized], refs, global_eval
         )
     return ReplicateResult(cell=cell, replicate_index=replicate_index, schemes=scheme_records)
 

@@ -2,11 +2,10 @@
 
 Pure routines over 1-D samples of model output probabilities in [0, 1]:
 the two-sample Kolmogorov-Smirnov statistic with an exact permutation
-null (or a bootstrap one), fixed-range histograms, convex histogram
-blending, and a KS test against a histogram with an exact null.
-Randomness enters only through an explicitly passed numpy Generator (or
-seed), so every result is reproducible and all functions are safe to
-call concurrently.
+null, fixed-range histograms, convex histogram blending, and a KS test
+against a histogram with an exact null. No routine draws random numbers,
+so every result is a function of its inputs alone and all of them are
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RESAMPLE_MODES",
     "Histogram",
     "KsResult",
     "blend",
@@ -29,12 +27,6 @@ __all__ = [
     "permutation_pvalues",
 ]
 
-# How `permutation_pvalue` re-splits the pool: without or with replacement.
-RESAMPLE_MODES = ("permutation", "bootstrap")
-
-# Cap on matrix cells materialised at once while building the bootstrap
-# null; bounds peak memory regardless of the resample count.
-_MAX_CHUNK_CELLS = 4_000_000
 # The lattice pass scales a row by 2**-_RESCALE_BITS (exact in binary) once
 # its largest weight passes 2**_RESCALE_BITS. A row is a running sum of at
 # most m + 1 weights of the row before, so no weight can overflow between
@@ -171,14 +163,6 @@ def ks_statistic(a, b) -> float:
     return int(numerators[0]) / (a.size * b.size)
 
 
-def _bootstrap_cumulative(gen: np.random.Generator, rows: int, n: int, size: int) -> np.ndarray:
-    # Per-row occurrence counts over pooled sort positions, via one flat bincount.
-    idx = gen.integers(0, n, size=(rows, size))
-    offsets = (np.arange(rows, dtype=np.int64) * n)[:, None]
-    counts = np.bincount((idx + offsets).ravel(), minlength=rows * n).reshape(rows, n)
-    return counts.cumsum(axis=1)
-
-
 def _lattice_pass_probability(k: int, m: int, bounds, closes: np.ndarray, reach: int) -> float:
     """The share of the C(k + m, k) monotone lattice paths from (0, 0) to
     (k, m) that `permutation_pvalues` counts as passing, given per row i
@@ -291,56 +275,24 @@ def permutation_pvalues(samples, reference, permutations: int = 1000) -> list[Ks
     return results
 
 
-def permutation_pvalue(a, b, permutations: int = 1000, rng=None, *, resample: str = "permutation") -> KsResult:
-    """Two-sample KS test with a permutation (or bootstrap) null.
+def permutation_pvalue(a, b, permutations: int = 1000, rng=None) -> KsResult:
+    """Two-sample KS test with an exact permutation null.
 
-    The permutation null is exact: P, the probability that a uniformly
-    random re-split of the pooled sample into the original sizes scores at
-    least the observed statistic, is counted over lattice paths
-    (`permutation_pvalues`, of which this is a batch of one), not
-    estimated by resampling. The p-value is (1 + B * P) / (B + 1) with
-    B = `permutations`, a whole number: the expected add-one p-value of B
-    re-splits, so it keeps that estimate's floor of 1 / (B + 1), lies in
-    (0, 1] and equals 1.0 when the samples are identical. It is the same
-    for (a, b) and (b, a), and `rng` is unused: the result is
-    deterministic.
+    P, the probability that a uniformly random re-split of the pooled
+    sample into the original sizes scores at least the observed statistic,
+    is counted over lattice paths (`permutation_pvalues`, of which this is
+    a batch of one), not estimated by resampling. The p-value is
+    (1 + B * P) / (B + 1) with B = `permutations`, a whole number: the
+    expected add-one p-value of B re-splits, so it keeps that estimate's
+    floor of 1 / (B + 1), lies in (0, 1] and equals 1.0 when the samples
+    are identical. It is the same for (a, b) and (b, a), and it is
+    deterministic: `rng` is unused, kept because perfbench/run.py passes it.
 
-    `resample="bootstrap"` re-draws both samples from the pool with
-    replacement `permutations` times and returns the add-one fraction of
-    null statistics at least as large as the observed one; this null has
-    no lattice form and stays Monte Carlo, with draws from `rng`.
-
-    Both nulls score in exact integer units over the pooled sort order, at
-    tie ends only. The exact pass costs O(min(n1, n2)) numpy calls over
-    the band of the lattice that passing re-splits stay in.
+    The statistic is scored in exact integer units over the pooled sort
+    order, at tie ends only. The pass costs O(min(n1, n2)) numpy calls
+    over the band of the lattice that passing re-splits stay in.
     """
-    if resample not in RESAMPLE_MODES:
-        raise ValueError(f"unknown-resample: {resample!r}, expected one of {RESAMPLE_MODES}")
-    if resample == "permutation":
-        return permutation_pvalues([a], b, permutations)[0]
-
-    a = _as_sample(a, "a")
-    b = _as_sample(b, "b")
-    if a.size < 2 or b.size < 2:
-        raise ValueError("insufficient-observations: both samples need >= 2 values")
-    resamples = _resample_count(permutations, 100)
-    n1, n2 = a.size, b.size
-    n = n1 + n2
-    ends, numerators = _pool([a], np.sort(b))
-    ends = ends[0]
-    d_obs_num = int(numerators[0])
-    gen = np.random.default_rng(rng)
-    hits = 0
-    remaining = resamples
-    chunk_rows = max(1, _MAX_CHUNK_CELLS // n)
-    while remaining > 0:
-        rows = min(chunk_rows, remaining)
-        cum_a = _bootstrap_cumulative(gen, rows, n, n1)
-        cum_b = _bootstrap_cumulative(gen, rows, n, n2)
-        d_null = np.abs(cum_a * n2 - cum_b * n1)[:, ends].max(axis=1)
-        hits += int((d_null >= d_obs_num).sum())
-        remaining -= rows
-    return KsResult(statistic=d_obs_num / (n1 * n2), p_value=(1 + hits) / (resamples + 1))
+    return permutation_pvalues([a], b, permutations)[0]
 
 
 def build_histogram(sample, bins: int = 100) -> Histogram:
@@ -525,8 +477,8 @@ def ks_vs_histogram(batch, ref: Histogram, permutations: int = 1000, rng=None) -
 
     The p-value is (1 + B * P) / (B + 1) with B = `permutations`: the
     expected add-one p-value of B resampled batches, so it keeps that
-    estimate's floor of 1 / (B + 1) and lies in (0, 1]. `rng` is accepted
-    for call compatibility and unused: the result is deterministic.
+    estimate's floor of 1 / (B + 1) and lies in (0, 1]. The result is
+    deterministic: `rng` is unused, kept because perfbench/run.py passes it.
 
     Cost: at a fixed statistic the pass grows about as n^1.5, because the
     clipped count state and each Poisson pmf both widen with n. At 100

@@ -46,10 +46,6 @@ class TestAgentInit:
         with pytest.raises(ValueError, match=r"^window_size: "):
             DriftAgent(site_ref_config(window_size=1))
 
-    def test_unknown_resample_rejected_at_construction(self):
-        with pytest.raises(ValueError, match=r"^resample: "):
-            DriftAgent(site_ref_config(resample="jackknife"))
-
     def test_threshold_bounds(self):
         with pytest.raises(ValueError, match=r"^threshold: "):
             DriftAgent(site_ref_config(threshold=0.0))
@@ -287,7 +283,7 @@ class TestDeterminism:
         assert run() == run()
 
 
-def scheme_config(kind, resample="permutation", window_size=7):
+def scheme_config(kind, window_size=7):
     rng = np.random.default_rng(112)
     spec = ReferenceSpec(
         kind=kind, global_eval=rng.beta(2, 5, 60), site_eval=rng.beta(2, 5, 9), bins=20
@@ -298,7 +294,6 @@ def scheme_config(kind, resample="permutation", window_size=7):
         window_size=window_size,
         permutations=200,
         min_valid=4,
-        resample=resample,
     )
 
 
@@ -324,39 +319,39 @@ def run_stream(seed, size=150):
     return stream
 
 
-CASES = [(kind, "permutation") for kind in SchemeKind] + [
-    (SchemeKind.SITE_REF, "bootstrap"),
-    (SchemeKind.PROD_REF, "bootstrap"),
-]
+# Each id still ends in the null, now the exact one for every scheme.
+KINDS = pytest.mark.parametrize(
+    "kind", list(SchemeKind), ids=lambda kind: f"{kind.value}-permutation"
+)
 
 
 class TestRun:
-    @pytest.mark.parametrize("kind, resample", CASES)
+    @KINDS
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_run_equals_the_ingest_act_loop(self, kind, resample, seed):
+    def test_run_equals_the_ingest_act_loop(self, kind, seed):
         stream = run_stream(seed)
-        looped = feed(DriftAgent(scheme_config(kind, resample), rng=seed), stream)
+        looped = feed(DriftAgent(scheme_config(kind)), stream)
         for head in (0, 5):
             # A partly filled window from ingest() carries into run().
-            agent = DriftAgent(scheme_config(kind, resample), rng=seed)
+            agent = DriftAgent(scheme_config(kind))
             feed(agent, stream[:head])
             agent.run(np.asarray(stream[head:], dtype=np.float64))
             assert agent_state(agent) == agent_state(looped)
-        listed = DriftAgent(scheme_config(kind, resample), rng=seed)
+        listed = DriftAgent(scheme_config(kind))
         listed.run(stream)
         assert agent_state(listed) == agent_state(looped)
         assert any(v.evaluated for v in looped.verdicts)
 
-    @pytest.mark.parametrize("kind, resample", CASES)
+    @KINDS
     @pytest.mark.parametrize("bad", [1.5, -0.25, float("inf")])
-    def test_invalid_value_mid_series_raises_after_the_same_verdicts(self, kind, resample, bad):
+    def test_invalid_value_mid_series_raises_after_the_same_verdicts(self, kind, bad):
         stream = run_stream(3, size=60)
         stream[45] = bad
         for values in (stream, np.asarray(stream, dtype=np.float64)):
-            looped = DriftAgent(scheme_config(kind, resample), rng=3)
+            looped = DriftAgent(scheme_config(kind))
             with pytest.raises(ValueError) as looped_error:
                 feed(looped, values)
-            agent = DriftAgent(scheme_config(kind, resample), rng=3)
+            agent = DriftAgent(scheme_config(kind))
             with pytest.raises(ValueError) as error:
                 agent.run(values)
             assert str(error.value) == str(looped_error.value)
@@ -408,24 +403,21 @@ def verdict_digest(verdicts):
 # evaluator. Centralized and GlobalRef share scheme_config's global
 # sample, so their digests agree.
 INGEST_DIGESTS = {
-    ("Centralized", "permutation"): "653035adb23698dee013b9910f2be6b1a559696c7ff559193a7d110f60ca2bae",
-    ("GlobalRef", "permutation"): "653035adb23698dee013b9910f2be6b1a559696c7ff559193a7d110f60ca2bae",
-    ("SiteRef", "permutation"): "f6a12cac6b6f949b9e789f10059cac2d047a2cdb7b9d0de9e2e5255fd0110335",
-    ("ProdRef", "permutation"): "930b8b32e4f31cbee39b3d8fb013b5f2d07eeb44ae845479f26d184d821f7efc",
-    ("AdaptiveRef", "permutation"): "5938f5f8ce15b580d7841f6c45f013d87ef860ac39071463363ae1e793f237ee",
-    ("SiteRef", "bootstrap"): "194d0cf4e427def6dd26f4936171a4dac48135a881e3a81149632c353f4a7aa8",
-    ("ProdRef", "bootstrap"): "cd8f1a68e31160f95b2d945472aebd273c34616bd71e786e2bdc0a82b0ce7fe3",
+    "Centralized": "653035adb23698dee013b9910f2be6b1a559696c7ff559193a7d110f60ca2bae",
+    "GlobalRef": "653035adb23698dee013b9910f2be6b1a559696c7ff559193a7d110f60ca2bae",
+    "SiteRef": "f6a12cac6b6f949b9e789f10059cac2d047a2cdb7b9d0de9e2e5255fd0110335",
+    "ProdRef": "930b8b32e4f31cbee39b3d8fb013b5f2d07eeb44ae845479f26d184d821f7efc",
+    "AdaptiveRef": "5938f5f8ce15b580d7841f6c45f013d87ef860ac39071463363ae1e793f237ee",
 }
 
 FIXED_KINDS = [kind for kind in SchemeKind if kind is not SchemeKind.ADAPTIVE_REF]
 
 
 class TestIngest:
-    @pytest.mark.parametrize("kind, resample", CASES)
-    def test_ingest_verdict_bytes_are_pinned(self, kind, resample):
-        config = scheme_config(kind, resample, window_size=5)
-        agent = feed(DriftAgent(config, rng=3), run_stream(3))
-        assert verdict_digest(agent.verdicts) == INGEST_DIGESTS[kind.value, resample]
+    @KINDS
+    def test_ingest_verdict_bytes_are_pinned(self, kind):
+        agent = feed(DriftAgent(scheme_config(kind, window_size=5)), run_stream(3))
+        assert verdict_digest(agent.verdicts) == INGEST_DIGESTS[kind.value]
 
     @pytest.mark.parametrize("kind", FIXED_KINDS)
     @pytest.mark.parametrize("seed", [1, 2])
@@ -453,10 +445,15 @@ class TestIngest:
 
 
 class TestLazyGenerator:
+    """`rng` is accepted and unused: both nulls are exact, so no agent draws."""
+
     def test_exact_null_builds_no_generator(self):
         agent = feed(DriftAgent(scheme_config(SchemeKind.SITE_REF), rng=5), run_stream(1))
         assert "rng" not in vars(agent)
 
-    def test_bootstrap_draws_from_the_seeded_generator(self):
-        agent = DriftAgent(scheme_config(SchemeKind.SITE_REF, "bootstrap"), rng=5)
-        assert agent.rng.random() == np.random.default_rng(5).random()
+    @pytest.mark.parametrize("kind", list(SchemeKind))
+    def test_rng_changes_no_verdict(self, kind):
+        # perfbench/run.py still builds its agents with an rng.
+        for rng in (None, 5):
+            agent = feed(DriftAgent(scheme_config(kind, window_size=5), rng=rng), run_stream(3))
+            assert verdict_digest(agent.verdicts) == INGEST_DIGESTS[kind.value]

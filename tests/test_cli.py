@@ -141,6 +141,7 @@ class TestConfigValidation:
             ({"grid": {"drift_strength": [0.3, 0.3]}},
              r"^grid\.drift_strength\[1\]: duplicate value 0\.3$"),
             ({"schemes": ["SiteRef", "SiteRef"]}, r"^schemes\[1\]: duplicate scheme 'SiteRef'$"),
+            ({"resample": "bootstrap"}, r"^resample: "),
         ],
     )
     def test_config_errors_start_with_the_field_path(self, raw, path):
@@ -399,6 +400,15 @@ class TestRun:
         out = tmp_path / "run"
         assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
         assert "error: grid.drift_duration[0]: " in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_bootstrap_config_exits_2_before_any_output(self, tmp_path, capsys):
+        # Every scheme tests under an exact null; the bootstrap one is gone.
+        payload = dict(SMALL_CONFIG, resample="bootstrap")
+        out = tmp_path / "run"
+        assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: resample: expected one of ['permutation'], got 'bootstrap'\n"
         assert not (out / "summary.json").exists()
 
     def test_bad_site_file_exits_2_before_any_output(self, tmp_path, capsys):

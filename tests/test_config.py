@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from driftnet import agent, metrics, schemes, severity, stats
+from driftnet import agent, metrics, schemes, severity
 from driftnet.agent import AgentConfig
 from driftnet.config import ConfigError
 from driftnet.schemes import SchemeKind
@@ -109,14 +109,13 @@ class TestSnapshot:
 def test_each_choice_tuple_has_one_owner():
     owners = {
         "update_condition": schemes.UPDATE_CONDITIONS,
-        "resample": stats.RESAMPLE_MODES,
         "severity_tp_rule": severity.SEVERITY_RULES,
         "empty_class_policy": metrics.EMPTY_CLASS_POLICIES,
     }
     expected = {
         SimConfig: {"resample", "severity_tp_rule", "empty_class_policy"},
         schemes.AdaptiveSettings: {"update_condition"},
-        AgentConfig: {"resample"},
+        AgentConfig: set(),
     }
     for cls, names in expected.items():
         declared = {
@@ -125,7 +124,8 @@ def test_each_choice_tuple_has_one_owner():
             if "setting" in f.metadata and f.metadata["setting"].choices
         }
         assert declared.keys() == names, cls.__name__
-        assert all(declared[name] is owners[name] for name in names)
+        # Only SimConfig declares `resample`; its one choice is checked below.
+        assert all(declared[name] is owners[name] for name in names - {"resample"})
 
 
 def test_shared_checks_have_one_owner():
@@ -133,10 +133,11 @@ def test_shared_checks_have_one_owner():
         return next(f for f in dataclasses.fields(cls) if f.name == name).metadata["setting"]
 
     assert spec(SimConfig, "threshold") is spec(AgentConfig, "threshold") is agent.THRESHOLD
-    assert spec(SimConfig, "resample") is spec(AgentConfig, "resample") is agent.RESAMPLE
     assert spec(SimConfig, "bins") is spec(schemes.ReferenceSpec, "bins") is schemes.BINS
     assert (
         spec(SimConfig, "permutations") is spec(AgentConfig, "permutations") is agent.PERMUTATIONS
     )
-    with pytest.raises(ConfigError, match=r"^resample: "):
-        SimConfig(resample="jackknife")
+    # The bootstrap null is gone: only the exact permutation null is left.
+    message = r"^resample: expected one of \['permutation'\], got 'bootstrap'$"
+    with pytest.raises(ConfigError, match=message):
+        SimConfig(resample="bootstrap")

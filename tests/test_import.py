@@ -72,6 +72,7 @@ permutation_pvalues
 
 
 def test_public_names_still_exported():
+    assert "RESAMPLE_MODES" not in driftnet.__all__
     assert len(driftnet.__all__) == len(set(driftnet.__all__))
     assert set(_PUBLIC) <= set(driftnet.__all__)
     assert all(hasattr(driftnet, name) for name in driftnet.__all__)
@@ -99,6 +100,14 @@ def test_names_the_benchmark_harness_uses_stay_importable():
     )
     agent = driftnet.DriftAgent(config, rng=np.random.default_rng(0), hooks=[driftnet.logging_hook])
     assert (agent.config.agent_id.center, agent.verdicts, agent.hook_failures) == ("DS-0", [], [])
+    # Its configs set `resample`, and its kernel probes pass an rng
+    # positionally; both are accepted and change nothing.
+    assert driftnet.SimConfig(resample="permutation").resample == "permutation"
+    rng = np.random.default_rng(0)
+    batch, histogram = rng.beta(9, 21, 20), driftnet.build_histogram(rng.beta(9, 21, 235), 20)
+    assert driftnet.ks_vs_histogram(batch, histogram, 1000, rng) == driftnet.ks_vs_histogram(
+        batch, histogram, 1000
+    )
 
 
 def test_replicate_fields_the_trace_reads():

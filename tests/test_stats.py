@@ -1,4 +1,4 @@
-"""Unit tests for the KS kernel, histograms, and exact and resampled p-values."""
+"""Unit tests for the KS kernel, histograms, and exact-null p-values."""
 
 import itertools
 import math
@@ -133,17 +133,6 @@ class TestPermutationPvalue:
         res = permutation_pvalue(a, b, permutations=4000, rng=np.random.default_rng(5))
         assert res.p_value == pytest.approx(expected_p_value(exact, 4000), abs=1e-12)
 
-    def test_bootstrap_mode_runs(self):
-        rng = np.random.default_rng(31)
-        res = permutation_pvalue(
-            rng.random(15), rng.random(15), permutations=200, rng=rng, resample="bootstrap"
-        )
-        assert 0.0 < res.p_value <= 1.0
-
-    def test_unknown_resample_rejected(self):
-        with pytest.raises(ValueError, match="unknown-resample"):
-            permutation_pvalue([0.1, 0.2], [0.3, 0.4], permutations=200, resample="jackknife")
-
     def test_too_few_observations_rejected(self):
         with pytest.raises(ValueError, match="insufficient-observations"):
             permutation_pvalue([0.1], [0.3, 0.4], permutations=200)
@@ -152,12 +141,15 @@ class TestPermutationPvalue:
         with pytest.raises(ValueError, match="insufficient-permutations"):
             permutation_pvalue([0.1, 0.2], [0.3, 0.4], permutations=50)
 
-    @pytest.mark.parametrize("resample", ["permutation", "bootstrap"])
-    @pytest.mark.parametrize("permutations", [150.7, 1000.5, float("inf"), float("nan")])
-    def test_non_integral_permutations_rejected(self, permutations, resample):
+    @pytest.mark.parametrize(
+        "permutations",
+        [150.7, 1000.5, float("inf"), float("nan")],
+        ids=lambda b: f"{b}-permutation",
+    )
+    def test_non_integral_permutations_rejected(self, permutations):
         # B sets the p-value's floor 1 / (B + 1); a fractional B used to be truncated.
         with pytest.raises(ValueError, match="invalid-permutations"):
-            permutation_pvalue([0.1, 0.2], [0.3, 0.4], permutations=permutations, resample=resample)
+            permutation_pvalue([0.1, 0.2], [0.3, 0.4], permutations=permutations)
         with pytest.raises(ValueError, match="invalid-permutations"):
             permutation_pvalues([[0.1, 0.2]], [0.3, 0.4], permutations=permutations)
 
@@ -165,6 +157,20 @@ class TestPermutationPvalue:
         assert permutation_pvalue([0.1, 0.2], [0.3, 0.4], permutations=150.0) == permutation_pvalue(
             [0.1, 0.2], [0.3, 0.4], permutations=150
         )
+
+    @pytest.mark.parametrize("decimals", [None, 2], ids=["tie_free", "ties"])
+    def test_positional_rng_is_a_batch_of_one(self, decimals):
+        # perfbench/run.py passes an rng positionally; it changes no byte.
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            a = rng.beta(9, 21, int(rng.integers(2, 60)))
+            b = rng.beta(9, 21, int(rng.integers(2, 300)))
+            if decimals is not None:
+                a, b = np.round(a, decimals), np.round(b, decimals)
+            got = permutation_pvalue(a, b, 1000, np.random.default_rng(7))
+            (want,) = permutation_pvalues([a], b, 1000)
+            assert got.statistic.hex() == want.statistic.hex()
+            assert got.p_value.hex() == want.p_value.hex()
 
 
 def parent_ks_numerator(a_sorted, b_sorted):
@@ -371,21 +377,19 @@ def test_exact_null_on_a_large_pool_stays_finite(decimals):
     assert res.p_value < 0.1
 
 
-# Results of the former Monte Carlo kernel at fixed inputs and seeds.
-# Columns: data seed, n1, n2, shift of b (None: b is a copy of a), rounding
-# decimals, resample mode, rng seed, statistic, p-value (1000 resamples).
-# The bootstrap null is still Monte Carlo and must reproduce its row bit
-# for bit. The permutation null is now exact, so each recorded permutation
-# p-value must lie within Monte Carlo error of the exact one.
+# Results of the former Monte Carlo permutation kernel at fixed inputs and
+# seeds. Columns: data seed, n1, n2, shift of b (None: b is a copy of a),
+# rounding decimals, rng seed, statistic, p-value (1000 resamples). The
+# null is now exact, so each recorded p-value must lie within Monte Carlo
+# error of the exact one.
 _GOLDEN = {
-    "tie_free_8x235": (100, 8, 235, 0.05, None, "permutation", 7, 0.4973404255319149, 0.027972027972027972),
-    "tie_free_17x171": (101, 17, 171, 0.0, None, "permutation", 8, 0.27726178190574474, 0.15984015984015984),
-    "larger_first_92x39": (102, 92, 39, 0.03, None, "permutation", 9, 0.23745819397993312, 0.07892107892107893),
-    "heavy_ties_40x60": (103, 40, 60, 0.02, 2, "permutation", 10, 0.20833333333333334, 0.1918081918081918),
-    "identical_30x30": (106, 30, 30, None, None, "permutation", 13, 0.0, 1.0),
-    # A 9000-value pool splits 1000 resamples over three chunks.
-    "multi_chunk_3000x6000": (104, 3000, 6000, 0.005, None, "permutation", 11, 0.0355, 0.01098901098901099),
-    "bootstrap_20x235": (105, 20, 235, 0.04, None, "bootstrap", 12, 0.23617021276595745, 0.2017982017982018),
+    "tie_free_8x235": (100, 8, 235, 0.05, None, 7, 0.4973404255319149, 0.027972027972027972),
+    "tie_free_17x171": (101, 17, 171, 0.0, None, 8, 0.27726178190574474, 0.15984015984015984),
+    "larger_first_92x39": (102, 92, 39, 0.03, None, 9, 0.23745819397993312, 0.07892107892107893),
+    "heavy_ties_40x60": (103, 40, 60, 0.02, 2, 10, 0.20833333333333334, 0.1918081918081918),
+    "identical_30x30": (106, 30, 30, None, None, 13, 0.0, 1.0),
+    # That kernel split a 9000-value pool's 1000 resamples over three chunks.
+    "multi_chunk_3000x6000": (104, 3000, 6000, 0.005, None, 11, 0.0355, 0.01098901098901099),
 }
 
 
@@ -438,16 +442,11 @@ def test_permutation_pvalue_matches_reference(coarse, decimals):
 
 @pytest.mark.parametrize("case", sorted(_GOLDEN))
 def test_permutation_pvalue_golden(case):
-    data_seed, n1, n2, shift, decimals, resample, rng_seed, statistic, p_value = _GOLDEN[case]
+    data_seed, n1, n2, shift, decimals, rng_seed, statistic, p_value = _GOLDEN[case]
     a, b = _golden_inputs(data_seed, n1, n2, shift, decimals)
-    res = permutation_pvalue(
-        a, b, permutations=1000, rng=np.random.default_rng(rng_seed), resample=resample
-    )
+    res = permutation_pvalue(a, b, permutations=1000, rng=np.random.default_rng(rng_seed))
     assert res.statistic == statistic
-    if resample == "bootstrap":
-        assert res.p_value == p_value
-    else:
-        assert within_monte_carlo_error(p_value, res.p_value, 1000)
+    assert within_monte_carlo_error(p_value, res.p_value, 1000)
 
 
 class TestHistogram:

@@ -8,7 +8,6 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from driftnet.stats import (  # noqa: E402
-    RESAMPLE_MODES,
     Histogram,
     ks_vs_histogram,
     permutation_pvalue,
@@ -23,14 +22,13 @@ _VALUE = st.one_of(
 )
 _SAMPLE = st.lists(_VALUE, min_size=2, max_size=60)
 _SEED = st.integers(0, 2**32 - 1)
-_RESAMPLE = st.sampled_from(RESAMPLE_MODES)
 _SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @_SETTINGS
-@given(a=_SAMPLE, b=_SAMPLE, seed=_SEED, resample=_RESAMPLE)
-def test_p_value_in_unit_interval(a, b, seed, resample):
-    res = permutation_pvalue(a, b, permutations=100, rng=seed, resample=resample)
+@given(a=_SAMPLE, b=_SAMPLE, seed=_SEED)
+def test_p_value_in_unit_interval(a, b, seed):
+    res = permutation_pvalue(a, b, permutations=100, rng=seed)
     assert 0.0 < res.p_value <= 1.0
     assert 0.0 <= res.statistic <= 1.0
 
@@ -59,15 +57,12 @@ def test_permutation_result_ignores_rng(a, b, seed, resamples):
 
 
 @_SETTINGS
-@given(a=_SAMPLE, b=_SAMPLE, seed=_SEED, resample=_RESAMPLE)
-def test_invariant_under_exact_increasing_map(a, b, seed, resample):
+@given(a=_SAMPLE, b=_SAMPLE, seed=_SEED)
+def test_invariant_under_exact_increasing_map(a, b, seed):
     # x -> x / 2 keeps the pooled sort order and every tie, so the exact
-    # null counts the same splits, the bootstrap's draws re-split the same
-    # positions, and every byte of the result holds.
-    res = permutation_pvalue(a, b, permutations=100, rng=seed, resample=resample)
-    halved = permutation_pvalue(
-        np.divide(a, 2), np.divide(b, 2), permutations=100, rng=seed, resample=resample
-    )
+    # null counts the same splits and every byte of the result holds.
+    res = permutation_pvalue(a, b, permutations=100, rng=seed)
+    halved = permutation_pvalue(np.divide(a, 2), np.divide(b, 2), permutations=100, rng=seed)
     assert halved == res
 
 
