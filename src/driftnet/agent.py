@@ -25,7 +25,7 @@ import numpy as np
 
 from . import schemes
 from .config import ConfigError, Setting, setting, shared, validate_fields
-from .schemes import AdaptiveState, ReferenceSpec, SchemeKind, make_reference
+from .schemes import AdaptiveState, ReferenceSpec, make_reference
 # Uncalled here: perfbench/tracing.py patches driftnet.agent.permutation_pvalue.
 from .stats import permutation_pvalue  # noqa: F401
 from .stats import ks_vs_histogram, permutation_pvalues
@@ -109,8 +109,9 @@ def logging_hook(record: dict) -> None:
 
 
 def webhook_hook(url: str, timeout: float = 2.0):
-    """Fire-and-forget JSON POST of drift records to an HTTP endpoint, for
-    a deployed agent; `run_grid` logs simulated agents' alerts instead."""
+    """JSON POST of drift records to an HTTP endpoint, for a deployed agent.
+    Each POST blocks the `act` that fired it, for up to `timeout` seconds
+    per socket operation; `run_grid` logs simulated agents' alerts instead."""
 
     # Imported here: urllib.request loads http.client, ssl and email, which
     # nothing else needs, and every worker process imports this module.
@@ -160,12 +161,7 @@ class DriftAgent:
         self.consumed_batch: int | None = None
         self._buffer: list[float] = []
         self._pending: tuple[int, np.ndarray] | None = None
-        # ProdRef waits for its first usable window; everything else gets
-        # its reference up front.
-        if config.scheme.kind is SchemeKind.PROD_REF:
-            self.reference = None
-        else:
-            self.reference = make_reference(config.scheme)
+        self.reference = make_reference(config.scheme)
 
     def ingest(self, observation) -> DriftVerdict | None:
         """Add one observation; return a verdict when a window completes.

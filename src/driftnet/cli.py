@@ -163,16 +163,6 @@ def _atomic_csv(path: Path, columns: list[str]):
         yield writer
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _run_overrides(config: SimConfig, args) -> SimConfig:
     overrides: dict = {}
     if getattr(args, "seed", None) is not None:
@@ -220,6 +210,7 @@ def cmd_run(args) -> int:
         _atomic_csv(out_dir / "severity.csv", SEVERITY_COLUMNS) as severity_writer,
     ):
 
+        # csv writes None as an empty field and a float as its repr.
         def sink(result) -> None:
             run_id = f"r{result.replicate_index:04d}"
             label = cell_label(result.cell)
@@ -234,9 +225,9 @@ def cmd_run(args) -> int:
                                 agent_record.center,
                                 verdict.batch_index,
                                 verdict.n_valid,
-                                _fmt(verdict.statistic),
-                                _fmt(verdict.p_value),
-                                _fmt(verdict.drift),
+                                verdict.statistic,
+                                verdict.p_value,
+                                int(verdict.drift),
                                 agent_record.truth[verdict.batch_index],
                             ]
                         )
@@ -249,7 +240,7 @@ def cmd_run(args) -> int:
                             row.batch_index,
                             row.c_true,
                             row.c_pred,
-                            _fmt(row.score),
+                            row.score,
                             row.category,
                         ]
                     )

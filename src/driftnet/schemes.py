@@ -164,35 +164,28 @@ def _frozen(sample) -> np.ndarray:
     return sample
 
 
-def make_reference(spec: ReferenceSpec, first_prod_batch=None) -> np.ndarray | AdaptiveState:
+def make_reference(spec: ReferenceSpec, first_prod_batch=None) -> np.ndarray | AdaptiveState | None:
     """Construct a scheme's reference, validating its inputs.
 
-    Sample schemes get a read-only copy of their sample; AdaptiveRef gets
-    its initial AdaptiveState, which `adaptive_observe` replaces.
+    A sample scheme gets a read-only copy of the sample it tests against:
+    the global evaluation sample (Centralized, GlobalRef), the site's own
+    (SiteRef) or the first usable production window (ProdRef; None until
+    `first_prod_batch` is given). AdaptiveRef gets its initial
+    AdaptiveState, which `adaptive_observe` replaces.
     """
     kind = spec.kind
-    if kind in (SchemeKind.CENTRALIZED, SchemeKind.GLOBAL_REF):
-        if spec.global_eval is None or np.size(spec.global_eval) < 2:
-            raise ValueError(
-                "scheme-inputs-missing: a global evaluation sample with >= 2 "
-                f"observations is required for {kind.value}"
-            )
-        return _frozen(spec.global_eval)
-    if kind is SchemeKind.SITE_REF:
-        if spec.site_eval is None or np.size(spec.site_eval) == 0:
-            raise ValueError("scheme-inputs-missing: SiteRef needs a site evaluation sample")
-        if np.size(spec.site_eval) < 2:
-            raise ValueError("scheme-inputs-missing: SiteRef sample needs >= 2 observations")
-        return _frozen(spec.site_eval)
-    if kind is SchemeKind.PROD_REF:
-        if first_prod_batch is None or np.size(first_prod_batch) < 2:
-            raise ValueError(
-                "scheme-inputs-missing: ProdRef needs the first production "
-                "window with >= 2 observations"
-            )
-        return _frozen(first_prod_batch)
     if kind is SchemeKind.ADAPTIVE_REF:
         if spec.global_eval is None or np.size(spec.global_eval) == 0:
             raise ValueError("scheme-inputs-missing: AdaptiveRef needs a global evaluation sample")
         return initial_adaptive_state(spec.global_eval, spec)
-    raise ValueError(f"unknown-scheme: {kind!r}")
+    if kind is SchemeKind.PROD_REF and first_prod_batch is None:
+        return None
+    sample = {
+        SchemeKind.SITE_REF: spec.site_eval,
+        SchemeKind.PROD_REF: first_prod_batch,
+    }.get(kind, spec.global_eval)
+    if sample is None or np.size(sample) < 2:
+        raise ValueError(
+            f"scheme-inputs-missing: {kind.value} needs a reference sample with >= 2 observations"
+        )
+    return _frozen(sample)

@@ -475,7 +475,7 @@ def _run_scheme(
         spec = ReferenceSpec(
             kind=scheme,
             global_eval=global_eval,
-            site_eval=refs[stream.site_id] if scheme is SchemeKind.SITE_REF else None,
+            site_eval=refs.get(stream.site_id),
             bins=config.bins,
             adaptive=config.adaptive,
         )
@@ -549,15 +549,6 @@ def run_replicate(config: SimConfig, cell: GridCell, replicate_index: int) -> Re
     return ReplicateResult(cell=cell, replicate_index=replicate_index, schemes=scheme_records)
 
 
-def _summarise_pools(pools: dict[str, dict[str, list[MetricSet]]]) -> dict:
-    """{scheme: {"detection": ..., "severity": ...}}, each task the
-    aggregate of its pool, or None when the pool is empty."""
-    return {
-        scheme_name: {task: aggregate(pool[task]) if pool[task] else None for task in pool}
-        for scheme_name, pool in pools.items()
-    }
-
-
 # The config a pool worker runs replicates of, set once per worker; tasks carry (cell, index).
 _worker_config: SimConfig | None = None
 
@@ -617,15 +608,16 @@ def run_grid(
     if threads < 1:
         raise ValueError("invalid-threads: need at least 1")
     failures: list[dict] = []
-    cell_summaries: dict[str, dict] = {}
-    overall_pools = {
-        scheme.value: {"detection": [], "severity": []} for scheme in config.schemes
-    }
+    completed = collections.Counter()
+    # Every metric set of the run, keyed by (cell label, scheme, task) and
+    # filled in task order, so each cell's replicates pool in order.
+    pools: dict[tuple, list[MetricSet]] = collections.defaultdict(list)
 
     # One task stream across cells, so no cell waits for the previous one
     # to drain; both mappers yield outcomes lazily and in task order.
     cells = enumerate_cells(config)
-    tasks = ((cell, index) for cell in cells for index in range(config.replicates))
+    labels = [cell_label(cell) for cell in cells]
+    tasks = itertools.product(cells, range(config.replicates))
     workers = min(threads, len(cells) * config.replicates)
     pool = None
     if workers == 1:
@@ -638,52 +630,50 @@ def run_grid(
         pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(config,))
         outcomes = _windowed_map(pool, _attempt_in_worker, tasks, 2 * workers)
     try:
-        for cell in cells:
-            label = cell_label(cell)
-            cell_pools = {
-                scheme.value: {"detection": [], "severity": []} for scheme in config.schemes
-            }
-            completed = 0
-            cell_outcomes = itertools.islice(outcomes, config.replicates)
-            for replicate_index, (result, error) in enumerate(cell_outcomes):
-                if error is not None:
-                    logger.warning(
-                        "replicate failed cell=%s replicate=%d: %s", label, replicate_index, error
+        labelled = itertools.product(labels, range(config.replicates))
+        for (label, replicate_index), (result, error) in zip(labelled, outcomes):
+            if error is not None:
+                logger.warning(
+                    "replicate failed cell=%s replicate=%d: %s", label, replicate_index, error
+                )
+                failures.append({"cell": label, "replicate": replicate_index, "error": error})
+                continue
+            completed[label] += 1
+            for record in result.schemes.values():
+                for agent_record in record.agents:
+                    for verdict in agent_record.verdicts:
+                        if verdict.drift:
+                            logging_hook(verdict.alert())
+            if replicate_sink is not None:
+                replicate_sink(result)
+            for scheme_name, record in result.schemes.items():
+                pools[label, scheme_name, "detection"].extend(
+                    compute_metrics(agent_record.detection, config.empty_class_policy)
+                    for agent_record in record.agents
+                )
+                if record.severity_counts is not None:
+                    pools[label, scheme_name, "severity"].append(
+                        compute_metrics(record.severity_counts, config.empty_class_policy)
                     )
-                    failures.append({"cell": label, "replicate": replicate_index, "error": error})
-                    continue
-                completed += 1
-                for record in result.schemes.values():
-                    for agent_record in record.agents:
-                        for verdict in agent_record.verdicts:
-                            if verdict.drift:
-                                logging_hook(verdict.alert())
-                if replicate_sink is not None:
-                    replicate_sink(result)
-                for scheme in config.schemes:
-                    record = result.schemes[scheme.value]
-                    detection_pool = cell_pools[scheme.value]["detection"]
-                    for agent_record in record.agents:
-                        detection_pool.append(
-                            compute_metrics(agent_record.detection, config.empty_class_policy)
-                        )
-                    if record.severity_counts is not None:
-                        cell_pools[scheme.value]["severity"].append(
-                            compute_metrics(record.severity_counts, config.empty_class_policy)
-                        )
-            for scheme_name, cell_pool in cell_pools.items():
-                overall_pools[scheme_name]["detection"].extend(cell_pool["detection"])
-                overall_pools[scheme_name]["severity"].extend(cell_pool["severity"])
-            cell_summaries[label] = {
-                **cell._asdict(),
-                "completed": completed,
-                "schemes": _summarise_pools(cell_pools),
-            }
     finally:
         if pool is not None:
             # A failed run does not wait for the replicates still queued.
             pool.shutdown(cancel_futures=True)
 
+    def summarise(labels: list[str]) -> dict:
+        # {scheme: {task: aggregate}} over the pools of `labels`, in order.
+        summary = {}
+        for scheme in config.schemes:
+            summary[scheme.value] = {}
+            for task in ("detection", "severity"):
+                entries = [entry for label in labels for entry in pools[label, scheme.value, task]]
+                summary[scheme.value][task] = aggregate(entries) if entries else None
+        return summary
+
+    cell_summaries = {
+        label: {**cell._asdict(), "completed": completed[label], "schemes": summarise([label])}
+        for label, cell in zip(labels, cells)
+    }
     return {
         "schema": "driftnet-summary/1",
         "master_seed": config.master_seed,
@@ -691,6 +681,6 @@ def run_grid(
         "grid": config.grid.to_dict(),
         "schemes": [scheme.value for scheme in config.schemes],
         "cells": cell_summaries,
-        "overall": _summarise_pools(overall_pools),
+        "overall": summarise(labels),
         "failures": failures,
     }

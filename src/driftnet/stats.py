@@ -90,8 +90,9 @@ class Histogram:
 
     @functools.cached_property
     def cdf(self) -> np.ndarray:
-        """Cumulative mass at every bin edge, length K + 1, cdf[0] == 0; read-only."""
-        out = np.concatenate(([0.0], np.cumsum(self.mass)))
+        """Cumulative mass at every bin edge, length K + 1, cdf[0] == 0,
+        clipped at 1.0, which the rounded sum can pass; read-only."""
+        out = np.minimum(np.concatenate(([0.0], np.cumsum(self.mass))), 1.0)
         out.setflags(write=False)
         return out
 
@@ -243,23 +244,18 @@ def permutation_pvalues(samples, reference, permutations: int = 1000) -> list[Ks
     scaled += d - 1
     hi = np.floor_divide(scaled, k, out=scaled)
     np.minimum(hi, m, out=hi)
-    if np.count_nonzero(ends) < sum(sizes) + len(sizes) * ref.size:
-        # Ties: `closes[i, t]` is True when pooled position t - 1 of pool
-        # i closes a tie group; position 0 and padding close too. The
-        # reach is the longest run of positions that close none.
-        closes = np.ones((len(sizes), ends.shape[1] + 1), dtype=bool)
-        closes[:, 1:] = ends
-        column = np.arange(closes.shape[1])
-        closes[:, 1:] |= column[1:] > np.add(sizes, ref.size)[:, None]
-        reach = column - np.maximum.accumulate(np.where(closes, column, 0), axis=1)
-        reach = reach.max(axis=1)[:, None]
-        first = np.take_along_axis(lo, np.maximum(row - reach, 0), axis=1)
-        last = np.minimum(hi + reach, m)
-        reach = reach[:, 0].tolist()
-    else:
-        closes, reach = [None] * len(sizes), [0] * len(sizes)
-        first, last = lo, hi.copy()
-    last += 1
+    # `closes[i, t]` is True when pooled position t - 1 of pool i closes
+    # a tie group; position 0 and padding close too. The reach is the
+    # longest run of positions that close none: 0 in a tie-free pool.
+    closes = np.ones((len(sizes), ends.shape[1] + 1), dtype=bool)
+    closes[:, 1:] = ends
+    column = np.arange(closes.shape[1])
+    closes[:, 1:] |= column[1:] > np.add(sizes, ref.size)[:, None]
+    reach = column - np.maximum.accumulate(np.where(closes, column, 0), axis=1)
+    reach = reach.max(axis=1)[:, None]
+    first = np.take_along_axis(lo, np.maximum(row - reach, 0), axis=1)
+    last = np.minimum(hi + reach, m) + 1
+    reach = reach[:, 0].tolist()
 
     bounds = zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist())
     results = []

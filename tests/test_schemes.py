@@ -95,8 +95,25 @@ class TestMakeReference:
         assert np.array_equal(reference, batch)
 
     def test_prod_ref_requires_first_batch(self):
-        with pytest.raises(ValueError, match="scheme-inputs-missing"):
-            make_reference(ReferenceSpec(kind=SchemeKind.PROD_REF))
+        # No reference until the first usable production window arrives.
+        assert make_reference(ReferenceSpec(kind=SchemeKind.PROD_REF)) is None
+
+    def test_each_kind_picks_its_own_sample(self):
+        global_eval = np.array([0.1, 0.2, 0.3])
+        site_eval = np.array([0.6, 0.7])
+        batch = np.array([0.4, 0.5, 0.9, 0.95])
+        expected = {
+            SchemeKind.CENTRALIZED: global_eval,
+            SchemeKind.GLOBAL_REF: global_eval,
+            SchemeKind.SITE_REF: site_eval,
+            SchemeKind.PROD_REF: batch,
+        }
+        for kind, sample in expected.items():
+            spec = ReferenceSpec(kind=kind, global_eval=global_eval, site_eval=site_eval)
+            assert np.array_equal(make_reference(spec, first_prod_batch=batch), sample)
+        spec = ReferenceSpec(kind=SchemeKind.ADAPTIVE_REF, global_eval=global_eval, site_eval=site_eval)
+        state = make_reference(spec, first_prod_batch=batch)
+        assert np.array_equal(state.base.mass, build_histogram(global_eval, spec.bins).mass)
 
     def test_prod_ref_rejects_single_observation_batch(self):
         with pytest.raises(ValueError, match="scheme-inputs-missing"):

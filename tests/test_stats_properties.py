@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from driftnet.stats import (  # noqa: E402
@@ -74,8 +74,12 @@ _RESAMPLES = st.integers(1, 5000)
 
 @_SETTINGS
 @given(mass=_MASS, batch=st.lists(_UNIT, min_size=2, max_size=200), resamples=_RESAMPLES)
+# This mass's raw cumulative sum rounds past 1.0.
+@example(mass=[0.5, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.0], batch=[1.0, 1.0], resamples=1)
 def test_histogram_p_value_between_floor_and_one(mass, batch, resamples):
-    res = ks_vs_histogram(batch, Histogram(np.array(mass)), permutations=resamples)
+    ref = Histogram(np.array(mass))
+    res = ks_vs_histogram(batch, ref, permutations=resamples)
+    assert ref.cdf.max() <= 1.0
     assert 1.0 / (resamples + 1) <= res.p_value <= 1.0
     assert 0.0 <= res.statistic <= 1.0
 
