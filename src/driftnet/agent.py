@@ -79,7 +79,7 @@ class AgentConfig:
 
 @dataclass(frozen=True)
 class DriftVerdict:
-    """One completed window's outcome. Unevaluated windows carry no test."""
+    """One completed window's outcome. An unevaluated window has no test and no p-value."""
 
     agent_id: AgentId
     batch_index: int
@@ -87,7 +87,10 @@ class DriftVerdict:
     p_value: float | None
     drift: bool
     n_valid: int
-    evaluated: bool
+
+    @property
+    def evaluated(self) -> bool:
+        return self.p_value is not None
 
     def alert(self) -> dict:
         """The record a drift hook receives for this verdict, less its timestamp."""
@@ -253,7 +256,6 @@ class DriftAgent:
             p_value=None if result is None else result.p_value,
             drift=result is not None and result.p_value < self.config.threshold,
             n_valid=int(n_valid),
-            evaluated=result is not None,
         )
 
     def act(self, verdict: DriftVerdict) -> None:
@@ -280,18 +282,12 @@ class DriftAgent:
                         verdict.batch_index,
                         exc,
                     )
-        state = self.reference
-        if (
-            isinstance(state, AdaptiveState)
-            and verdict.evaluated
-            and self._pending is not None
-            and self._pending[0] == verdict.batch_index
-        ):
-            batch = self._pending[1]
+        if self._pending is not None and self._pending[0] == verdict.batch_index:
+            state, batch = self.reference, self._pending[1]
             self._pending = None
             # Through the module, so that a wrapper installed on
             # schemes.adaptive_observe sees every update.
-            self.reference = schemes.adaptive_observe(state, batch, verdict, self.config.threshold)
+            self.reference = schemes.adaptive_observe(state, batch, verdict.p_value, self.config.threshold)
             self.adaptive_trace.append(
                 {
                     "batch_index": verdict.batch_index,

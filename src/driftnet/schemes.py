@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, replace
 import numpy as np
 
 from .config import ConfigError, Setting, fields_to_dict, setting, shared, validate_fields
-from .stats import Histogram, blend, build_histogram, _as_sample
+from .stats import Histogram, blend, build_histogram, _as_sample, _counts_below
 
 __all__ = [
     "AdaptiveSettings",
@@ -119,8 +119,9 @@ def initial_adaptive_state(global_eval, spec: ReferenceSpec) -> AdaptiveState:
     )
 
 
-def adaptive_observe(state: AdaptiveState, batch, verdict, threshold: float) -> AdaptiveState:
-    """Controlled reference update after a verdict has been acted on.
+def adaptive_observe(state: AdaptiveState, batch, p_value: float | None, threshold: float) -> AdaptiveState:
+    """Controlled reference update after the verdict on `batch` has been
+    acted on; `p_value` is that verdict's (None when it was not tested).
 
     The reference absorbs a batch only when the batch looked clean
     (p >= threshold) and, under the default "lower" condition, the
@@ -128,18 +129,13 @@ def adaptive_observe(state: AdaptiveState, batch, verdict, threshold: float) -> 
     batches never update the reference, and the global weight never
     increases. Returns the input state unchanged when no update applies.
     """
-    p_value = getattr(verdict, "p_value", verdict)
-    if p_value is None:
-        return state
-    p_value = float(p_value)
-    if p_value < threshold:
+    if p_value is None or p_value < threshold:
         return state
     settings = state.settings
     if settings.update_condition == "lower" and not p_value < state.last_p_value:
         return state
 
-    batch = _as_sample(batch, "batch")
-    counts, _ = np.histogram(batch, bins=state.base.bin_count, range=(0.0, 1.0))
+    counts = np.diff(_counts_below(_as_sample(batch, "batch"), state.base.bin_count))
     if settings.center_window is not None:
         recent = (state.recent_counts + (counts,))[-settings.center_window:]
         center = np.sum(recent, axis=0, dtype=np.int64)

@@ -51,7 +51,9 @@ class Histogram:
 
     The mass vector is normalised on construction unless it already sums
     to 1; that exception lets blending endpoints return their input mass
-    bit-for-bit. A value of exactly 1.0 belongs to the last bin.
+    bit-for-bit. Bin k holds edge k of `np.linspace(0, 1, K + 1)` up to,
+    not including, edge k + 1: a value on an inner edge belongs to the bin
+    above it, and 1.0 to the last bin. `_counts_below` applies this rule.
     """
 
     mass: np.ndarray
@@ -73,12 +75,6 @@ class Histogram:
     @property
     def bin_count(self) -> int:
         return int(self.mass.size)
-
-    @functools.cached_property
-    def edges(self) -> np.ndarray:
-        out = np.linspace(0.0, 1.0, self.bin_count + 1)
-        out.setflags(write=False)
-        return out
 
     @functools.cached_property
     def pmf(self) -> np.ndarray:
@@ -291,13 +287,28 @@ def permutation_pvalue(a, b, permutations: int = 1000, rng=None) -> KsResult:
     return permutation_pvalues([a], b, permutations)[0]
 
 
+@functools.lru_cache(maxsize=16)
+def _uniform_edges(bins: int) -> np.ndarray:
+    out = np.linspace(0.0, 1.0, bins + 1)
+    out.setflags(write=False)
+    return out
+
+
+def _counts_below(sample: np.ndarray, bins: int) -> np.ndarray:
+    """How many values of a sample in [0, 1] lie below each of the
+    `bins + 1` uniform edges, with all n at the last: the running bin
+    counts under `Histogram`'s rule, which is NumPy's histogram rule."""
+    below = np.sort(sample).searchsorted(_uniform_edges(bins), side="left")
+    below[-1] = sample.size
+    return below
+
+
 def build_histogram(sample, bins: int = 100) -> Histogram:
     """Bin a sample into `bins` uniform bins over [0, 1] and normalise."""
     sample = _as_sample(sample)
     if bins < 2:
         raise ValueError("invalid-bin-count: a histogram needs at least 2 bins")
-    counts, _ = np.histogram(sample, bins=bins, range=(0.0, 1.0))
-    return Histogram(counts.astype(np.float64))
+    return Histogram(np.diff(_counts_below(sample, bins)).astype(np.float64))
 
 
 def blend(global_hist: Histogram, center_hist: Histogram, weight: float) -> Histogram:
@@ -459,17 +470,18 @@ def _histogram_exceed_probability(n: int, mass: np.ndarray, edge_cdf: np.ndarray
 def ks_vs_histogram(batch, ref: Histogram, permutations: int = 1000, rng=None) -> KsResult:
     """KS test of a raw sample against a histogram reference.
 
-    The statistic is the largest gap between the batch ECDF and the
-    reference CDF over all bin edges. Its null is that of a batch of the
-    same size drawn from the reference (bin by mass, uniform within the
-    bin): a within-bin draw never crosses an edge, so the bin counts,
-    Multinomial(n, mass), fix the synthetic ECDF at every edge. The
-    probability P that such a batch scores at least the observed
-    statistic (less 1e-12, so ties count as exceeding) is computed, not
-    estimated by resampling, by a pass that steps only over the bin edges
-    whose band can bind, at most min(bins - 1, 2n) of them. Its tail
-    truncations err upward, by at most 1e-12, and the Poisson(n)
-    normaliser adds a rounding error of order 1e-13 in either direction.
+    The statistic is read from the batch's bin counts under `Histogram`'s
+    rule: the largest gap between the running count / n and the reference
+    CDF over all bin edges. Its null is that of a batch of the same size
+    drawn from the reference (bin by mass, uniform within the bin): a
+    within-bin draw never crosses an edge, so the bin counts,
+    Multinomial(n, mass), fix the synthetic ECDF at every edge, as they
+    fix the observed one. The probability P that such a batch scores at
+    least the observed statistic (less 1e-12, so ties count as exceeding)
+    is computed, not estimated by resampling, by a pass that steps only
+    over the bin edges whose band can bind, at most min(bins - 1, 2n) of
+    them. Its tail truncations err upward, by at most 1e-12, and the
+    Poisson(n) normaliser adds a rounding error of order 1e-13 either way.
 
     The p-value is (1 + B * P) / (B + 1) with B = `permutations`: the
     expected add-one p-value of B resampled batches, so it keeps that
@@ -490,8 +502,7 @@ def ks_vs_histogram(batch, ref: Histogram, permutations: int = 1000, rng=None) -
 
     n = batch.size
     ref_cdf = ref.cdf
-    batch_cdf = np.searchsorted(np.sort(batch), ref.edges, side="right") / n
-    d_obs = float(np.abs(batch_cdf - ref_cdf).max())
+    d_obs = float(np.abs(_counts_below(batch, ref.bin_count) / n - ref_cdf).max())
 
     exceed = _histogram_exceed_probability(n, ref.pmf, ref_cdf[1:], d_obs - 1e-12)
     return KsResult(statistic=d_obs, p_value=(1 + resamples * exceed) / (resamples + 1))

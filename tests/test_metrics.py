@@ -21,7 +21,6 @@ def verdict(batch_index, drift, evaluated=True):
         p_value=(0.01 if drift else 0.5) if evaluated else None,
         drift=drift,
         n_valid=10,
-        evaluated=evaluated,
     )
 
 

@@ -12,7 +12,7 @@ from driftnet.schemes import (
     initial_adaptive_state,
     make_reference,
 )
-from driftnet.stats import Histogram, blend, build_histogram
+from driftnet.stats import Histogram, blend, build_histogram, ks_vs_histogram
 
 
 def global_spec(kind, bins=100, **adaptive):
@@ -221,21 +221,45 @@ class TestAdaptiveObserve:
         assert state.center_counts[:10].sum() == 0
         assert state.center_counts[10:].sum() == 60
 
-    def test_accepts_raw_p_value_or_verdict_object(self):
-        state = self.make_state()
-
-        class FakeVerdict:
-            p_value = 0.7
-
-        batch = np.random.default_rng(9).beta(2, 5, 20)
-        via_object = adaptive_observe(state, batch, FakeVerdict(), threshold=0.05)
-        via_float = adaptive_observe(state, batch, 0.7, threshold=0.05)
-        assert np.array_equal(via_object.center_counts, via_float.center_counts)
-
     def test_unevaluated_verdict_is_ignored(self):
         state = self.make_state()
         out = adaptive_observe(state, np.array([0.5, 0.6]), None, threshold=0.05)
         assert out is state
+
+
+class TestBinningRule:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_match_numpy_histogram(self, seed):
+        # np.histogram is the independent reference for the counts of a
+        # reference histogram and of an AdaptiveRef update. The values sit
+        # on the bin edges, one float either side of them, on k / bins
+        # (which can miss an edge by an ulp), on 1-3 decimals, anywhere,
+        # and at 0 and 1.
+        rng = np.random.default_rng(seed)
+        for _ in range(250):
+            bins = int(rng.integers(2, 300))
+            on_edge = rng.choice(np.linspace(0.0, 1.0, bins + 1), 8)
+            pool = np.concatenate((
+                on_edge,
+                np.nextafter(on_edge, 0.0),
+                np.nextafter(on_edge, 1.0),
+                rng.integers(0, bins + 1, 8) / bins,
+                np.round(rng.random(8), int(rng.integers(1, 4))),
+                rng.random(8),
+                [0.0, 1.0],
+            ))
+            sample = rng.choice(pool, int(rng.integers(1, 60)))
+            expected, _ = np.histogram(sample, bins=bins, range=(0.0, 1.0))
+            spec = ReferenceSpec(kind=SchemeKind.ADAPTIVE_REF, global_eval=sample, bins=bins)
+            state = initial_adaptive_state(sample, spec)
+            assert state.base.mass.tobytes() == Histogram(expected.astype(np.float64)).mass.tobytes()
+            updated = adaptive_observe(state, sample, 0.5, threshold=0.05)
+            assert updated.center_counts.tolist() == expected.tolist()
+            if sample.size >= 2:
+                # The tested batch is binned by the same rule: against its own
+                # histogram it scores 0, up to the rounding of the mass.
+                res = ks_vs_histogram(sample, state.base, permutations=1000)
+                assert res.statistic <= 1e-12 and res.p_value == 1.0
 
 
 class TestAdaptiveReference:

@@ -471,6 +471,39 @@ class TestRunReplicate:
             assert sev.score == sum(expected) / len(expected)
 
 
+class TestSizeWithoutDrift:
+    def test_false_alarm_rate_stays_at_threshold(self):
+        # With no drift every evaluated window is clean, so each alarm is a
+        # false one. SiteRef and ProdRef test windows against a sample of
+        # the window's own law, where the exact null keeps the rate at or
+        # below the threshold. Margin, fixed in advance: 3 binomial SEs at
+        # the threshold, counting each agent-replicate as one draw, since
+        # its windows share one reference and need not be independent.
+        config = SimConfig(
+            replicates=100,
+            augmentation=0.0,
+            grid=dict(drift_strength=(0.0,), drift_duration=(0.3,), window_fraction=(0.10,)),
+            schemes=("SiteRef", "ProdRef"),
+        )
+        cell = GridCell(0.0, 0.3, 0.10)
+        tested = Counter()
+        alarms = Counter()
+        agents = Counter()
+        for index in range(config.replicates):
+            for name, record in run_replicate(config, cell, index).schemes.items():
+                for agent in record.agents:
+                    evaluated = [v for v in agent.verdicts if v.evaluated]
+                    assert not any(agent.truth)
+                    tested[name] += len(evaluated)
+                    alarms[name] += sum(v.drift for v in evaluated)
+                    agents[name] += bool(evaluated)
+        t = config.threshold
+        for name in ("SiteRef", "ProdRef"):
+            assert tested[name] >= 1000
+            margin = 3 * (t * (1 - t) / agents[name]) ** 0.5
+            assert alarms[name] / tested[name] <= t + margin
+
+
 class TestRunGrid:
     def test_cell_enumeration(self):
         config = SimConfig()

@@ -470,7 +470,6 @@ class TestHistogram:
     def test_edges_and_cdf(self):
         h = Histogram(np.array([0.25, 0.25, 0.5]))
         assert h.bin_count == 3
-        assert h.edges.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
         assert h.cdf.tolist() == pytest.approx([0.0, 0.25, 0.5, 1.0])
 
     def test_edges_and_cdf_built_once_read_only(self):
@@ -478,12 +477,10 @@ class TestHistogram:
         h = Histogram(mass)
         zero_led = np.zeros(101)
         np.cumsum(h.mass, out=zero_led[1:])
-        for name, expected in (("edges", np.linspace(0.0, 1.0, 101)), ("cdf", zero_led)):
-            first = getattr(h, name)
-            assert getattr(h, name) is first
-            assert first.tobytes() == expected.tobytes()
-            with pytest.raises(ValueError, match="read-only"):
-                first[1] = 0.5
+        assert h.cdf is h.cdf
+        assert h.cdf.tobytes() == zero_led.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            h.cdf[1] = 0.5
 
     def test_pmf_built_once_read_only(self):
         # A sum within 1e-12 of 1 is kept as given, so pmf still divides.
@@ -561,7 +558,9 @@ class TestBlend:
 
 
 def _observed_statistic(batch, ref):
-    batch_cdf = np.searchsorted(np.sort(batch), ref.edges, side="right") / len(batch)
+    """The test's statistic from np.histogram's bin counts of the batch."""
+    counts, _ = np.histogram(batch, bins=ref.bin_count, range=(0.0, 1.0))
+    batch_cdf = np.concatenate(([0], np.cumsum(counts))) / len(batch)
     return float(np.abs(batch_cdf - ref.cdf).max())
 
 
@@ -629,10 +628,35 @@ class TestKsVsHistogram:
         res = ks_vs_histogram(batch, ref, permutations=200, rng=np.random.default_rng(0))
         sorted_batch = np.sort(batch)
         expected = 0.0
-        for edge, cdf_val in zip(ref.edges, ref.cdf):
+        for edge, cdf_val in zip(np.linspace(0.0, 1.0, ref.bin_count + 1), ref.cdf):
             ecdf = np.searchsorted(sorted_batch, edge, side="right") / len(batch)
             expected = max(expected, abs(ecdf - cdf_val))
         assert res.statistic == pytest.approx(expected)
+
+    def test_batch_scores_zero_against_its_own_histogram(self):
+        # Inner-edge values (0.25, 0.5, 0.75), 0.0 and 1.0 fall in the same
+        # bins of the reference as of the tested batch.
+        batch = np.array([0.0, 0.25, 0.25, 0.5, 0.75, 1.0, 0.1, 0.6])
+        res = ks_vs_histogram(batch, build_histogram(batch, bins=4), permutations=1000)
+        assert res.statistic == 0.0
+        assert res.p_value == 1.0
+
+    def test_rounding_to_the_edge_grid_keeps_the_false_alarm_rate(self):
+        # 400 same-law batches of 50 against a 2,000-value reference, at 100
+        # bins, once as drawn and once rounded to 2 decimals, so that the
+        # rounded values sit on or beside the bin edges. Margin, fixed in
+        # advance: 3 binomial SEs of the difference of two independent rates
+        # at 0.05 over 400 batches, 3 * sqrt(2 * 0.05 * 0.95 / 400) = 0.046.
+        # The rates share their draws, which only narrows the difference.
+        rng = np.random.default_rng(69)
+        reference = rng.beta(9.0, 21.0, 2000)
+        batches = rng.beta(9.0, 21.0, (400, 50))
+        rates = []
+        for cut in (np.asarray, lambda x: np.round(x, 2)):
+            ref = build_histogram(cut(reference), bins=100)
+            alarms = [ks_vs_histogram(cut(b), ref, permutations=1000).p_value < 0.05 for b in batches]
+            rates.append(np.mean(alarms))
+        assert abs(rates[1] - rates[0]) <= 0.046
 
     def test_matched_batch_rarely_flags(self):
         rng = np.random.default_rng(61)
