@@ -7,7 +7,7 @@ scheme's reference, and reacts to drift verdicts through registered
 hooks. Every window is tested under an exact null. Both entry points
 hand their complete windows to one evaluator, which tests windows
 against a fixed reference in one kernel call, however many there are,
-and AdaptiveRef's windows one at a time.
+and AdaptiveRef's windows one at a time, each followed by its update.
 
 AgentConfig declares its checks in the config field table, so a bad
 window, threshold, permutations or min_valid value raises a ConfigError
@@ -136,19 +136,16 @@ class DriftAgent:
 
     Lifecycle: construct with a validated config, feed observations
     through ingest() (a verdict appears when a window completes), then
-    pass each verdict to act() to log it and fire drift hooks. For
-    AdaptiveRef, act() also applies the controlled reference update, so
-    the reference only ever changes after the verdict that sanctioned it.
-    run() does both for a whole series. Either way the complete windows
-    go through one generator, which yields each verdict before it tests
-    the next window (so act() can update AdaptiveRef in between) and,
-    once the reference is a fixed sample, tests all remaining windows in
-    one `permutation_pvalues` call.
+    pass each verdict to act() to record it and fire drift hooks. run()
+    does both for a whole series. Either way the complete windows go
+    through one evaluator, which also applies AdaptiveRef's controlled
+    reference update, so the verdicts depend on the observations alone.
 
     `reference` is the read-only sample a window is tested against, or
     for AdaptiveRef the current AdaptiveState; ProdRef holds None until
-    its first usable window. Both nulls are exact, so the agent draws
-    nothing: `rng` is unused, kept because perfbench/run.py passes it.
+    it freezes its first window with 2 valid values. Both nulls are
+    exact, so the agent draws nothing: `rng` is unused, kept because
+    perfbench/run.py passes it.
     """
 
     def __init__(self, config: AgentConfig, rng=None, hooks=()) -> None:
@@ -163,7 +160,6 @@ class DriftAgent:
         self.adaptive_trace: list[dict] = []
         self.consumed_batch: int | None = None
         self._buffer: list[float] = []
-        self._pending: tuple[int, np.ndarray] | None = None
         self.reference = make_reference(config.scheme)
 
     def ingest(self, observation) -> DriftVerdict | None:
@@ -181,22 +177,16 @@ class DriftAgent:
             return None
         window = np.asarray(self._buffer, dtype=np.float64)
         self._buffer = []
-        return next(self._verdicts(window[None]), None)
+        return next(iter(self._verdicts(window[None])), None)
 
     def run(self, values) -> None:
-        """Ingest a whole series and act on each verdict in order: the same
+        """Ingest a 1-D series and act on each verdict in order: the same
         verdicts, state and errors as ingest() and act() called on each
-        observation in turn."""
-        try:
-            series = np.asarray(values, dtype=np.float64)
-        except (TypeError, ValueError):
-            series = None  # float() decides, one observation at a time
-        if series is None or series.ndim != 1:
-            for observation in values:
-                verdict = self.ingest(observation)
-                if verdict is not None:
-                    self.act(verdict)
-            return
+        observation in turn. A series numpy cannot read as floats, or one
+        that is not 1-D, raises before any window is tested."""
+        series = np.asarray(values, dtype=np.float64)
+        if series.ndim != 1:
+            raise ValueError(f"invalid-series: expected a 1-D series, got shape {series.shape}")
         # NaN, a null slot, fails both tests.
         invalid = np.flatnonzero((series < 0.0) | (series > 1.0))
         stop = int(invalid[0]) if invalid.size else series.size
@@ -209,33 +199,45 @@ class DriftAgent:
         if invalid.size:
             self.ingest(values[stop])  # raises ingest's error for this observation
 
-    def _verdicts(self, windows: np.ndarray):
-        """Yield the verdicts of consecutive complete windows, in order.
+    def _verdicts(self, windows: np.ndarray) -> list[DriftVerdict]:
+        """The verdicts of consecutive complete windows, in order.
 
-        Each verdict is yielded before the next window is tested, so an
-        act() on it can change AdaptiveRef's reference first. A fixed
-        sample is a reference no act() can change: from the first window
-        tested against it on, every window is tested in one
+        AdaptiveRef tests its windows one at a time, each against the
+        reference its predecessors' updates left. Against a fixed sample,
+        every window from the first one tested on goes into one
         `permutation_pvalues` call.
         """
         samples = [window[~np.isnan(window)] for window in windows]
+        verdicts = []
         for done, valid in enumerate(samples):
             index = self.batch_index
             self.batch_index += 1
             reference = self.reference
-            if reference is None:
-                # ProdRef seeding: the first window with enough signal becomes
-                # the frozen reference and is never itself evaluated.
-                if valid.size >= 2:
-                    self.reference = make_reference(self.config.scheme, first_prod_batch=valid)
-                    self.consumed_batch = index
-                    continue
-                result = None
-            elif valid.size < self.min_valid:
-                result = None
+            if reference is None and valid.size >= 2:
+                # ProdRef seeding: the first window with 2 valid values, even below
+                # min_valid, becomes the frozen reference and is never evaluated.
+                self.reference = make_reference(self.config.scheme, first_prod_batch=valid)
+                self.consumed_batch = index
+            elif reference is None or valid.size < self.min_valid:
+                verdicts.append(self._verdict(index, valid.size, None))
             elif isinstance(reference, AdaptiveState):
                 result = ks_vs_histogram(valid, reference.reference, self.config.permutations)
-                self._pending = (index, valid)
+                verdict = self._verdict(index, valid.size, result)
+                # Through the module, so that a wrapper installed on
+                # schemes.adaptive_observe sees every update.
+                self.reference = schemes.adaptive_observe(
+                    reference, valid, verdict.p_value, self.config.threshold
+                )
+                self.adaptive_trace.append(
+                    {
+                        "batch_index": index,
+                        "p_value": verdict.p_value,
+                        "drift": verdict.drift,
+                        "updated": self.reference is not reference,
+                        "global_weight": self.reference.global_weight,
+                    }
+                )
+                verdicts.append(verdict)
             else:
                 rest = samples[done:]
                 self.batch_index = index + len(rest)
@@ -243,9 +245,9 @@ class DriftAgent:
                 results = iter(permutation_pvalues(tested, reference, self.config.permutations))
                 for i, sample in enumerate(rest, start=index):
                     result = next(results) if sample.size >= self.min_valid else None
-                    yield self._verdict(i, sample.size, result)
-                return
-            yield self._verdict(index, valid.size, result)
+                    verdicts.append(self._verdict(i, sample.size, result))
+                break
+        return verdicts
 
     def _verdict(self, index: int, n_valid: int, result) -> DriftVerdict:
         """Batch `index`'s verdict; without a test result it is unevaluated."""
@@ -259,7 +261,7 @@ class DriftAgent:
         )
 
     def act(self, verdict: DriftVerdict) -> None:
-        """Record a verdict, fire drift hooks, and run reference updates.
+        """Record a verdict and fire drift hooks.
 
         Hook failures are recorded and logged, never raised: monitoring
         must outlive a broken sink.
@@ -282,18 +284,3 @@ class DriftAgent:
                         verdict.batch_index,
                         exc,
                     )
-        if self._pending is not None and self._pending[0] == verdict.batch_index:
-            state, batch = self.reference, self._pending[1]
-            self._pending = None
-            # Through the module, so that a wrapper installed on
-            # schemes.adaptive_observe sees every update.
-            self.reference = schemes.adaptive_observe(state, batch, verdict.p_value, self.config.threshold)
-            self.adaptive_trace.append(
-                {
-                    "batch_index": verdict.batch_index,
-                    "p_value": verdict.p_value,
-                    "drift": verdict.drift,
-                    "updated": self.reference is not state,
-                    "global_weight": self.reference.global_weight,
-                }
-            )

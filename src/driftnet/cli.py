@@ -27,6 +27,7 @@ from .metrics import (
     CONFUSION_SLOT,
     EMPTY_CLASS_POLICIES,
     METRIC_NAMES,
+    SCORING_TASKS,
     ConfusionCounts,
     aggregate,
     compute_metrics,
@@ -304,7 +305,7 @@ def _stat_rows(metrics: dict) -> list[list]:
 
 def _write_breakdown(path: Path, cells: dict) -> None:
     with _atomic_csv(path, BREAKDOWN_COLUMNS) as writer:
-        for task in ("detection", "severity"):
+        for task in SCORING_TASKS:
             for label in sorted(cells):
                 cell = cells[label]
                 grid = [cell["drift_strength"], cell["drift_duration"], cell["window_fraction"]]

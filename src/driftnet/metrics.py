@@ -16,6 +16,9 @@ __all__ = [
 
 METRIC_NAMES = ("precision", "sensitivity", "specificity", "f1")
 
+# The tasks each scheme is scored on, in summary.json and the breakdown.
+SCORING_TASKS = ("detection", "severity")
+
 # How a metric with a zero denominator is scored: "skip" leaves it
 # undefined (None), "one" scores it 1.0.
 EMPTY_CLASS_POLICIES = ("skip", "one")

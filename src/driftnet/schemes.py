@@ -120,8 +120,8 @@ def initial_adaptive_state(global_eval, spec: ReferenceSpec) -> AdaptiveState:
 
 
 def adaptive_observe(state: AdaptiveState, batch, p_value: float | None, threshold: float) -> AdaptiveState:
-    """Controlled reference update after the verdict on `batch` has been
-    acted on; `p_value` is that verdict's (None when it was not tested).
+    """Controlled reference update after `batch` has been tested;
+    `p_value` is its verdict's (None when it was not tested).
 
     The reference absorbs a batch only when the batch looked clean
     (p >= threshold) and, under the default "lower" condition, the

@@ -39,6 +39,7 @@ from .agent import (
 from .config import ConfigError, fields_to_dict, setting, shared, validate_fields
 from .metrics import (
     EMPTY_CLASS_POLICIES,
+    SCORING_TASKS,
     ConfusionCounts,
     MetricSet,
     aggregate,
@@ -665,7 +666,7 @@ def run_grid(
         summary = {}
         for scheme in config.schemes:
             summary[scheme.value] = {}
-            for task in ("detection", "severity"):
+            for task in SCORING_TASKS:
                 entries = [entry for label in labels for entry in pools[label, scheme.value, task]]
                 summary[scheme.value][task] = aggregate(entries) if entries else None
         return summary

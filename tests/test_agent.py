@@ -269,6 +269,44 @@ class TestAdaptiveAgent:
         for row in agent.adaptive_trace:
             assert row["p_value"] == by_batch[row["batch_index"]].p_value
 
+    @pytest.mark.parametrize("seed", [113, 114])
+    def test_verdicts_do_not_depend_on_when_act_is_called(self, seed):
+        # The evaluator applies each update, so acting on every verdict,
+        # acting late, never acting and run() give one set of bytes.
+        stream = np.random.default_rng(seed).beta(2, 5, 300).tolist()
+
+        def exact(verdicts, trace):
+            return (
+                [
+                    (v.batch_index, v.n_valid, v.statistic.hex(), v.p_value.hex(), v.drift)
+                    for v in verdicts
+                ],
+                [{k: x.hex() if isinstance(x, float) else x for k, x in row.items()} for row in trace],
+            )
+
+        def fed(when):
+            agent = DriftAgent(self.config())
+            verdicts = []
+            for observation in stream:
+                verdict = agent.ingest(observation)
+                if verdict is not None:
+                    verdicts.append(verdict)
+                    if when == "each":
+                        agent.act(verdict)
+            if when == "after":
+                for verdict in verdicts:
+                    agent.act(verdict)
+            return exact(verdicts, agent.adaptive_trace)
+
+        ran = DriftAgent(self.config())
+        ran.run(stream)
+        acted = fed("each")
+        assert sum(row["updated"] for row in ran.adaptive_trace) >= 2
+        assert len(acted[0]) == 30 and len(acted[1]) == 30
+        assert fed("after") == acted
+        assert fed("never") == acted
+        assert exact(ran.verdicts, ran.adaptive_trace) == acted
+
 
 class TestDeterminism:
     def test_same_seed_same_verdicts(self):
@@ -357,16 +395,23 @@ class TestRun:
             assert agent_state(agent) == agent_state(looped)
             assert looped.batch_index == 45 // 7
 
-    def test_unconvertible_value_raises_float_error_after_the_same_verdicts(self):
+    def test_unconvertible_value_raises_float_error_before_any_window(self):
         stream = run_stream(4, size=60)
         stream[45] = "abc"
         looped = DriftAgent(scheme_config(SchemeKind.GLOBAL_REF))
-        with pytest.raises(ValueError, match="could not convert"):
+        with pytest.raises(ValueError, match="could not convert") as looped_error:
             feed(looped, stream)
         agent = DriftAgent(scheme_config(SchemeKind.GLOBAL_REF))
-        with pytest.raises(ValueError, match="could not convert"):
+        with pytest.raises(ValueError, match="could not convert") as error:
             agent.run(stream)
-        assert agent_state(agent) == agent_state(looped)
+        assert str(error.value) == str(looped_error.value)
+        assert agent_state(agent) == agent_state(DriftAgent(scheme_config(SchemeKind.GLOBAL_REF)))
+
+    def test_series_that_is_not_1d_raises_before_any_window(self):
+        agent = DriftAgent(scheme_config(SchemeKind.GLOBAL_REF))
+        with pytest.raises(ValueError, match=r"^invalid-series: .*\(10, 7\)"):
+            agent.run(np.full((10, 7), 0.5))
+        assert agent_state(agent) == agent_state(DriftAgent(scheme_config(SchemeKind.GLOBAL_REF)))
 
     def test_fixed_reference_windows_take_one_kernel_call(self, monkeypatch):
         import driftnet.agent as agent_module
