@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -23,17 +24,14 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, fields_from_dict
-from .metrics import (
-    CONFUSION_SLOT,
-    EMPTY_CLASS_POLICIES,
-    METRIC_NAMES,
-    SCORING_TASKS,
-    ConfusionCounts,
-    aggregate,
-    compute_metrics,
-)
+from .metrics import METRIC_NAMES, SCORING_TASKS
+# Uncalled here: perfbench/tracing.py patches driftnet.cli.compute_metrics.
+from .metrics import compute_metrics  # noqa: F401
+# Uncalled here: perfbench/tracing.py patches driftnet.cli.aggregate.
+from .metrics import aggregate  # noqa: F401
 from .sim import (
     FILE_KEYS,
+    SUMMARY_SCHEMA,
     SimConfig,
     cell_label,
     derive_seed,
@@ -255,6 +253,8 @@ def cmd_run(args) -> int:
     manifest = {
         "tool": "driftnet",
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "run_id": config_digest,
         "master_seed": config.master_seed,
         "threads": args.threads,
@@ -334,14 +334,10 @@ def _format_table(title: str, entries: dict) -> list[str]:
     return lines
 
 
-def _write_timeline(out_dir: Path) -> dict:
-    """Write report_timeline.csv in one pass over verdicts.csv.
-
-    Each verdict row is joined with its scheme's severity row, where the
-    scheme has one, on (run_id, cell, scheme, batch_index). Returns the
-    [tp, fp, tn, fn] tally of each (scheme, agent, cell, run_id) entry; an
-    entry with no evaluated window keeps zero counts.
-    """
+def _write_timeline(out_dir: Path) -> None:
+    """Write report_timeline.csv in one pass over verdicts.csv: each
+    verdict row joined with its scheme's severity row, where the scheme
+    has one, on (run_id, cell, scheme, batch_index)."""
     severity = {
         (run_id, cell, scheme, batch): (score, c_true, c_pred, category)
         for run_id, cell, scheme, batch, c_true, c_pred, score, category in _csv_rows(
@@ -349,7 +345,6 @@ def _write_timeline(out_dir: Path) -> dict:
         )
     }
     no_severity = ("", "", "", "")
-    tallies: dict = {}
     verdicts = _csv_rows(out_dir / "verdicts.csv", VERDICT_COLUMNS)
     with _atomic_csv(out_dir / "report_timeline.csv", TIMELINE_COLUMNS) as writer:
         for run_id, cell, scheme, agent, batch, n_valid, _, p_value, drift, truth in verdicts:
@@ -357,26 +352,21 @@ def _write_timeline(out_dir: Path) -> dict:
             writer.writerow(
                 [run_id, cell, scheme, agent, batch, n_valid, p_value, drift, truth, *joined]
             )
-            tally = tallies.setdefault((scheme, agent, cell, run_id), [0, 0, 0, 0])
-            if p_value:
-                tally[CONFUSION_SLOT[drift == "1", truth == "1"]] += 1
-    return tallies
 
 
 def cmd_report(args) -> int:
-    """Format summary.json's per-cell and overall metrics as tables, and
-    score the per-agent table the way run_grid scores its pools."""
+    """Format summary.json's per-cell, overall and per-agent metrics as
+    tables, and join verdicts.csv with severity.csv into the timeline."""
     out_dir = Path(args.out)
     missing = [name for name in RUN_OUTPUTS if not (out_dir / name).exists()]
     if missing:
         raise FileNotFoundError(f"missing run outputs in {out_dir}: {', '.join(missing)}")
-    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
-    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-    policy = manifest.get("config", {}).get("empty_class_policy")
-    if policy not in EMPTY_CLASS_POLICIES:
+    summary_path = out_dir / "summary.json"
+    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    schema = summary.get("schema") if isinstance(summary, dict) else None
+    if schema != SUMMARY_SCHEMA:
         raise ValueError(
-            f"invalid-run-output: {out_dir / 'manifest.json'}: config.empty_class_policy "
-            f"is {policy!r}, expected one of {EMPTY_CLASS_POLICIES}"
+            f"invalid-run-output: {summary_path}: schema {schema}, expected {SUMMARY_SCHEMA}"
         )
 
     _write_breakdown(out_dir / "report_breakdown.csv", summary["cells"])
@@ -389,18 +379,14 @@ def cmd_report(args) -> int:
         lines += _format_table("Drift severity performance (multi-center schemes)", severity)
     _atomic_write_text(out_dir / "report_tables.txt", "\n".join(lines) + "\n")
 
-    # Per-agent averages across every cell and replicate: the one table
-    # summary.json does not hold, scored with run_grid's functions.
-    pools: dict = {}
-    for (scheme, agent, _, _), tally in _write_timeline(out_dir).items():
-        pools.setdefault((scheme, agent), []).append(
-            compute_metrics(ConfusionCounts(*tally), policy)
-        )
-    agent_columns = ["scheme", "agent", *STAT_COLUMNS]
-    with _atomic_csv(out_dir / "report_agents.csv", agent_columns) as writer:
-        for key in sorted(pools):
-            for row in _stat_rows(aggregate(pools[key])):
-                writer.writerow([*key, *row])
+    agents = summary["agents"]
+    with _atomic_csv(out_dir / "report_agents.csv", ["scheme", "agent", *STAT_COLUMNS]) as writer:
+        for scheme in sorted(agents):
+            for agent in sorted(agents[scheme]):
+                for row in _stat_rows(agents[scheme][agent]):
+                    writer.writerow([scheme, agent, *row])
+
+    _write_timeline(out_dir)
 
     print(f"wrote {', '.join(REPORT_FILES)} to {out_dir}")
     return 0

@@ -73,6 +73,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 CENTRALIZED_STREAM_ID = "ALL"
+SUMMARY_SCHEMA = "driftnet-summary/2"
 
 
 def load_series_csv(path) -> np.ndarray:
@@ -593,8 +594,9 @@ def run_grid(
 ) -> dict:
     """Run every (cell, replicate) combination and return summary.json's
     dict: the per-cell and overall metric aggregates of each scheme, keyed
-    by `cell_label`, and the failed replicates. It holds no timestamps, so
-    a rerun is byte-stable.
+    by `cell_label`, each agent's detection aggregate over every cell, and
+    the failed replicates. It holds no timestamps, so a rerun is
+    byte-stable.
 
     `threads` is the worker count: at 1 replicates run in this process,
     above 1 in a pool of at most that many worker processes. Replicates
@@ -611,8 +613,10 @@ def run_grid(
     failures: list[dict] = []
     completed = collections.Counter()
     # Every metric set of the run, keyed by (cell label, scheme, task) and
-    # filled in task order, so each cell's replicates pool in order.
+    # filled in task order, so each cell's replicates pool in order. Each
+    # detection set is also pooled by (scheme, agent) over every cell.
     pools: dict[tuple, list[MetricSet]] = collections.defaultdict(list)
+    agent_pools: dict[tuple, list[MetricSet]] = collections.defaultdict(list)
 
     # One task stream across cells, so no cell waits for the previous one
     # to drain; both mappers yield outcomes lazily and in task order.
@@ -648,10 +652,10 @@ def run_grid(
             if replicate_sink is not None:
                 replicate_sink(result)
             for scheme_name, record in result.schemes.items():
-                pools[label, scheme_name, "detection"].extend(
-                    compute_metrics(agent_record.detection, config.empty_class_policy)
-                    for agent_record in record.agents
-                )
+                for agent_record in record.agents:
+                    metrics = compute_metrics(agent_record.detection, config.empty_class_policy)
+                    pools[label, scheme_name, "detection"].append(metrics)
+                    agent_pools[scheme_name, agent_record.center].append(metrics)
                 if record.severity_counts is not None:
                     pools[label, scheme_name, "severity"].append(
                         compute_metrics(record.severity_counts, config.empty_class_policy)
@@ -671,17 +675,21 @@ def run_grid(
                 summary[scheme.value][task] = aggregate(entries) if entries else None
         return summary
 
+    agents: dict[str, dict] = {scheme.value: {} for scheme in config.schemes}
+    for (scheme_name, center), entries in agent_pools.items():
+        agents[scheme_name][center] = aggregate(entries)
     cell_summaries = {
         label: {**cell._asdict(), "completed": completed[label], "schemes": summarise([label])}
         for label, cell in zip(labels, cells)
     }
     return {
-        "schema": "driftnet-summary/1",
+        "schema": SUMMARY_SCHEMA,
         "master_seed": config.master_seed,
         "replicates": config.replicates,
         "grid": config.grid.to_dict(),
         "schemes": [scheme.value for scheme in config.schemes],
         "cells": cell_summaries,
         "overall": summarise(labels),
+        "agents": agents,
         "failures": failures,
     }

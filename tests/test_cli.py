@@ -4,15 +4,17 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftnet import cli
 from driftnet.cli import ConfigError, config_from_dict, load_config, main
-from driftnet.metrics import EMPTY_CLASS_POLICIES
+from driftnet.metrics import EMPTY_CLASS_POLICIES, METRIC_NAMES
 from driftnet.schemes import SchemeKind
 from driftnet.sim import run_grid
 
@@ -307,19 +309,23 @@ class TestRun:
         assert all(r["category"] in {"TP", "FP", "TN", "FN"} for r in severity)
 
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["schema"] == "driftnet-summary/1"
+        assert summary["schema"] == "driftnet-summary/2"
         assert summary["replicates"] == 2
 
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["version"]
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
         assert manifest["config"]["permutations"] == 100
         assert manifest["outputs"]["summary"] == "summary.json"
 
     def test_outputs_pinned_at_a_fixed_seed(self, tmp_path, capsys):
         # A refactor must leave every output byte where it was; the digests
-        # also assume numpy's Beta and uniform draws stay stable.
+        # also assume numpy's Beta and uniform draws stay stable. Recorded
+        # with numpy 2.4.6 and Python 3.11.7: NEP 19 does not promise
+        # identical Generator streams across numpy feature releases.
         assert run_digests(tmp_path, SMALL_CONFIG) == {
-            "summary.json": "d8a53295ac27d89165d8e327b0c0b53ebf58989d0a5261e09fd4fa793e2223db",
+            "summary.json": "c5579f9d358f621511ba35ca6e64496faf5f9d4416fb3d6db7be5f4503ebaa4b",
             "verdicts.csv": "0d82ae92481b083d21c6e5f4e84d9c355f53069df50dc23e05414563824e992c",
             "severity.csv": "2ff71779946a18349e3a1fbba912f428d0342d015cfd67a48c1337b717399258",
         }
@@ -327,6 +333,8 @@ class TestRun:
     def test_outputs_pinned_under_the_other_scoring_rules(self, tmp_path, capsys):
         # The threshold severity rule, the "one" empty-class policy and a
         # drift-free cell, none of which the SMALL_CONFIG digests reach.
+        # Recorded with numpy 2.4.6 and Python 3.11.7: NEP 19 does not
+        # promise identical Generator streams across numpy feature releases.
         payload = dict(
             SMALL_CONFIG,
             severity_tp_rule="threshold",
@@ -334,7 +342,7 @@ class TestRun:
             grid=dict(SMALL_CONFIG["grid"], drift_strength=[0.0, 0.3]),
         )
         assert run_digests(tmp_path, payload) == {
-            "summary.json": "a35a0900d7c518f26bf9740fa693dcbccebff156a436f6a31ceaf046e3079b90",
+            "summary.json": "0bc2be2c9a9ba1185f17f8ce521461a43fe4bbecbbb1cdec04423aa30c67d2ed",
             "verdicts.csv": "1365f53fe870ccb7367884c12749066bb569a2fcaff9b3e705a481e270d1226e",
             "severity.csv": "76b2e0db6226662ec2c27b6ec08dba47dbc8b7216e504ba2efbf8b5a8b92ecc5",
         }
@@ -532,7 +540,8 @@ class TestReport:
         assert "verdicts.csv" in capsys.readouterr().err
 
     def test_missing_manifest_is_named(self, run_dir, capsys):
-        # The manifest holds the empty-class policy the agent table is scored with.
+        # The report reads no scoring policy from the manifest; it only
+        # requires a complete run.
         (run_dir / "manifest.json").unlink()
         assert main(["report", "--out", str(run_dir)]) == 2
         err = capsys.readouterr().err
@@ -586,6 +595,42 @@ class TestReport:
             assert int(row["n"]) + int(row["skipped"]) == SMALL_CONFIG["replicates"]
         ds3 = [r for r in rows if (r["scheme"], r["agent"]) == ("SiteRef", "DS-3")]
         assert [r["mean"] for r in ds3] == [""] * 4
+
+    def test_agent_table_lists_agents_without_a_verdict_row(self, tmp_path):
+        # At a window fraction of 1.0 each stream is one window, and ProdRef's
+        # seeds its reference: ProdRef writes no verdict row, yet summary.json
+        # pools each of its agent-replicates, unscored, and so does the table.
+        payload = dict(
+            SMALL_CONFIG,
+            replicates=3,
+            schemes=["ProdRef", "SiteRef"],
+            grid=dict(SMALL_CONFIG["grid"], window_fraction=[1.0]),
+        )
+        out = tmp_path / "run"
+        assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        assert {r["scheme"] for r in read_rows(out / "verdicts.csv")} == {"SiteRef"}
+        assert main(["report", "--out", str(out)]) == 0
+        prodref = [r for r in read_rows(out / "report_agents.csv") if r["scheme"] == "ProdRef"]
+        sites = ["DS-0", "DS-1", "DS-2", "DS-3"]
+        assert [(r["agent"], r["metric"]) for r in prodref] == [
+            (site, metric) for site in sites for metric in METRIC_NAMES
+        ]
+        assert {(r["mean"], r["std"], r["n"], r["skipped"]) for r in prodref} == {("", "", "0", "3")}
+        unscored = {"mean": None, "std": None, "n": 0, "skipped": 3}
+        agents = json.loads((out / "summary.json").read_text())["agents"]["ProdRef"]
+        assert agents == {site: dict.fromkeys(METRIC_NAMES, unscored) for site in sites}
+
+    @pytest.mark.parametrize("schema", ["driftnet-summary/1", None])
+    def test_older_summary_schema_exits_2_without_report_files(self, run_dir, capsys, schema):
+        # None: a summary.json that is not an object, so has no schema.
+        path = run_dir / "summary.json"
+        text = path.read_text().replace("driftnet-summary/2", schema) if schema else "[]\n"
+        path.write_text(text)
+        assert main(["report", "--out", str(run_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid-run-output: {path}: schema {schema}, expected driftnet-summary/2\n"
+        )
+        assert not any((run_dir / name).exists() for name in cli.REPORT_FILES)
 
     def test_report_files_written_and_stable(self, run_dir):
         assert main(["report", "--out", str(run_dir)]) == 0

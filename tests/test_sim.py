@@ -519,7 +519,7 @@ class TestRunGrid:
         d1 = run_grid(config, threads=1)
         d2 = run_grid(config, threads=4)
         assert d1 == d2
-        assert d1["schema"] == "driftnet-summary/1"
+        assert d1["schema"] == "driftnet-summary/2"
         assert list(d1["cells"]) == ["strength0.3_duration0.3_window0.1"]
         block = d1["cells"]["strength0.3_duration0.3_window0.1"]
         assert set(block["schemes"]) == {k.value for k in SchemeKind}
