@@ -29,9 +29,11 @@ from .metrics import METRIC_NAMES, SCORING_TASKS
 from .metrics import compute_metrics  # noqa: F401
 # Uncalled here: perfbench/tracing.py patches driftnet.cli.aggregate.
 from .metrics import aggregate  # noqa: F401
+from .severity import SeverityRecord
 from .sim import (
     FILE_KEYS,
     SUMMARY_SCHEMA,
+    GridCell,
     SimConfig,
     cell_label,
     derive_seed,
@@ -51,16 +53,7 @@ VERDICT_COLUMNS = [
     "drift",
     "truth",
 ]
-SEVERITY_COLUMNS = [
-    "run_id",
-    "cell",
-    "scheme",
-    "batch_index",
-    "c_true",
-    "c_pred",
-    "score",
-    "category",
-]
+SEVERITY_COLUMNS = ["run_id", "cell", "scheme", *SeverityRecord._fields]
 RUN_OUTPUTS = ("verdicts.csv", "severity.csv", "summary.json", "manifest.json")
 REPORT_FILES = (
     "report_agents.csv",
@@ -69,15 +62,8 @@ REPORT_FILES = (
     "report_tables.txt",
 )
 STAT_COLUMNS = ["metric", "mean", "std", "n", "skipped"]
-BREAKDOWN_COLUMNS = [
-    "cell",
-    "drift_strength",
-    "drift_duration",
-    "window_fraction",
-    "scheme",
-    "task",
-    *STAT_COLUMNS,
-]
+AGENT_COLUMNS = ["scheme", "agent", *STAT_COLUMNS]
+BREAKDOWN_COLUMNS = ["cell", *GridCell._fields, "scheme", "task", *STAT_COLUMNS]
 TIMELINE_COLUMNS = [
     *(name for name in VERDICT_COLUMNS if name != "statistic"),
     "severity_score",
@@ -231,18 +217,7 @@ def cmd_run(args) -> int:
                             ]
                         )
                 for row in record.severity:
-                    severity_writer.writerow(
-                        [
-                            run_id,
-                            label,
-                            scheme_name,
-                            row.batch_index,
-                            row.c_true,
-                            row.c_pred,
-                            row.score,
-                            row.category,
-                        ]
-                    )
+                    severity_writer.writerow([run_id, label, scheme_name, *row])
 
         summary = run_grid(config, threads=args.threads, replicate_sink=sink)
 
@@ -277,13 +252,14 @@ def cmd_run(args) -> int:
     return 1 if failures else 0
 
 
-def _csv_rows(path: Path, columns: list[str]):
-    """Stream the rows of a CSV that `driftnet run` wrote with `columns`."""
+@contextlib.contextmanager
+def _run_csv(path: Path, columns: list[str]):
+    """Stream the rows of a CSV `driftnet run` wrote, once its header is checked to be `columns`."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         if next(reader, None) != columns:
             raise ValueError(f"invalid-run-output: {path} must start with {','.join(columns)}")
-        yield from reader
+        yield reader
 
 
 def _stat_rows(metrics: dict) -> list[list]:
@@ -308,7 +284,7 @@ def _write_breakdown(path: Path, cells: dict) -> None:
         for task in SCORING_TASKS:
             for label in sorted(cells):
                 cell = cells[label]
-                grid = [cell["drift_strength"], cell["drift_duration"], cell["window_fraction"]]
+                grid = [cell[name] for name in GridCell._fields]
                 for scheme in sorted(cell["schemes"]):
                     metrics = cell["schemes"][scheme][task]
                     if metrics is not None:
@@ -334,21 +310,16 @@ def _format_table(title: str, entries: dict) -> list[str]:
     return lines
 
 
-def _write_timeline(out_dir: Path) -> None:
-    """Write report_timeline.csv in one pass over verdicts.csv: each
-    verdict row joined with its scheme's severity row, where the scheme
-    has one, on (run_id, cell, scheme, batch_index)."""
+def _write_timeline(path: Path, severity_rows, verdicts) -> None:
+    """Write report_timeline.csv in one pass over the verdict rows: each joined
+    with its scheme's severity row, if any, on (run_id, cell, scheme, batch_index)."""
     severity = {
         (run_id, cell, scheme, batch): (score, c_true, c_pred, category)
-        for run_id, cell, scheme, batch, c_true, c_pred, score, category in _csv_rows(
-            out_dir / "severity.csv", SEVERITY_COLUMNS
-        )
+        for run_id, cell, scheme, batch, c_true, c_pred, score, category in severity_rows
     }
-    no_severity = ("", "", "", "")
-    verdicts = _csv_rows(out_dir / "verdicts.csv", VERDICT_COLUMNS)
-    with _atomic_csv(out_dir / "report_timeline.csv", TIMELINE_COLUMNS) as writer:
+    with _atomic_csv(path, TIMELINE_COLUMNS) as writer:
         for run_id, cell, scheme, agent, batch, n_valid, _, p_value, drift, truth in verdicts:
-            joined = severity.get((run_id, cell, scheme, batch), no_severity)
+            joined = severity.get((run_id, cell, scheme, batch), ("", "", "", ""))
             writer.writerow(
                 [run_id, cell, scheme, agent, batch, n_valid, p_value, drift, truth, *joined]
             )
@@ -362,31 +333,39 @@ def cmd_report(args) -> int:
     if missing:
         raise FileNotFoundError(f"missing run outputs in {out_dir}: {', '.join(missing)}")
     summary_path = out_dir / "summary.json"
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ValueError(f"invalid-run-output: {summary_path}: {exc}") from None
     schema = summary.get("schema") if isinstance(summary, dict) else None
     if schema != SUMMARY_SCHEMA:
         raise ValueError(
             f"invalid-run-output: {summary_path}: schema {schema}, expected {SUMMARY_SCHEMA}"
         )
 
-    _write_breakdown(out_dir / "report_breakdown.csv", summary["cells"])
+    # Both CSV headers are checked before any report file is written.
+    with (
+        _run_csv(out_dir / "severity.csv", SEVERITY_COLUMNS) as severity_rows,
+        _run_csv(out_dir / "verdicts.csv", VERDICT_COLUMNS) as verdicts,
+    ):
+        _write_breakdown(out_dir / "report_breakdown.csv", summary["cells"])
 
-    overall = summary["overall"]
-    detection = {name: entry["detection"] for name, entry in overall.items() if entry["detection"]}
-    severity = {name: entry["severity"] for name, entry in overall.items() if entry["severity"]}
-    lines = _format_table("Drift detection performance by monitoring scheme", detection)
-    if severity:
-        lines += _format_table("Drift severity performance (multi-center schemes)", severity)
-    _atomic_write_text(out_dir / "report_tables.txt", "\n".join(lines) + "\n")
+        overall = summary["overall"]
+        detection = {n: entry["detection"] for n, entry in overall.items() if entry["detection"]}
+        severity = {n: entry["severity"] for n, entry in overall.items() if entry["severity"]}
+        lines = _format_table("Drift detection performance by monitoring scheme", detection)
+        if severity:
+            lines += _format_table("Drift severity performance (multi-center schemes)", severity)
+        _atomic_write_text(out_dir / "report_tables.txt", "\n".join(lines) + "\n")
 
-    agents = summary["agents"]
-    with _atomic_csv(out_dir / "report_agents.csv", ["scheme", "agent", *STAT_COLUMNS]) as writer:
-        for scheme in sorted(agents):
-            for agent in sorted(agents[scheme]):
-                for row in _stat_rows(agents[scheme][agent]):
-                    writer.writerow([scheme, agent, *row])
+        agents = summary["agents"]
+        with _atomic_csv(out_dir / "report_agents.csv", AGENT_COLUMNS) as writer:
+            for scheme in sorted(agents):
+                for agent in sorted(agents[scheme]):
+                    for row in _stat_rows(agents[scheme][agent]):
+                        writer.writerow([scheme, agent, *row])
 
-    _write_timeline(out_dir)
+        _write_timeline(out_dir / "report_timeline.csv", severity_rows, verdicts)
 
     print(f"wrote {', '.join(REPORT_FILES)} to {out_dir}")
     return 0

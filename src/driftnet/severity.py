@@ -9,7 +9,7 @@ batch drifted, with multisite (>= 2 sites) events as the positive class.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,10 +50,9 @@ def classify_severity(c_true: int, c_pred: int, rule: str = "exact") -> str:
     return "TN" if c_pred < 2 else "FP"
 
 
-@dataclass(frozen=True)
-class SeverityRecord:
+class SeverityRecord(NamedTuple):
     """One batch's agreement across agents and its class against ground
-    truth: the columns of a severity.csv row."""
+    truth. Its fields are severity.csv's columns after run_id,cell,scheme."""
 
     batch_index: int
     c_true: int

@@ -1,12 +1,23 @@
 """Unit tests for the monitoring agent lifecycle."""
 
 import hashlib
+import http.server
+import json
 import logging
+import socket
+import threading
 
 import numpy as np
 import pytest
 
-from driftnet.agent import AgentConfig, AgentId, DriftAgent, DriftVerdict, logging_hook
+from driftnet.agent import (
+    AgentConfig,
+    AgentId,
+    DriftAgent,
+    DriftVerdict,
+    logging_hook,
+    webhook_hook,
+)
 from driftnet.config import ConfigError
 from driftnet.schemes import ReferenceSpec, SchemeKind
 from driftnet.stats import permutation_pvalue
@@ -235,6 +246,61 @@ class TestAct:
                 {"agent_id": "DS-0/model-0", "batch_index": 3, "p_value": 0.01, "drift": True}
             )
         assert any("DS-0/model-0" in message for message in caplog.messages)
+
+
+class TestWebhookHook:
+    """webhook_hook against a server on the loopback interface only."""
+
+    @pytest.fixture(autouse=True)
+    def no_proxy(self, monkeypatch):
+        # A proxy from the environment must not carry loopback requests off the host.
+        monkeypatch.setenv("no_proxy", "*")
+
+    @staticmethod
+    def drifting_run(url):
+        # A window of the reference's own values, then two far above it.
+        config = site_ref_config(window_size=10)
+        agent = DriftAgent(config, hooks=[webhook_hook(url)])
+        high = np.random.default_rng(109).uniform(0.9, 0.99, 20)
+        agent.run(np.concatenate((config.scheme.site_eval[:10], high)))
+        assert [v.drift for v in agent.verdicts] == [False, True, True]
+        return agent, agent.verdicts[1:]
+
+    def test_posts_one_json_alert_per_drift_verdict(self):
+        bodies = []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                assert self.headers["Content-Type"] == "application/json"
+                bodies.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+                self.send_response(204)
+                self.end_headers()
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            agent, drifts = self.drifting_run(f"http://127.0.0.1:{server.server_port}/alerts")
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        assert agent.hook_failures == []
+        assert [{k: v for k, v in body.items() if k != "timestamp"} for body in bodies] == [
+            verdict.alert() for verdict in drifts
+        ]
+        assert all(isinstance(body["timestamp"], float) for body in bodies)
+
+    def test_refused_post_is_recorded_never_raised(self):
+        # A bound socket that does not listen refuses every connection.
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            agent, drifts = self.drifting_run(f"http://127.0.0.1:{closed.getsockname()[1]}/")
+        assert [batch for batch, _ in agent.hook_failures] == [v.batch_index for v in drifts]
+        assert all("Connection refused" in detail for _, detail in agent.hook_failures)
 
 
 class TestAdaptiveAgent:

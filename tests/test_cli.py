@@ -620,17 +620,50 @@ class TestReport:
         agents = json.loads((out / "summary.json").read_text())["agents"]["ProdRef"]
         assert agents == {site: dict.fromkeys(METRIC_NAMES, unscored) for site in sites}
 
-    @pytest.mark.parametrize("schema", ["driftnet-summary/1", None])
-    def test_older_summary_schema_exits_2_without_report_files(self, run_dir, capsys, schema):
-        # None: a summary.json that is not an object, so has no schema.
+    @pytest.mark.parametrize(
+        ("content", "detail"),
+        [
+            # None: the run's own summary.json, its schema set back to 1.
+            pytest.param(
+                None,
+                "schema driftnet-summary/1, expected driftnet-summary/2",
+                id="driftnet-summary/1",
+            ),
+            # A summary.json that is not an object, so has no schema.
+            pytest.param(b"[]\n", "schema None, expected driftnet-summary/2", id="None"),
+            pytest.param(
+                b"{bad",
+                "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+                id="not-json",
+            ),
+            pytest.param(
+                b"\xff{}",
+                "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+                id="not-utf8",
+            ),
+        ],
+    )
+    def test_older_summary_schema_exits_2_without_report_files(
+        self, run_dir, capsys, content, detail
+    ):
         path = run_dir / "summary.json"
-        text = path.read_text().replace("driftnet-summary/2", schema) if schema else "[]\n"
-        path.write_text(text)
+        if content is None:
+            content = path.read_bytes().replace(b"driftnet-summary/2", b"driftnet-summary/1")
+        path.write_bytes(content)
         assert main(["report", "--out", str(run_dir)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: invalid-run-output: {path}: schema {schema}, expected driftnet-summary/2\n"
-        )
+        assert capsys.readouterr().err == f"error: invalid-run-output: {path}: {detail}\n"
         assert not any((run_dir / name).exists() for name in cli.REPORT_FILES)
+
+    @pytest.mark.parametrize("name", ["severity.csv", "verdicts.csv"])
+    def test_bad_csv_header_exits_2_without_report_files(self, run_dir, capsys, name):
+        path = run_dir / name
+        header, rows = path.read_text().split("\n", 1)
+        path.write_text(f"{header}X\n{rows}")
+        assert main(["report", "--out", str(run_dir)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid-run-output: {path} must start with run_id,cell,scheme,"
+        )
+        assert not any((run_dir / report).exists() for report in cli.REPORT_FILES)
 
     def test_report_files_written_and_stable(self, run_dir):
         assert main(["report", "--out", str(run_dir)]) == 0
