@@ -252,14 +252,25 @@ def cmd_run(args) -> int:
     return 1 if failures else 0
 
 
-@contextlib.contextmanager
 def _run_csv(path: Path, columns: list[str]):
-    """Stream the rows of a CSV `driftnet run` wrote, once its header is checked to be `columns`."""
+    """Stream the body rows of a CSV `driftnet run` wrote. A header other
+    than `columns`, a row of another width or a byte that is not UTF-8
+    stops the stream with an error that names the file."""
+    width = len(columns)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        if next(reader, None) != columns:
-            raise ValueError(f"invalid-run-output: {path} must start with {','.join(columns)}")
-        yield reader
+        try:
+            if next(reader, None) != columns:
+                raise ValueError(f"invalid-run-output: {path} must start with {','.join(columns)}")
+            for row in reader:
+                if len(row) != width:
+                    raise ValueError(
+                        f"invalid-run-output: {path} line {reader.line_num}: "
+                        f"expected {width} fields, got {len(row)}"
+                    )
+                yield row
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"invalid-run-output: {path}: {exc}") from None
 
 
 def _stat_rows(metrics: dict) -> list[list]:
@@ -342,30 +353,35 @@ def cmd_report(args) -> int:
         raise ValueError(
             f"invalid-run-output: {summary_path}: schema {schema}, expected {SUMMARY_SCHEMA}"
         )
+    for block in ("cells", "overall", "agents"):
+        if block not in summary:
+            raise ValueError(f'invalid-run-output: {summary_path}: missing "{block}"')
+        if not isinstance(summary[block], dict):
+            raise ValueError(f'invalid-run-output: {summary_path}: "{block}" is not an object')
 
-    # Both CSV headers are checked before any report file is written.
-    with (
-        _run_csv(out_dir / "severity.csv", SEVERITY_COLUMNS) as severity_rows,
-        _run_csv(out_dir / "verdicts.csv", VERDICT_COLUMNS) as verdicts,
-    ):
-        _write_breakdown(out_dir / "report_breakdown.csv", summary["cells"])
+    # The timeline is the only reader of the CSV bodies, so it is written
+    # first: a bad header or row leaves no report file behind.
+    _write_timeline(
+        out_dir / "report_timeline.csv",
+        _run_csv(out_dir / "severity.csv", SEVERITY_COLUMNS),
+        _run_csv(out_dir / "verdicts.csv", VERDICT_COLUMNS),
+    )
+    _write_breakdown(out_dir / "report_breakdown.csv", summary["cells"])
 
-        overall = summary["overall"]
-        detection = {n: entry["detection"] for n, entry in overall.items() if entry["detection"]}
-        severity = {n: entry["severity"] for n, entry in overall.items() if entry["severity"]}
-        lines = _format_table("Drift detection performance by monitoring scheme", detection)
-        if severity:
-            lines += _format_table("Drift severity performance (multi-center schemes)", severity)
-        _atomic_write_text(out_dir / "report_tables.txt", "\n".join(lines) + "\n")
+    overall = summary["overall"]
+    detection = {n: entry["detection"] for n, entry in overall.items() if entry["detection"]}
+    severity = {n: entry["severity"] for n, entry in overall.items() if entry["severity"]}
+    lines = _format_table("Drift detection performance by monitoring scheme", detection)
+    if severity:
+        lines += _format_table("Drift severity performance (multi-center schemes)", severity)
+    _atomic_write_text(out_dir / "report_tables.txt", "\n".join(lines) + "\n")
 
-        agents = summary["agents"]
-        with _atomic_csv(out_dir / "report_agents.csv", AGENT_COLUMNS) as writer:
-            for scheme in sorted(agents):
-                for agent in sorted(agents[scheme]):
-                    for row in _stat_rows(agents[scheme][agent]):
-                        writer.writerow([scheme, agent, *row])
-
-        _write_timeline(out_dir / "report_timeline.csv", severity_rows, verdicts)
+    agents = summary["agents"]
+    with _atomic_csv(out_dir / "report_agents.csv", AGENT_COLUMNS) as writer:
+        for scheme in sorted(agents):
+            for agent in sorted(agents[scheme]):
+                for row in _stat_rows(agents[scheme][agent]):
+                    writer.writerow([scheme, agent, *row])
 
     print(f"wrote {', '.join(REPORT_FILES)} to {out_dir}")
     return 0

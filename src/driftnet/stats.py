@@ -160,27 +160,42 @@ def ks_statistic(a, b) -> float:
     return int(numerators[0]) / (a.size * b.size)
 
 
-def _lattice_pass_probability(k: int, m: int, bounds, closes: np.ndarray, reach: int) -> float:
-    """The share of the C(k + m, k) monotone lattice paths from (0, 0) to
-    (k, m) that `permutation_pvalues` counts as passing, given per row i
-    the (first, last, lo, hi) of `bounds`: the columns carried and the
-    band |i * m - j * k| < d.
+def _lattice_exceed_probability(k: int, m: int, d: int, closes: np.ndarray, reach: int) -> float:
+    """P, the share of the C(k + m, k) monotone lattice paths from (0, 0)
+    to (k, m) that `permutation_pvalues` counts as scoring at least the
+    numerator d: 1.0 when d is 0 or some row of the band is empty.
 
-    The paths to (i, j) number the running sum over j of row i - 1, so
-    each row is one cumulative sum, over the band alone when the pool has
-    no ties. With ties (`reach` > 0), a path may leave the band between
-    tie ends, so the row is widened by `reach` and its sum restarts after
-    each blocked point, one on a tie end (`closes`) outside the band: the
-    sum less its value at the last blocked point, which is its running
-    maximum over blocked points since the sum never falls.
+    Row i's band is the columns j with |i * m - j * k| < d, lo..hi. The
+    paths to (i, j) number the running sum over j of row i - 1, so each
+    row is one cumulative sum, over the band alone when the pool has no
+    ties. With ties (`reach` > 0), a path may leave the band between tie
+    ends, so the row runs from the band's start `reach` rows before to
+    `reach` columns past its end, and its sum restarts after each blocked
+    point, one on a tie end (`closes`) outside the band: the sum less its
+    value at the last blocked point, which is its running maximum over
+    blocked points since the sum never falls.
     """
+    if d == 0:
+        return 1.0  # identical pools: every re-split scores at least 0
     weights = np.zeros(m + 1)
     weights[0] = 1.0
     accumulate = np.add.accumulate
     shift = 0
-    for i, (start, stop, band_lo, band_hi) in enumerate(bounds):
+    for i in range(k + 1):
+        lo = (i * m - d) // k + 1
+        if lo < 0:
+            lo = 0
+        hi = (i * m + d - 1) // k
+        if hi > m:
+            hi = m
+        start = ((i - reach) * m - d) // k + 1 if reach else lo
+        if start < 0:
+            start = 0
+        stop = hi + reach + 1
+        if stop > m + 1:
+            stop = m + 1
         if start >= stop:
-            return 0.0  # no path crosses this row
+            return 1.0  # no path crosses this row
         row = weights[start:stop]
         accumulate(row, out=row)
         if row[-1] > 2.0**_RESCALE_BITS:
@@ -188,13 +203,14 @@ def _lattice_pass_probability(k: int, m: int, bounds, closes: np.ndarray, reach:
             shift += _RESCALE_BITS
         if reach:
             blocked = closes[i + start : i + stop].copy()
-            blocked[band_lo - start : band_hi + 1 - start] = False
+            blocked[lo - start : hi + 1 - start] = False
             row -= np.maximum.accumulate(np.where(blocked, row, 0.0))
 
     # weights[m] * 2**shift / C(k + m, k), without overflow.
     paths = math.comb(k + m, k)
     bits = paths.bit_length()
-    return math.ldexp(float(weights[m]) / (paths / (1 << bits)), shift - bits)
+    passed = math.ldexp(float(weights[m]) / (paths / (1 << bits)), shift - bits)
+    return min(1.0, max(0.0, 1.0 - passed))
 
 
 def permutation_pvalues(samples, reference, permutations: int = 1000) -> list[KsResult]:
@@ -202,9 +218,9 @@ def permutation_pvalues(samples, reference, permutations: int = 1000) -> list[Ks
     `samples`, in order, with the same statistic and p-value bytes.
 
     The reference is validated and sorted once. The pooled sorts, tie
-    ends, KS numerators, tie reach and lattice bands of all samples are
-    built together, one row per sample; only each sample's lattice pass,
-    min(n, len(reference)) + 1 cumulative sums, runs on its own.
+    ends, KS numerators and tie reach of all samples are built together,
+    one row per sample; each sample's lattice pass then computes its own
+    band as it goes, in min(n, len(reference)) + 1 cumulative sums.
 
     A uniformly random re-split of sample and reference into their sizes
     k <= m is a monotone lattice path from (0, 0) to (k, m) (Hodges 1958),
@@ -228,18 +244,6 @@ def permutation_pvalues(samples, reference, permutations: int = 1000) -> list[Ks
         raise ValueError("insufficient-observations: both samples need >= 2 values")
 
     ends, numerators = _pool(arrays, ref)
-    ks = [min(size, ref.size) for size in sizes]
-    ms = [max(size, ref.size) for size in sizes]
-    k, m, d = np.array(ks)[:, None], np.array(ms)[:, None], numerators[:, None]
-    # Lattice row i passes the columns lo..hi: those j with |i * m - j * k| < d.
-    row = np.arange(max(ks) + 1)
-    scaled = row * m
-    lo = (scaled - d) // k
-    lo += 1
-    np.maximum(lo, 0, out=lo)
-    scaled += d - 1
-    hi = np.floor_divide(scaled, k, out=scaled)
-    np.minimum(hi, m, out=hi)
     # `closes[i, t]` is True when pooled position t - 1 of pool i closes
     # a tie group; position 0 and padding close too. The reach is the
     # longest run of positions that close none: 0 in a tie-free pool.
@@ -248,22 +252,14 @@ def permutation_pvalues(samples, reference, permutations: int = 1000) -> list[Ks
     column = np.arange(closes.shape[1])
     closes[:, 1:] |= column[1:] > np.add(sizes, ref.size)[:, None]
     reach = column - np.maximum.accumulate(np.where(closes, column, 0), axis=1)
-    reach = reach.max(axis=1)[:, None]
-    first = np.take_along_axis(lo, np.maximum(row - reach, 0), axis=1)
-    last = np.minimum(hi + reach, m) + 1
-    reach = reach[:, 0].tolist()
+    reaches = reach.max(axis=1).tolist()
 
-    bounds = zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist())
     results = []
-    for i, (n, num, columns) in enumerate(zip(sizes, numerators.tolist(), bounds)):
-        passed = 0.0  # identical pools: every re-split scores at least 0
-        if num > 0:
-            rows = zip(*(column[: ks[i] + 1] for column in columns))
-            passed = _lattice_pass_probability(ks[i], ms[i], rows, closes[i], reach[i])
-        exceed = min(1.0, max(0.0, 1.0 - passed))
-        results.append(
-            KsResult(statistic=num / (n * ref.size), p_value=(1 + resamples * exceed) / (resamples + 1))
-        )
+    for n, d, closes_row, reach in zip(sizes, numerators.tolist(), closes, reaches):
+        k, m = min(n, ref.size), max(n, ref.size)
+        exceed = _lattice_exceed_probability(k, m, d, closes_row, reach)
+        p_value = (1 + resamples * exceed) / (resamples + 1)
+        results.append(KsResult(statistic=d / (n * ref.size), p_value=p_value))
     return results
 
 

@@ -641,6 +641,23 @@ class TestReport:
                 "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
                 id="not-utf8",
             ),
+            # The schema is current but a block the report reads is absent or not an object.
+            pytest.param(b'{"schema": "driftnet-summary/2"}', 'missing "cells"', id="no-cells"),
+            pytest.param(
+                b'{"schema": "driftnet-summary/2", "cells": {}, "agents": {}}',
+                'missing "overall"',
+                id="no-overall",
+            ),
+            pytest.param(
+                b'{"schema": "driftnet-summary/2", "cells": {}, "overall": {}, "agents": []}',
+                '"agents" is not an object',
+                id="agents-not-object",
+            ),
+            pytest.param(
+                b'{"schema": "driftnet-summary/2", "cells": null, "overall": {}, "agents": {}}',
+                '"cells" is not an object',
+                id="cells-null",
+            ),
         ],
     )
     def test_older_summary_schema_exits_2_without_report_files(
@@ -654,15 +671,34 @@ class TestReport:
         assert capsys.readouterr().err == f"error: invalid-run-output: {path}: {detail}\n"
         assert not any((run_dir / name).exists() for name in cli.REPORT_FILES)
 
-    @pytest.mark.parametrize("name", ["severity.csv", "verdicts.csv"])
-    def test_bad_csv_header_exits_2_without_report_files(self, run_dir, capsys, name):
+    @pytest.mark.parametrize(
+        ("name", "fault"),
+        [
+            pytest.param(name, fault, id=name if fault == "header" else f"{name}-{fault}")
+            for name in ("severity.csv", "verdicts.csv")
+            for fault in ("header", "short-row", "long-row", "not-utf8")
+        ],
+    )
+    def test_bad_csv_header_exits_2_without_report_files(self, run_dir, capsys, name, fault):
         path = run_dir / name
-        header, rows = path.read_text().split("\n", 1)
-        path.write_text(f"{header}X\n{rows}")
+        header, row, rows = path.read_bytes().split(b"\n", 2)
+        width = header.count(b",") + 1
+        error = f"error: invalid-run-output: {path}"
+        if fault == "header":
+            header += b"X"
+            error += " must start with run_id,cell,scheme,"
+        elif fault == "short-row":
+            row = b"a,b"
+            error += f" line 2: expected {width} fields, got 2\n"
+        elif fault == "long-row":
+            row += b",x"
+            error += f" line 2: expected {width} fields, got {width + 1}\n"
+        else:
+            row += b"\xff"
+            error += ": 'utf-8' codec can't decode byte 0xff in position "
+        path.write_bytes(b"\n".join([header, row, rows]))
         assert main(["report", "--out", str(run_dir)]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: invalid-run-output: {path} must start with run_id,cell,scheme,"
-        )
+        assert capsys.readouterr().err.startswith(error)
         assert not any((run_dir / report).exists() for report in cli.REPORT_FILES)
 
     def test_report_files_written_and_stable(self, run_dir):

@@ -182,7 +182,8 @@ def parent_ks_numerator(a_sorted, b_sorted):
 
 
 def parent_split_exceed_probability(k, m, d, ends):
-    """The per-call lattice pass that `permutation_pvalues` batches."""
+    """The lattice pass of one call with its bands built as arrays up
+    front; `permutation_pvalues` computes each row's band as its pass goes."""
     if d <= 0:
         return 1.0
     n = k + m
@@ -267,16 +268,31 @@ class TestPermutationPvalues:
 
         check()
 
-    @pytest.mark.parametrize("decimals", [None, 2, 1], ids=["tie_free", "ties", "heavy_ties"])
-    def test_matches_parent_kernel_on_a_large_pool(self, decimals):
-        # 450 x 450: C(900, 450) paths pass 2**600, so the pass rescales.
+    @pytest.mark.parametrize(
+        ("decimals", "shape"),
+        [
+            pytest.param(None, "450x450", id="tie_free"),
+            pytest.param(2, "450x450", id="ties"),
+            pytest.param(1, "450x450", id="heavy_ties"),
+            pytest.param(None, "campaign", id="campaign_tie_free"),
+            pytest.param(2, "campaign", id="campaign_ties"),
+            pytest.param(1, "campaign", id="campaign_heavy_ties"),
+        ],
+    )
+    def test_matches_parent_kernel_on_a_large_pool(self, decimals, shape):
         rng = np.random.default_rng(450)
-        reference = rng.beta(9, 21, 450)
-        samples = [rng.beta(9, 21, 450), np.clip(rng.beta(9, 21, 450) + 0.01, 0, 1), rng.beta(9, 21, 30)]
+        if shape == "450x450":
+            # C(900, 450) paths pass 2**600, so the pass rescales.
+            reference = rng.beta(9, 21, 450)
+            samples = [rng.beta(9, 21, 450), np.clip(rng.beta(9, 21, 450) + 0.01, 0, 1), rng.beta(9, 21, 30)]
+            assert math.comb(900, 450) > 2**_RESCALE_BITS
+        else:
+            # The default GlobalRef pool (235 values) against 20 small windows in one call.
+            reference = rng.beta(9, 21, 235)
+            samples = [rng.beta(9, 21, size) for size in rng.integers(2, 31, 20).tolist()]
         if decimals is not None:
             reference = np.round(reference, decimals)
             samples = [np.round(sample, decimals) for sample in samples]
-        assert math.comb(900, 450) > 2**_RESCALE_BITS
         assert_matches_parent(samples, reference)
 
     def test_identical_samples_give_p_one(self):
