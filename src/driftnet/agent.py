@@ -146,10 +146,14 @@ class DriftAgent:
     it freezes its first window with 2 valid values. Both nulls are
     exact, so the agent draws nothing: `rng` is unused, kept because
     perfbench/run.py passes it.
+
+    The agent reads `window_size` and `min_valid` from its config once, at
+    construction.
     """
 
     def __init__(self, config: AgentConfig, rng=None, hooks=()) -> None:
         self.config = config
+        self.window_size = config.window_size
         self.min_valid = (
             max(2, config.window_size // 2) if config.min_valid is None else config.min_valid
         )
@@ -173,7 +177,7 @@ class DriftAgent:
         if value < 0.0 or value > 1.0:  # NaN, a null slot, fails both tests
             raise ValueError(f"invalid-probability: {observation!r} outside [0, 1]")
         self._buffer.append(value)
-        if len(self._buffer) < self.config.window_size:
+        if len(self._buffer) < self.window_size:
             return None
         window = np.asarray(self._buffer, dtype=np.float64)
         self._buffer = []
@@ -191,7 +195,7 @@ class DriftAgent:
         invalid = np.flatnonzero((series < 0.0) | (series > 1.0))
         stop = int(invalid[0]) if invalid.size else series.size
         slots = np.concatenate((self._buffer, series[:stop]))
-        size = self.config.window_size
+        size = self.window_size
         count = slots.size // size
         self._buffer = slots[count * size :].tolist()
         for verdict in self._verdicts(slots[: count * size].reshape(count, size)):

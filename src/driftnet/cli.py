@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, fields_from_dict
-from .metrics import METRIC_NAMES, SCORING_TASKS
+from .metrics import METRIC_NAMES, SCORING_TASKS, STAT_KEYS
 # Uncalled here: perfbench/tracing.py patches driftnet.cli.compute_metrics.
 from .metrics import compute_metrics  # noqa: F401
 # Uncalled here: perfbench/tracing.py patches driftnet.cli.aggregate.
@@ -61,7 +61,7 @@ REPORT_FILES = (
     "report_timeline.csv",
     "report_tables.txt",
 )
-STAT_COLUMNS = ["metric", "mean", "std", "n", "skipped"]
+STAT_COLUMNS = ["metric", *STAT_KEYS]
 AGENT_COLUMNS = ["scheme", "agent", *STAT_COLUMNS]
 BREAKDOWN_COLUMNS = ["cell", *GridCell._fields, "scheme", "task", *STAT_COLUMNS]
 TIMELINE_COLUMNS = [
@@ -336,6 +336,48 @@ def _write_timeline(path: Path, severity_rows, verdicts) -> None:
             )
 
 
+def _check_summary_blocks(path: Path, summary: dict) -> None:
+    """Check that summary.json's cells, overall and agents blocks hold
+    every key the report reads, each in an object, naming the first one
+    missing by its dotted path: cells.<label> needs the grid fields and
+    schemes, each scheme entry (there and in overall) the scoring tasks,
+    and each scored task, like each agent entry, every metric's
+    statistics. A task entry may be null (not scored)."""
+
+    def fields(entry, where: str, keys) -> dict:
+        if not isinstance(entry, dict):
+            raise ValueError(f"invalid-run-output: {path}: {where} is not an object")
+        for key in keys:
+            if key not in entry:
+                raise ValueError(f"invalid-run-output: {path}: {where}.{key} missing")
+        return entry
+
+    def stats(entry, where: str) -> None:
+        fields(entry, where, METRIC_NAMES)
+        for metric in METRIC_NAMES:
+            fields(entry[metric], f"{where}.{metric}", STAT_KEYS)
+
+    def schemes(block, where: str) -> None:
+        for scheme, entry in fields(block, where, ()).items():
+            fields(entry, f"{where}.{scheme}", SCORING_TASKS)
+            for task in SCORING_TASKS:
+                if entry[task] is not None:
+                    stats(entry[task], f"{where}.{scheme}.{task}")
+
+    for block in ("cells", "overall", "agents"):
+        if block not in summary:
+            raise ValueError(f'invalid-run-output: {path}: missing "{block}"')
+        if not isinstance(summary[block], dict):
+            raise ValueError(f'invalid-run-output: {path}: "{block}" is not an object')
+    for label, cell in summary["cells"].items():
+        fields(cell, f"cells.{label}", (*GridCell._fields, "schemes"))
+        schemes(cell["schemes"], f"cells.{label}.schemes")
+    schemes(summary["overall"], "overall")
+    for scheme, agents in summary["agents"].items():
+        for agent, entry in fields(agents, f"agents.{scheme}", ()).items():
+            stats(entry, f"agents.{scheme}.{agent}")
+
+
 def cmd_report(args) -> int:
     """Format summary.json's per-cell, overall and per-agent metrics as
     tables, and join verdicts.csv with severity.csv into the timeline."""
@@ -353,11 +395,7 @@ def cmd_report(args) -> int:
         raise ValueError(
             f"invalid-run-output: {summary_path}: schema {schema}, expected {SUMMARY_SCHEMA}"
         )
-    for block in ("cells", "overall", "agents"):
-        if block not in summary:
-            raise ValueError(f'invalid-run-output: {summary_path}: missing "{block}"')
-        if not isinstance(summary[block], dict):
-            raise ValueError(f'invalid-run-output: {summary_path}: "{block}" is not an object')
+    _check_summary_blocks(summary_path, summary)
 
     # The timeline is the only reader of the CSV bodies, so it is written
     # first: a bad header or row leaves no report file behind.

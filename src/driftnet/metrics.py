@@ -19,6 +19,9 @@ METRIC_NAMES = ("precision", "sensitivity", "specificity", "f1")
 # The tasks each scheme is scored on, in summary.json and the breakdown.
 SCORING_TASKS = ("detection", "severity")
 
+# The statistics `aggregate` gives each metric, in order.
+STAT_KEYS = ("mean", "std", "n", "skipped")
+
 # How a metric with a zero denominator is scored: "skip" leaves it
 # undefined (None), "one" scores it 1.0.
 EMPTY_CLASS_POLICIES = ("skip", "one")
@@ -127,5 +130,5 @@ def aggregate(pool: list[MetricSet]) -> dict:
         n = len(values)
         mean = math.fsum(values) / n if n else None
         std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n) if n else None
-        stats[name] = {"mean": mean, "std": std, "n": n, "skipped": len(pool) - n}
+        stats[name] = dict(zip(STAT_KEYS, (mean, std, n, len(pool) - n)))
     return stats

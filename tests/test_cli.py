@@ -658,6 +658,31 @@ class TestReport:
                 '"cells" is not an object',
                 id="cells-null",
             ),
+            # A block's entry lacks a key the report reads.
+            pytest.param(
+                b'{"schema": "driftnet-summary/2", "cells": {"c": {}}, "overall": {}, "agents": {}}',
+                "cells.c.drift_strength missing",
+                id="empty-cell-entry",
+            ),
+            pytest.param(
+                json.dumps(
+                    {
+                        "schema": "driftnet-summary/2",
+                        "cells": {},
+                        "overall": {},
+                        "agents": {
+                            "SiteRef": {
+                                "DS-0": {
+                                    metric: {"mean": 0.5, "std": 0.0, "n": 1, "skipped": 0}
+                                    for metric in METRIC_NAMES[:-1]
+                                }
+                            }
+                        },
+                    }
+                ).encode(),
+                "agents.SiteRef.DS-0.f1 missing",
+                id="agent-entry-without-f1",
+            ),
         ],
     )
     def test_older_summary_schema_exits_2_without_report_files(

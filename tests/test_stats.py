@@ -18,7 +18,7 @@ from driftnet.stats import (
     permutation_pvalue,
     permutation_pvalues,
 )
-from driftnet.stats import _RESCALE_BITS, _band, _binding_edges
+from driftnet.stats import _RESCALE_BITS, _band, _binding_edges, _histogram_exceed_probability
 
 
 def sample_from_histogram(ref: Histogram, n: int, rng=None) -> np.ndarray:
@@ -827,6 +827,68 @@ class TestKsVsHistogram:
         exceed = (ks_vs_histogram(batch, ref, permutations=1).p_value * 2) - 1
         assert abs(exceed - estimate) <= 4 * math.sqrt(estimate * (1 - estimate) / draws)
 
+
+def _window_case(seed, n, drifted=0.0, decimals=None):
+    """(n, mass, edge_cdf, threshold) as ks_vs_histogram passes them to
+    the pass for a window of n values against a 100-bin beta(9, 21)
+    reference: the first `drifted` share of the window is replaced by
+    uniform(0.3, 0.48) values, the drift band of the monitor bench, and
+    the window is rounded to `decimals`, onto the bin edges, if given."""
+    rng = np.random.default_rng(seed)
+    ref = build_histogram(rng.beta(9.0, 21.0, 2000), bins=100)
+    batch = sample_from_histogram(ref, n, rng=rng)
+    k = int(drifted * n)
+    batch[:k] = rng.uniform(0.3, 0.48, k)
+    if decimals is not None:
+        batch = np.round(batch, decimals)
+    return n, ref.pmf, ref.cdf[1:], _observed_statistic(batch, ref) - 1e-12
+
+
+def _with_threshold(case, threshold):
+    n, mass, edge_cdf, _ = case
+    return n, mass, edge_cdf, threshold
+
+
+# float.hex of P from _histogram_exceed_probability, recorded before its
+# Poisson steps were built in one vectorised pass. One case per branch of
+# the pass: monitor windows (n near 450) clean and drifted, campaign
+# windows (n = 4, 8, 22), batches on the bin edges, a step whose bins hold
+# no mass, edges skipped and pooled into the next step, carried weights
+# wider than _UNTRIMMED_STATES (n = 5,000), an empty band, and a step
+# whose reach misses its band. Recorded with numpy 2.4.6 and Python
+# 3.11.7: the bytes rest on numpy's exp and log, whose SIMD loops
+# numpy does not promise to keep bit for bit across releases or CPUs.
+_EXCEED_BYTES = {
+    "monitor-clean-450": (lambda: _window_case(1, 450), "0x1.5a854fec363f8p-1"),
+    "monitor-clean-476": (lambda: _window_case(2, 476), "0x1.ef5f509821281p-1"),
+    "monitor-clean-429": (lambda: _window_case(3, 429), "0x1.99cc2e1f58184p-1"),
+    "monitor-drift-25pct-450": (lambda: _window_case(4, 450, 0.25), "0x1.1ac5700000000p-33"),
+    "monitor-drift-25pct-462": (lambda: _window_case(5, 462, 0.25), "0x1.84288c0000000p-31"),
+    "monitor-drift-5pct": (lambda: _window_case(15, 450, 0.05), "0x1.3d0da0dc09f68p-4"),
+    "monitor-drift-10pct": (lambda: _window_case(16, 455, 0.10), "0x1.52f69bceb2100p-5"),
+    "monitor-on-edges": (lambda: _window_case(6, 450, decimals=2), "0x1.098938d4e2e6dp-1"),
+    "monitor-drift-on-edges": (lambda: _window_case(7, 441, 0.25, decimals=2), "0x0.0p+0"),
+    "campaign-4": (lambda: _window_case(8, 4), "0x1.997f37645bd96p-2"),
+    "campaign-8": (lambda: _window_case(9, 8), "0x1.f11430545ac08p-4"),
+    "campaign-22": (lambda: _window_case(10, 22), "0x1.ddf2ed9297596p-2"),
+    "campaign-8-drift": (lambda: _window_case(11, 8, 0.25), "0x1.9eba2a66b94d2p-1"),
+    "campaign-22-drift-zero-mass": (lambda: _window_case(47, 22, 0.25), "0x1.09960c2037058p-3"),
+    "campaign-22-on-edges": (lambda: _window_case(13, 22, decimals=2), "0x1.6f219d01d192ap-2"),
+    "wide-5000-drift": (lambda: _window_case(14, 5000, 0.05), "0x1.dc0ec32d0fe00p-10"),
+    "wide-5000-pooled": (lambda: _with_threshold(_window_case(20, 5000), 0.003), "0x1.fffb833070ae9p-1"),
+    "wide-5000-trimmed": (lambda: _with_threshold(_window_case(20, 5000), 0.012), "0x1.3d021d6e80bacp-2"),
+    "empty-band": (lambda: _with_threshold(_window_case(18, 450), 1e-6), "0x1.0000000000000p+0"),
+    "reach-misses-band": (
+        lambda: (4, np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.75, 1.0]), 0.3),
+        "0x1.0000000000000p+0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXCEED_BYTES))
+def test_exceed_probability_bytes_are_pinned(case):
+    build, expected = _EXCEED_BYTES[case]
+    assert _histogram_exceed_probability(*build()).hex() == expected
 
 class TestSampleFromHistogram:
     def test_respects_support(self):
