@@ -36,6 +36,7 @@ from .sim import (
     GridCell,
     SimConfig,
     cell_label,
+    check_summary,
     derive_seed,
     run_grid,
     site_samples,
@@ -253,13 +254,14 @@ def cmd_run(args) -> int:
 
 
 def _run_csv(path: Path, columns: list[str]):
-    """Stream the body rows of a CSV `driftnet run` wrote. A header other
-    than `columns`, a row of another width or a byte that is not UTF-8
-    stops the stream with an error that names the file."""
+    """Stream the body rows of a CSV `driftnet run` wrote. A file that
+    cannot be read, a header other than `columns`, a row of another width
+    or a byte that is not UTF-8 stops the stream with an error that names
+    the file."""
     width = len(columns)
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
             if next(reader, None) != columns:
                 raise ValueError(f"invalid-run-output: {path} must start with {','.join(columns)}")
             for row in reader:
@@ -269,8 +271,8 @@ def _run_csv(path: Path, columns: list[str]):
                         f"expected {width} fields, got {len(row)}"
                     )
                 yield row
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"invalid-run-output: {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"invalid-run-output: {path}: {exc}") from None
 
 
 def _stat_rows(metrics: dict) -> list[list]:
@@ -336,48 +338,6 @@ def _write_timeline(path: Path, severity_rows, verdicts) -> None:
             )
 
 
-def _check_summary_blocks(path: Path, summary: dict) -> None:
-    """Check that summary.json's cells, overall and agents blocks hold
-    every key the report reads, each in an object, naming the first one
-    missing by its dotted path: cells.<label> needs the grid fields and
-    schemes, each scheme entry (there and in overall) the scoring tasks,
-    and each scored task, like each agent entry, every metric's
-    statistics. A task entry may be null (not scored)."""
-
-    def fields(entry, where: str, keys) -> dict:
-        if not isinstance(entry, dict):
-            raise ValueError(f"invalid-run-output: {path}: {where} is not an object")
-        for key in keys:
-            if key not in entry:
-                raise ValueError(f"invalid-run-output: {path}: {where}.{key} missing")
-        return entry
-
-    def stats(entry, where: str) -> None:
-        fields(entry, where, METRIC_NAMES)
-        for metric in METRIC_NAMES:
-            fields(entry[metric], f"{where}.{metric}", STAT_KEYS)
-
-    def schemes(block, where: str) -> None:
-        for scheme, entry in fields(block, where, ()).items():
-            fields(entry, f"{where}.{scheme}", SCORING_TASKS)
-            for task in SCORING_TASKS:
-                if entry[task] is not None:
-                    stats(entry[task], f"{where}.{scheme}.{task}")
-
-    for block in ("cells", "overall", "agents"):
-        if block not in summary:
-            raise ValueError(f'invalid-run-output: {path}: missing "{block}"')
-        if not isinstance(summary[block], dict):
-            raise ValueError(f'invalid-run-output: {path}: "{block}" is not an object')
-    for label, cell in summary["cells"].items():
-        fields(cell, f"cells.{label}", (*GridCell._fields, "schemes"))
-        schemes(cell["schemes"], f"cells.{label}.schemes")
-    schemes(summary["overall"], "overall")
-    for scheme, agents in summary["agents"].items():
-        for agent, entry in fields(agents, f"agents.{scheme}", ()).items():
-            stats(entry, f"agents.{scheme}.{agent}")
-
-
 def cmd_report(args) -> int:
     """Format summary.json's per-cell, overall and per-agent metrics as
     tables, and join verdicts.csv with severity.csv into the timeline."""
@@ -388,14 +348,12 @@ def cmd_report(args) -> int:
     summary_path = out_dir / "summary.json"
     try:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        schema = summary.get("schema") if isinstance(summary, dict) else None
+        if schema != SUMMARY_SCHEMA:
+            raise ValueError(f"schema {schema}, expected {SUMMARY_SCHEMA}")
+        check_summary(summary)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 JSON, or off schema or shape
         raise ValueError(f"invalid-run-output: {summary_path}: {exc}") from None
-    schema = summary.get("schema") if isinstance(summary, dict) else None
-    if schema != SUMMARY_SCHEMA:
-        raise ValueError(
-            f"invalid-run-output: {summary_path}: schema {schema}, expected {SUMMARY_SCHEMA}"
-        )
-    _check_summary_blocks(summary_path, summary)
 
     # The timeline is the only reader of the CSV bodies, so it is written
     # first: a bad header or row leaves no report file behind.

@@ -39,7 +39,9 @@ from .agent import (
 from .config import ConfigError, fields_to_dict, setting, shared, validate_fields
 from .metrics import (
     EMPTY_CLASS_POLICIES,
+    METRIC_NAMES,
     SCORING_TASKS,
+    STAT_KEYS,
     ConfusionCounts,
     MetricSet,
     aggregate,
@@ -73,7 +75,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 CENTRALIZED_STREAM_ID = "ALL"
-SUMMARY_SCHEMA = "driftnet-summary/2"
 
 
 def load_series_csv(path) -> np.ndarray:
@@ -256,6 +257,40 @@ def cell_label(cell: GridCell) -> str:
         f"_duration{cell.drift_duration}"
         f"_window{cell.window_fraction}"
     )
+
+
+SUMMARY_SCHEMA = "driftnet-summary/2"
+
+# The shape of the summary.json blocks `driftnet report` reads, built from
+# the constants that own their keys: a dict is an object with those keys (a
+# `str` key stands for any key), a type is a leaf's exact type, and a
+# (shape, None) pair is that shape or null.
+_STATS = dict(zip(STAT_KEYS, ((float, None), (float, None), int, int)))
+_AGGREGATE = dict.fromkeys(METRIC_NAMES, _STATS)
+_SCHEMES = {str: dict.fromkeys(SCORING_TASKS, (_AGGREGATE, None))}
+_CELL = {**dict.fromkeys(GridCell._fields, float), "completed": int, "schemes": _SCHEMES}
+SUMMARY_SHAPE = {"cells": {str: _CELL}, "overall": _SCHEMES, "agents": {str: {str: _AGGREGATE}}}
+
+
+def check_summary(value, shape=SUMMARY_SHAPE, path: str = "") -> None:
+    """Raise ValueError naming the first key path of a parsed summary.json
+    that is missing or mistyped against SUMMARY_SHAPE, e.g.
+    "cells.<label>.drift_strength missing" or "agents.SiteRef.DS-0.f1.n is not int"."""
+    if isinstance(shape, tuple):
+        if value is not None:
+            check_summary(value, shape[0], path)
+    elif isinstance(shape, type):
+        if type(value) is not shape:
+            raise ValueError(f"{path} is not {shape.__name__}")
+    elif not isinstance(value, dict):
+        raise ValueError(f"{path} is not an object")
+    else:
+        for key, inner in shape.items():
+            for name in value if key is str else [key]:
+                where = f"{path}.{name}" if path else name
+                if name not in value:
+                    raise ValueError(f"{where} missing")
+                check_summary(value[name], inner, where)
 
 
 def enumerate_cells(config: SimConfig) -> list[GridCell]:

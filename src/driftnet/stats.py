@@ -46,7 +46,8 @@ _UNTRIMMED_STATES = 64
 
 @dataclass(frozen=True)
 class KsResult:
-    """Outcome of one drift test: KS statistic and resampling p-value."""
+    """Outcome of one drift test: the KS statistic and its p-value,
+    (1 + B * P) / (B + 1) from the exact null probability P, not resampled."""
 
     statistic: float
     p_value: float

@@ -1,8 +1,11 @@
 """End-to-end tests for the command line interface."""
 
+import copy
 import csv
+import functools
 import hashlib
 import json
+import operator
 import os
 import platform
 import subprocess
@@ -14,9 +17,9 @@ import pytest
 
 from driftnet import cli
 from driftnet.cli import ConfigError, config_from_dict, load_config, main
-from driftnet.metrics import EMPTY_CLASS_POLICIES, METRIC_NAMES
+from driftnet.metrics import EMPTY_CLASS_POLICIES, METRIC_NAMES, STAT_KEYS
 from driftnet.schemes import SchemeKind
-from driftnet.sim import run_grid
+from driftnet.sim import GridCell, check_summary, run_grid
 
 
 # A file-backed site whose files are never read: a site's keys are checked first.
@@ -31,6 +34,8 @@ SMALL_CONFIG = {
         "window_fraction": [0.1],
     },
 }
+# SMALL_CONFIG's one grid cell, as summary.json labels it.
+SMALL_LABEL = "strength0.3_duration0.3_window0.1"
 
 
 # `driftnet [argv[4:]] run --threads 2` under the start method named by
@@ -70,6 +75,19 @@ def run_digests(tmp_path, payload):
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def fail_replicate(config, cell, replicate_index):
+    raise ValueError(f"replicate {replicate_index} broke")
+
+
+def leaf_paths(value, path=()):
+    """The key path of every value in `value` that is not an object."""
+    if not isinstance(value, dict):
+        yield path
+        return
+    for key, entry in value.items():
+        yield from leaf_paths(entry, (*path, key))
 
 
 class TestConfigValidation:
@@ -392,10 +410,7 @@ class TestRun:
     def test_failed_replicates_exit_nonzero_after_writing_outputs(
         self, tmp_path, capsys, monkeypatch
     ):
-        def fail(config, cell, replicate_index):
-            raise ValueError(f"replicate {replicate_index} broke")
-
-        monkeypatch.setattr("driftnet.sim.run_replicate", fail)
+        monkeypatch.setattr("driftnet.sim.run_replicate", fail_replicate)
         out = tmp_path / "run"
         assert main(["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", str(out)]) == 1
         assert "2 failures" in capsys.readouterr().out
@@ -642,20 +657,20 @@ class TestReport:
                 id="not-utf8",
             ),
             # The schema is current but a block the report reads is absent or not an object.
-            pytest.param(b'{"schema": "driftnet-summary/2"}', 'missing "cells"', id="no-cells"),
+            pytest.param(b'{"schema": "driftnet-summary/2"}', "cells missing", id="no-cells"),
             pytest.param(
                 b'{"schema": "driftnet-summary/2", "cells": {}, "agents": {}}',
-                'missing "overall"',
+                "overall missing",
                 id="no-overall",
             ),
             pytest.param(
                 b'{"schema": "driftnet-summary/2", "cells": {}, "overall": {}, "agents": []}',
-                '"agents" is not an object',
+                "agents is not an object",
                 id="agents-not-object",
             ),
             pytest.param(
                 b'{"schema": "driftnet-summary/2", "cells": null, "overall": {}, "agents": {}}',
-                '"cells" is not an object',
+                "cells is not an object",
                 id="cells-null",
             ),
             # A block's entry lacks a key the report reads.
@@ -683,6 +698,22 @@ class TestReport:
                 "agents.SiteRef.DS-0.f1 missing",
                 id="agent-entry-without-f1",
             ),
+            # A key path: the run's own summary.json, that leaf written as a string.
+            pytest.param(
+                ("cells", SMALL_LABEL, "drift_strength"),
+                f"cells.{SMALL_LABEL}.drift_strength is not float",
+                id="cell-drift-strength-string",
+            ),
+            pytest.param(
+                ("overall", "SiteRef", "detection", "f1", "mean"),
+                "overall.SiteRef.detection.f1.mean is not float",
+                id="overall-mean-string",
+            ),
+            pytest.param(
+                ("agents", "SiteRef", "DS-0", "f1", "n"),
+                "agents.SiteRef.DS-0.f1.n is not int",
+                id="agent-n-string",
+            ),
         ],
     )
     def test_older_summary_schema_exits_2_without_report_files(
@@ -691,10 +722,27 @@ class TestReport:
         path = run_dir / "summary.json"
         if content is None:
             content = path.read_bytes().replace(b"driftnet-summary/2", b"driftnet-summary/1")
+        elif isinstance(content, tuple):
+            summary = json.loads(path.read_text())
+            *parents, key = content
+            entry = functools.reduce(operator.getitem, parents, summary)
+            entry[key] = str(entry[key])
+            content = json.dumps(summary).encode()
         path.write_bytes(content)
         assert main(["report", "--out", str(run_dir)]) == 2
         assert capsys.readouterr().err == f"error: invalid-run-output: {path}: {detail}\n"
         assert not any((run_dir / name).exists() for name in cli.REPORT_FILES)
+
+    @pytest.mark.parametrize("name", ["summary.json", "verdicts.csv", "severity.csv"])
+    def test_unreadable_run_output_exits_2_without_report_files(self, run_dir, capsys, name):
+        path = run_dir / name
+        path.unlink()
+        path.mkdir()
+        assert main(["report", "--out", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid-run-output: {path}: ")
+        assert err.count("\n") == 1
+        assert not any((run_dir / report).exists() for report in cli.REPORT_FILES)
 
     @pytest.mark.parametrize(
         ("name", "fault"),
@@ -769,3 +817,52 @@ class TestReport:
         text = (run_dir / "report_tables.txt").read_text()
         for scheme in ("Centralized", "GlobalRef", "SiteRef", "ProdRef", "AdaptiveRef"):
             assert scheme in text
+
+
+class TestCheckSummary:
+    """check_summary, the report's summary.json check, against run_grid's
+    own output: the writer and the checker must agree."""
+
+    @pytest.fixture(scope="class")
+    def summary(self):
+        return run_grid(config_from_dict(SMALL_CONFIG))
+
+    def test_accepts_run_grids_output(self, summary):
+        check_summary(summary)
+
+    def test_accepts_a_centralized_only_run(self):
+        summary = run_grid(config_from_dict(dict(SMALL_CONFIG, schemes=["Centralized"])))
+        cell = summary["cells"][SMALL_LABEL]
+        entries = [summary["overall"]["Centralized"], cell["schemes"]["Centralized"]]
+        assert [entry["severity"] for entry in entries] == [None, None]
+        check_summary(summary)
+
+    def test_accepts_a_run_whose_replicates_all_fail(self, monkeypatch):
+        monkeypatch.setattr("driftnet.sim.run_replicate", fail_replicate)
+        summary = run_grid(config_from_dict(SMALL_CONFIG))
+        assert len(summary["failures"]) == SMALL_CONFIG["replicates"]
+        assert summary["cells"][SMALL_LABEL]["completed"] == 0
+        assert all(agents == {} for agents in summary["agents"].values())
+        check_summary(summary)
+
+    def test_each_leaf_deleted_or_retyped_is_named(self, summary):
+        summary = copy.deepcopy(summary)
+        blocks = {block: summary[block] for block in ("cells", "overall", "agents")}
+        paths = list(leaf_paths(blocks))
+        # Every kind of leaf: grid fields, counts, a null task entry and each statistic.
+        assert {path[-1] for path in paths} == {
+            *GridCell._fields, "completed", "severity", *STAT_KEYS
+        }
+        for *parents, key in paths:
+            where = ".".join((*parents, key))
+            entry = functools.reduce(operator.getitem, parents, summary)
+            value = entry.pop(key)
+            with pytest.raises(ValueError) as deleted:
+                check_summary(summary)
+            entry[key] = str(value)
+            with pytest.raises(ValueError) as retyped:
+                check_summary(summary)
+            entry[key] = value
+            assert str(deleted.value) == f"{where} missing"
+            assert str(retyped.value).startswith(f"{where} is not ")
+        check_summary(summary)
