@@ -275,20 +275,18 @@ def _run_csv(path: Path, columns: list[str]):
         raise ValueError(f"invalid-run-output: {path}: {exc}") from None
 
 
+def _mean_std(stat: dict, spec: str, missing: str) -> list[str]:
+    """A summary.json statistic's mean and std, each formatted with `spec`,
+    or the report file's `missing` marker where it is null."""
+    return [missing if stat[key] is None else format(stat[key], spec) for key in ("mean", "std")]
+
+
 def _stat_rows(metrics: dict) -> list[list]:
     """[metric, mean, std, n, skipped] per metric of one summary.json entry."""
     rows = []
     for metric in METRIC_NAMES:
         stat = metrics[metric]
-        rows.append(
-            [
-                metric,
-                "" if stat["mean"] is None else f"{stat['mean']:.6f}",
-                "" if stat["std"] is None else f"{stat['std']:.6f}",
-                stat["n"],
-                stat["skipped"],
-            ]
-        )
+        rows.append([metric, *_mean_std(stat, ".6f", ""), stat["n"], stat["skipped"]])
     return rows
 
 
@@ -313,11 +311,9 @@ def _format_table(title: str, entries: dict) -> list[str]:
     for scheme in sorted(entries):
         cells = []
         for metric in METRIC_NAMES:
-            stat = entries[scheme][metric]
-            if stat["mean"] is None:
-                cells.append(f"{'n/a':>20}")
-            else:
-                cells.append(f"{stat['mean']:>11.3f} ± {stat['std']:.3f}")
+            mean, std = _mean_std(entries[scheme][metric], ".3f", "n/a")
+            # A metric never scored is one "n/a" across the cell.
+            cells.append(f"{'n/a':>20}" if mean == std == "n/a" else f"{mean:>11} ± {std}")
         lines.append(f"{scheme:<14}" + "".join(cells))
     lines.append("")
     return lines

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "EMPTY_CLASS_POLICIES",
@@ -13,8 +13,6 @@ __all__ = [
     "compute_metrics",
     "score_detection",
 ]
-
-METRIC_NAMES = ("precision", "sensitivity", "specificity", "f1")
 
 # The tasks each scheme is scored on, in summary.json and the breakdown.
 SCORING_TASKS = ("detection", "severity")
@@ -27,8 +25,7 @@ STAT_KEYS = ("mean", "std", "n", "skipped")
 EMPTY_CLASS_POLICIES = ("skip", "one")
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int = 0
     fp: int = 0
     tn: int = 0
@@ -36,10 +33,10 @@ class ConfusionCounts:
 
     @property
     def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
+        return sum(self)
 
 
-# (predicted drift, true drift) of an evaluated window -> index in (tp, fp, tn, fn).
+# (predicted drift, true drift) of an evaluated window -> its ConfusionCounts field index.
 CONFUSION_SLOT = {(True, True): 0, (True, False): 1, (False, False): 2, (False, True): 3}
 
 
@@ -68,14 +65,16 @@ def score_detection(verdicts, truth_labels) -> ConfusionCounts:
     return ConfusionCounts(*tally)
 
 
-@dataclass(frozen=True)
-class MetricSet:
+class MetricSet(NamedTuple):
     """Per-pool metrics; None marks a value undefined under 'skip'."""
 
     precision: float | None
     sensitivity: float | None
     specificity: float | None
     f1: float | None
+
+
+METRIC_NAMES = MetricSet._fields
 
 
 def compute_metrics(counts: ConfusionCounts, empty_class_policy: str = "skip") -> MetricSet:
@@ -94,7 +93,7 @@ def compute_metrics(counts: ConfusionCounts, empty_class_policy: str = "skip") -
             f"expected one of {EMPTY_CLASS_POLICIES}"
         )
     undefined = 1.0 if empty_class_policy == "one" and counts.total else None
-    tp, fp, tn, fn = counts.tp, counts.fp, counts.tn, counts.fn
+    tp, fp, tn, fn = counts
 
     if tp + fp > 0:
         precision = tp / (tp + fp)
@@ -112,7 +111,7 @@ def compute_metrics(counts: ConfusionCounts, empty_class_policy: str = "skip") -
         f1 = 2 * precision * sensitivity / (precision + sensitivity)
     else:
         f1 = 0.0
-    return MetricSet(precision=precision, sensitivity=sensitivity, specificity=specificity, f1=f1)
+    return MetricSet(precision, sensitivity, specificity, f1)
 
 
 def aggregate(pool: list[MetricSet]) -> dict:
@@ -125,8 +124,8 @@ def aggregate(pool: list[MetricSet]) -> dict:
     if not pool:
         raise ValueError("empty-pool: nothing to aggregate")
     stats = {}
-    for name in METRIC_NAMES:
-        values = [v for v in (getattr(entry, name) for entry in pool) if v is not None]
+    for name, column in zip(METRIC_NAMES, zip(*pool)):
+        values = [v for v in column if v is not None]
         n = len(values)
         mean = math.fsum(values) / n if n else None
         std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n) if n else None

@@ -90,4 +90,4 @@ def build_severity(
         for t, (true, pred) in enumerate(zip(c_true, c_pred))
     ]
     categories = Counter(row.category for row in rows)
-    return rows, ConfusionCounts(*(categories[name] for name in ("TP", "FP", "TN", "FN")))
+    return rows, ConfusionCounts(*(categories[name.upper()] for name in ConfusionCounts._fields))

@@ -171,7 +171,7 @@ def ks_statistic(a, b) -> float:
 def _lattice_exceed_probability(k: int, m: int, d: int, closes: np.ndarray, reach: int) -> float:
     """P, the share of the C(k + m, k) monotone lattice paths from (0, 0)
     to (k, m) that `permutation_pvalues` counts as scoring at least the
-    numerator d: 1.0 when d is 0 or some row of the band is empty.
+    numerator d: 1.0 when d is 0.
 
     Row i's band is the columns j with |i * m - j * k| < d, lo..hi. The
     paths to (i, j) number the running sum over j of row i - 1, so each
@@ -202,8 +202,6 @@ def _lattice_exceed_probability(k: int, m: int, d: int, closes: np.ndarray, reac
         stop = hi + reach + 1
         if stop > m + 1:
             stop = m + 1
-        if start >= stop:
-            return 1.0  # no path crosses this row
         row = weights[start:stop]
         accumulate(row, out=row)
         if row[-1] > 2.0**_RESCALE_BITS:
@@ -558,14 +556,7 @@ def ks_vs_histogram(batch, ref: Histogram, permutations: int = 1000, rng=None) -
     deterministic: `rng` is unused, kept because perfbench/run.py passes it.
 
     Cost: at a fixed statistic the pass grows about as n^1.5, because the
-    clipped count state and each Poisson pmf both widen with n. Building
-    the Poisson pmfs of all steps in one vectorised pass
-    (`_histogram_exceed_probability`) cut the per-call time, on a 2-core
-    Xeon at 100 bins, from 309 to 195 us for a monitor window (n about
-    450; median over 1,000 windows of the monitor bench) and from 110 to
-    88 us for a campaign window (n 4 to 22). At n = 50,000 with 5% of the
-    batch drifted it takes 6.5 ms either way, as the convolutions
-    themselves dominate there.
+    clipped count state and each Poisson pmf both widen with n.
     """
     batch = _as_sample(batch, "batch")
     if batch.size < 2:

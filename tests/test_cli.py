@@ -162,6 +162,11 @@ class TestConfigValidation:
              r"^grid\.drift_strength\[1\]: duplicate value 0\.3$"),
             ({"schemes": ["SiteRef", "SiteRef"]}, r"^schemes\[1\]: duplicate scheme 'SiteRef'$"),
             ({"resample": "bootstrap"}, r"^resample: "),
+            ([], r"^config: expected an object, got \[\]$"),
+            ({"model_id": 5}, r"^model_id: expected a string, got 5$"),
+            ({"schemes": []}, r"^schemes: expected a nonempty list, got \[\]$"),
+            ({"sites": [{"site_id": "", "reference_size": 9, "test_size": 9}]},
+             r"^sites\[0\]\.site_id: must be a nonempty string$"),
         ],
     )
     def test_config_errors_start_with_the_field_path(self, raw, path):
@@ -222,12 +227,21 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("error: config: ")
         assert not out.exists()
 
-    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        ("content", "error"),
+        [
+            pytest.param(b'{"model_id": "\xff"}', "cannot read {}: ", id="not-utf8"),
+            pytest.param(None, "file not found: {}\n", id="missing"),
+            pytest.param(b'{"model_id": ', "invalid JSON in {}: ", id="not-json"),
+        ],
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content, error):
         path = tmp_path / "config.json"
-        path.write_bytes(b'{"model_id": "\xff"}')
+        if content is not None:
+            path.write_bytes(content)
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: config: cannot read {path}: ")
+        assert capsys.readouterr().err.startswith("error: config: " + error.format(path))
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "datagen"])
@@ -787,6 +801,17 @@ class TestReport:
         for n in names:
             assert (run_dir / n).read_bytes() == first[n]
 
+    def test_null_std_renders_as_missing(self, run_dir):
+        path = run_dir / "summary.json"
+        summary = json.loads(path.read_text())
+        f1 = summary["overall"]["SiteRef"]["detection"]["f1"]
+        f1["std"] = None
+        path.write_text(json.dumps(summary))
+        assert main(["report", "--out", str(run_dir)]) == 0
+        assert all((run_dir / name).exists() for name in cli.REPORT_FILES)
+        tables = (run_dir / "report_tables.txt").read_text()
+        assert f"{f1['mean']:>11.3f} ± n/a" in tables
+
     def test_timeline_joins_severity(self, run_dir):
         assert main(["report", "--out", str(run_dir)]) == 0
         timeline = read_rows(run_dir / "report_timeline.csv")
@@ -866,3 +891,27 @@ class TestCheckSummary:
             assert str(deleted.value) == f"{where} missing"
             assert str(retyped.value).startswith(f"{where} is not ")
         check_summary(summary)
+
+    def test_each_null_mean_or_std_renders(self, summary):
+        # The checker lets each statistic be null on its own; the report's
+        # formatters write a null as "" in the CSVs and "n/a" in the tables.
+        summary = copy.deepcopy(summary)
+        blocks = {block: summary[block] for block in ("cells", "overall", "agents")}
+        paths = [path for path in leaf_paths(blocks) if path[-1] in ("mean", "std")]
+        assert {path[0] for path in paths} == set(blocks)
+        for *parents, metric, key in paths:
+            metrics = functools.reduce(operator.getitem, parents, summary)
+            stat = metrics[metric]
+            value, stat[key] = stat[key], None
+            check_summary(summary)
+            rows = {row[0]: dict(zip(cli.STAT_COLUMNS, row)) for row in cli._stat_rows(metrics)}
+            assert rows[metric][key] == ""
+            (line,) = cli._format_table("title", {"scheme": metrics})[4:-1]
+            mean, std = stat["mean"], stat["std"]
+            if mean is None and std is None:
+                assert f"{'n/a':>20}" in line
+            elif std is None:
+                assert f"{mean:>11.3f} ± n/a" in line
+            else:
+                assert f"{'n/a':>11} ± {std:.3f}" in line
+            stat[key] = value

@@ -109,6 +109,10 @@ class TestBuildSeverity:
         with pytest.raises(ValueError, match="batch-misalignment"):
             build_severity([[1, 0], [1]], [[1, 0], [1, 0]])
 
+    def test_flags_and_truth_for_different_agent_counts_rejected(self):
+        with pytest.raises(ValueError, match="flags and truth cover different agents"):
+            build_severity([[1, 0]], [[1, 0], [0, 0]])
+
     def test_no_agents_rejected(self):
         with pytest.raises(ValueError, match="no-agents"):
             build_severity([], [])

@@ -379,11 +379,42 @@ class TestLoadSeriesCsv(object):
         with pytest.raises(ValueError, match="invalid-series-file"):
             load_series_csv(path)
 
-    def test_out_of_range_row_named(self, tmp_path):
+    @pytest.mark.parametrize(
+        ("rows", "error"),
+        [
+            pytest.param(
+                "0,0.5\n1,1.5\n2,0.5\n3,0.5\n",
+                "invalid-probability: {} row 3: 1.5 outside",
+                id="out-of-range",
+            ),
+            pytest.param(
+                "0,0.5\n1\n2,0.5\n3,0.5\n",
+                "invalid-series-file: {} row 3 is incomplete",
+                id="incomplete-row",
+            ),
+            pytest.param(
+                "0,0.5\n1,high\n2,0.5\n3,0.5\n",
+                "invalid-probability: {} row 3: 'high'",
+                id="not-a-number",
+            ),
+            pytest.param(
+                "0,0.5\n1,0.5\n2,0.5\n",
+                "invalid-series-file: {} holds fewer than 4 observations",
+                id="too-few-rows",
+            ),
+        ],
+    )
+    def test_bad_series_file_named(self, tmp_path, rows, error):
         path = tmp_path / "series.csv"
-        path.write_text("index,probability\n0,0.5\n1,1.5\n2,0.5\n3,0.5\n")
-        with pytest.raises(ValueError, match="invalid-probability"):
+        path.write_text("index,probability\n" + rows)
+        with pytest.raises(ValueError) as raised:
             load_series_csv(path)
+        assert str(raised.value).startswith(error.format(path))
+
+    def test_blank_row_skipped(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("index,probability\n0,0.25\n\n1,0.5\n2,0.75\n3,1.0\n")
+        assert load_series_csv(path).tolist() == [0.25, 0.5, 0.75, 1.0]
 
 
 class TestRunReplicate:

@@ -855,9 +855,13 @@ def _with_threshold(case, threshold):
 # windows (n = 4, 8, 22), batches on the bin edges, a step whose bins hold
 # no mass, edges skipped and pooled into the next step, carried weights
 # wider than _UNTRIMMED_STATES (n = 5,000), an empty band, and a step
-# whose reach misses its band. Recorded with numpy 2.4.6 and Python
-# 3.11.7: the bytes rest on numpy's exp and log, whose SIMD loops
-# numpy does not promise to keep bit for bit across releases or CPUs.
+# whose reach misses its band. The last case, recorded later on the
+# vectorised pass, is a pooled step whose window is clipped at n: 10 bins
+# and n = 50, a nearly empty first bin pooled into a heavy second one.
+# Recorded with numpy 2.4.6 and Python 3.11.7: the bytes rest on numpy's
+# exp and log, whose SIMD loops numpy does not promise to keep bit for bit
+# across releases or CPUs.
+_CLIPPED_MASS = np.array([0.002, 0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.049, 0.049])
 _EXCEED_BYTES = {
     "monitor-clean-450": (lambda: _window_case(1, 450), "0x1.5a854fec363f8p-1"),
     "monitor-clean-476": (lambda: _window_case(2, 476), "0x1.ef5f509821281p-1"),
@@ -881,6 +885,10 @@ _EXCEED_BYTES = {
     "reach-misses-band": (
         lambda: (4, np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.75, 1.0]), 0.3),
         "0x1.0000000000000p+0",
+    ),
+    "pooled-clipped-at-n": (
+        lambda: (50, _CLIPPED_MASS, np.cumsum(_CLIPPED_MASS), 0.46),
+        "0x1.b76cc00000000p-35",
     ),
 }
 
