@@ -309,12 +309,10 @@ def _format_table(title: str, entries: dict) -> list[str]:
     lines.append(header)
     lines.append("-" * len(header))
     for scheme in sorted(entries):
-        cells = []
-        for metric in METRIC_NAMES:
-            mean, std = _mean_std(entries[scheme][metric], ".3f", "n/a")
-            # A metric never scored is one "n/a" across the cell.
-            cells.append(f"{'n/a':>20}" if mean == std == "n/a" else f"{mean:>11} ± {std}")
-        lines.append(f"{scheme:<14}" + "".join(cells))
+        stats = [_mean_std(entries[scheme][metric], ".3f", "n/a") for metric in METRIC_NAMES]
+        # A metric never scored is one "n/a"; every cell ends where its header does.
+        cells = ["n/a" if mean == std == "n/a" else f"{mean} ± {std}" for mean, std in stats]
+        lines.append(f"{scheme:<14}" + "".join(f"{cell:>20}" for cell in cells))
     lines.append("")
     return lines
 

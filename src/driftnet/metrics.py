@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import Counter
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "EMPTY_CLASS_POLICIES",
@@ -114,20 +115,21 @@ def compute_metrics(counts: ConfusionCounts, empty_class_policy: str = "skip") -
     return MetricSet(precision, sensitivity, specificity, f1)
 
 
-def aggregate(pool: list[MetricSet]) -> dict:
-    """{metric: {"mean", "std", "n", "skipped"}} over a pool of MetricSet
-    entries: the mean and population standard deviation of the n defined
-    values, and the count of entries whose metric is None (undefined
-    under the skip policy), which are excluded.
-    """
-    pool = list(pool)
-    if not pool:
+def aggregate(pool: Iterable[MetricSet] | Counter[MetricSet]) -> dict:
+    """{metric: {"mean", "std", "n", "skipped"}} over MetricSet entries, or a
+    Counter of them: the mean and population standard deviation of the n
+    defined values, and the count of entries whose metric is None (undefined
+    under the skip policy), which are excluded. `math.fsum` rounds the exact
+    sum, so the result depends only on the multiset of entries."""
+    counts = Counter(pool)
+    if not counts:
         raise ValueError("empty-pool: nothing to aggregate")
     stats = {}
-    for name, column in zip(METRIC_NAMES, zip(*pool)):
-        values = [v for v in column if v is not None]
-        n = len(values)
-        mean = math.fsum(values) / n if n else None
-        std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n) if n else None
-        stats[name] = dict(zip(STAT_KEYS, (mean, std, n, len(pool) - n)))
+    for name, column in zip(METRIC_NAMES, zip(*counts)):
+        defined = [(v, c) for v, c in zip(column, counts.values()) if v is not None]
+        n = sum(c for _, c in defined)
+        mean = math.fsum(v for v, c in defined for _ in range(c)) / n if n else None
+        squares = ((v - mean) ** 2 for v, c in defined for _ in range(c))
+        std = math.sqrt(math.fsum(squares) / n) if n else None
+        stats[name] = dict(zip(STAT_KEYS, (mean, std, n, counts.total() - n)))
     return stats

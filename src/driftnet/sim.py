@@ -43,7 +43,6 @@ from .metrics import (
     SCORING_TASKS,
     STAT_KEYS,
     ConfusionCounts,
-    MetricSet,
     aggregate,
     compute_metrics,
     score_detection,
@@ -641,17 +640,17 @@ def run_grid(
     order. A replicate that raises ValueError (driftnet's data and config
     errors) is recorded and skipped, with no alerts; any other exception
     is a bug and stops the run. The optional sink receives completed
-    replicates in order, each released once it and the pools read it.
+    replicates in order, each released once it and the pools read it. A
+    pool counts each distinct metric set, so it does not grow with the
+    replicates.
     """
     if threads < 1:
         raise ValueError("invalid-threads: need at least 1")
     failures: list[dict] = []
     completed = collections.Counter()
-    # Every metric set of the run, keyed by (cell label, scheme, task) and
-    # filled in task order, so each cell's replicates pool in order. Each
-    # detection set is also pooled by (scheme, agent) over every cell.
-    pools: dict[tuple, list[MetricSet]] = collections.defaultdict(list)
-    agent_pools: dict[tuple, list[MetricSet]] = collections.defaultdict(list)
+    # Each metric set of the run, counted by (cell label, scheme, task, agent),
+    # the agent None for severity. A summary block adds up the pools it spans.
+    pools: dict[tuple, collections.Counter] = collections.defaultdict(collections.Counter)
 
     # One task stream across cells, so no cell waits for the previous one
     # to drain; both mappers yield outcomes lazily and in task order.
@@ -689,32 +688,34 @@ def run_grid(
             for scheme_name, record in result.schemes.items():
                 for agent_record in record.agents:
                     metrics = compute_metrics(agent_record.detection, config.empty_class_policy)
-                    pools[label, scheme_name, "detection"].append(metrics)
-                    agent_pools[scheme_name, agent_record.center].append(metrics)
+                    pools[label, scheme_name, "detection", agent_record.center][metrics] += 1
                 if record.severity_counts is not None:
-                    pools[label, scheme_name, "severity"].append(
-                        compute_metrics(record.severity_counts, config.empty_class_policy)
-                    )
+                    metrics = compute_metrics(record.severity_counts, config.empty_class_policy)
+                    pools[label, scheme_name, "severity", None][metrics] += 1
     finally:
         if pool is not None:
             # A failed run does not wait for the replicates still queued.
             pool.shutdown(cancel_futures=True)
 
-    def summarise(labels: list[str]) -> dict:
-        # {scheme: {task: aggregate}} over the pools of `labels`, in order.
-        summary = {}
-        for scheme in config.schemes:
-            summary[scheme.value] = {}
+    def pooled(*pattern) -> collections.Counter:
+        # The sum of the pools whose key matches `pattern`; a None part matches any.
+        spanned = [c for k, c in pools.items() if all(p in (None, q) for p, q in zip(pattern, k))]
+        return sum(spanned, collections.Counter())
+
+    def summarise(label: str | None) -> dict:
+        # {scheme: {task: aggregate}} over one cell's pools, or every cell's.
+        summary = {scheme.value: {} for scheme in config.schemes}
+        for scheme_name, tasks in summary.items():
             for task in SCORING_TASKS:
-                entries = [entry for label in labels for entry in pools[label, scheme.value, task]]
-                summary[scheme.value][task] = aggregate(entries) if entries else None
+                counts = pooled(label, scheme_name, task, None)
+                tasks[task] = aggregate(counts) if counts else None
         return summary
 
     agents: dict[str, dict] = {scheme.value: {} for scheme in config.schemes}
-    for (scheme_name, center), entries in agent_pools.items():
-        agents[scheme_name][center] = aggregate(entries)
+    for scheme_name, center in dict.fromkeys((s, a) for _, s, _, a in pools if a is not None):
+        agents[scheme_name][center] = aggregate(pooled(None, scheme_name, "detection", center))
     cell_summaries = {
-        label: {**cell._asdict(), "completed": completed[label], "schemes": summarise([label])}
+        label: {**cell._asdict(), "completed": completed[label], "schemes": summarise(label)}
         for label, cell in zip(labels, cells)
     }
     return {
@@ -724,7 +725,7 @@ def run_grid(
         "grid": config.grid.to_dict(),
         "schemes": [scheme.value for scheme in config.schemes],
         "cells": cell_summaries,
-        "overall": summarise(labels),
+        "overall": summarise(None),
         "agents": agents,
         "failures": failures,
     }

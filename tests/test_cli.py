@@ -915,3 +915,22 @@ class TestCheckSummary:
             else:
                 assert f"{'n/a':>11} ± {std:.3f}" in line
             stat[key] = value
+
+
+class TestFormatTable:
+    def test_every_value_column_ends_under_its_header(self):
+        # Numbers, a null std, a null mean and a metric never scored, each
+        # across a whole row and all four in one mixed row.
+        kinds = [(0.8, 0.06), (0.5, None), (None, 0.25), (None, None)]
+        stats = [dict(zip(STAT_KEYS, (mean, std, 1, 0))) for mean, std in kinds]
+        entries = {f"kind{i}": dict.fromkeys(METRIC_NAMES, stat) for i, stat in enumerate(stats)}
+        entries["mixed"] = dict(zip(METRIC_NAMES, stats))
+        _, _, header, _, *rows, _ = cli._format_table("title", entries)
+        ends = [header.index(name.capitalize()) + len(name) for name in METRIC_NAMES]
+        cells = {"0.800 ± 0.060", "0.500 ± n/a", "n/a ± 0.250", "n/a"}
+        assert len(rows) == len(entries)
+        for row in rows:
+            assert len(row) == len(header)
+            for start, end in zip([14, *ends], ends):
+                assert row[end - 1] != " "
+                assert row[start:end].strip() in cells

@@ -1,5 +1,8 @@
 """Unit tests for confusion accounting and Monte Carlo aggregation."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from driftnet.agent import AgentId, DriftVerdict
@@ -147,6 +150,24 @@ class TestAggregate:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty-pool"):
             aggregate([])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_result_depends_only_on_the_multiset(self, seed):
+        # fsum rounds the exact sum, so order and repetition are invisible:
+        # a pool, its reversal, a shuffle and its Counter give equal floats.
+        rng = random.Random(seed)
+        values = [None, 0.0, 0.1, 0.2, 1 / 3, 0.7, 0.9, 1.0]
+        distinct = [MetricSet(*rng.choices(values, k=4)) for _ in range(6)]
+        pool = rng.choices(distinct, k=60)
+        shuffled = rng.sample(pool, len(pool))
+        expected = aggregate(pool)
+        for other in (pool[::-1], shuffled, Counter(pool)):
+            assert aggregate(other) == expected
+        assert expected["f1"]["n"] + expected["f1"]["skipped"] == len(pool)
+
+    def test_empty_counter_rejected(self):
+        with pytest.raises(ValueError, match="empty-pool"):
+            aggregate(Counter())
 
     def test_to_dict_shape(self):
         d = aggregate([MetricSet(0.5, 0.5, 0.5, 0.5)])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from driftnet.config import ConfigError
+from driftnet.metrics import SCORING_TASKS, aggregate, compute_metrics
 from driftnet.schemes import SchemeKind
 from driftnet.sim import (
     DEFAULT_SITES,
@@ -695,6 +696,38 @@ class TestRunGrid:
         assert len(refs) == 4
         (cell,) = result["cells"].values()
         assert cell["completed"] == 4
+
+    def test_summary_blocks_aggregate_their_own_metric_sets(self):
+        # Each entry of summary.json pools the metric sets of its own cells,
+        # scheme, task and agent: cells do not mix, and no severity set
+        # reaches the agents block.
+        config = small_config(grid=dict(drift_strength=(0.2, 0.5)), replicates=3)
+        results = []
+        summary = run_grid(config, threads=1, replicate_sink=results.append)
+        assert len(results) == 6
+
+        def expected(scheme, task, cell=None, center=None):
+            records = [r.schemes[scheme] for r in results if cell in (None, r.cell)]
+            if task == "severity":
+                tables = [rec.severity_counts for rec in records if rec.severity_counts]
+            else:
+                agents = [a for rec in records for a in rec.agents]
+                tables = [a.detection for a in agents if center in (None, a.center)]
+            pool = [compute_metrics(table, config.empty_class_policy) for table in tables]
+            return aggregate(pool) if pool else None
+
+        for scheme in summary["schemes"]:
+            for task in SCORING_TASKS:
+                assert summary["overall"][scheme][task] == expected(scheme, task)
+                for cell in enumerate_cells(config):
+                    entry = summary["cells"][cell_label(cell)]["schemes"][scheme][task]
+                    assert entry == expected(scheme, task, cell)
+            centers = [a.center for a in results[0].schemes[scheme].agents]
+            assert list(summary["agents"][scheme]) == centers
+            for center in centers:
+                entry = summary["agents"][scheme][center]
+                assert entry == expected(scheme, "detection", center=center)
+        assert summary["overall"]["Centralized"]["severity"] is None
 
     def test_invalid_threads_rejected(self):
         with pytest.raises(ValueError, match="invalid-threads"):
