@@ -20,6 +20,7 @@ import logging
 import math
 import time
 from dataclasses import MISSING, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,16 +78,17 @@ class AgentConfig:
             )
 
 
-@dataclass(frozen=True)
-class DriftVerdict:
-    """One completed window's outcome. An unevaluated window has no test and no p-value."""
+class DriftVerdict(NamedTuple):
+    """One completed window's outcome. An unevaluated window has no test and
+    no p-value. Its fields after agent_id are verdicts.csv's columns between
+    agent and truth."""
 
     agent_id: AgentId
     batch_index: int
+    n_valid: int
     statistic: float | None
     p_value: float | None
     drift: bool
-    n_valid: int
 
     @property
     def evaluated(self) -> bool:
@@ -258,10 +260,10 @@ class DriftAgent:
         return DriftVerdict(
             agent_id=self.config.agent_id,
             batch_index=index,
+            n_valid=int(n_valid),
             statistic=None if result is None else result.statistic,
             p_value=None if result is None else result.p_value,
             drift=result is not None and result.p_value < self.config.threshold,
-            n_valid=int(n_valid),
         )
 
     def act(self, verdict: DriftVerdict) -> None:

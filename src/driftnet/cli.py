@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .agent import DriftVerdict
 from .config import ConfigError, fields_from_dict
 from .metrics import METRIC_NAMES, SCORING_TASKS, STAT_KEYS
 # Uncalled here: perfbench/tracing.py patches driftnet.cli.compute_metrics.
@@ -42,18 +43,7 @@ from .sim import (
     site_samples,
 )
 
-VERDICT_COLUMNS = [
-    "run_id",
-    "cell",
-    "scheme",
-    "agent",
-    "batch_index",
-    "n_valid",
-    "statistic",
-    "p_value",
-    "drift",
-    "truth",
-]
+VERDICT_COLUMNS = ["run_id", "cell", "scheme", "agent", *DriftVerdict._fields[1:], "truth"]
 SEVERITY_COLUMNS = ["run_id", "cell", "scheme", *SeverityRecord._fields]
 RUN_OUTPUTS = ("verdicts.csv", "severity.csv", "summary.json", "manifest.json")
 REPORT_FILES = (
@@ -184,6 +174,9 @@ def cmd_run(args) -> int:
     if args.threads < 1:
         raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
     out_dir = _make_out_dir(args.out)
+    # A report left by an earlier run here would describe that run, not this one.
+    for name in REPORT_FILES:
+        (out_dir / name).unlink(missing_ok=True)
 
     started_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     config_snapshot = config.to_dict()
@@ -196,26 +189,18 @@ def cmd_run(args) -> int:
         _atomic_csv(out_dir / "severity.csv", SEVERITY_COLUMNS) as severity_writer,
     ):
 
-        # csv writes None as an empty field and a float as its repr.
+        # csv writes None as an empty field and a float as its repr; drift,
+        # the verdict's last field, is written as 0 or 1.
         def sink(result) -> None:
             run_id = f"r{result.replicate_index:04d}"
             label = cell_label(result.cell)
             for scheme_name, record in result.schemes.items():
                 for agent_record in record.agents:
+                    head = [run_id, label, scheme_name, agent_record.center]
+                    truth = agent_record.truth
                     for verdict in agent_record.verdicts:
                         verdicts_writer.writerow(
-                            [
-                                run_id,
-                                label,
-                                scheme_name,
-                                agent_record.center,
-                                verdict.batch_index,
-                                verdict.n_valid,
-                                verdict.statistic,
-                                verdict.p_value,
-                                int(verdict.drift),
-                                agent_record.truth[verdict.batch_index],
-                            ]
+                            [*head, *verdict[1:-1], int(verdict.drift), truth[verdict.batch_index]]
                         )
                 for row in record.severity:
                     severity_writer.writerow([run_id, label, scheme_name, *row])
@@ -324,12 +309,13 @@ def _write_timeline(path: Path, severity_rows, verdicts) -> None:
         (run_id, cell, scheme, batch): (score, c_true, c_pred, category)
         for run_id, cell, scheme, batch, c_true, c_pred, score, category in severity_rows
     }
+    batch = VERDICT_COLUMNS.index("batch_index")
+    statistic = VERDICT_COLUMNS.index("statistic")
     with _atomic_csv(path, TIMELINE_COLUMNS) as writer:
-        for run_id, cell, scheme, agent, batch, n_valid, _, p_value, drift, truth in verdicts:
-            joined = severity.get((run_id, cell, scheme, batch), ("", "", "", ""))
-            writer.writerow(
-                [run_id, cell, scheme, agent, batch, n_valid, p_value, drift, truth, *joined]
-            )
+        for row in verdicts:
+            joined = severity.get((row[0], row[1], row[2], row[batch]), ("", "", "", ""))
+            del row[statistic]
+            writer.writerow([*row, *joined])
 
 
 def cmd_report(args) -> int:

@@ -78,9 +78,10 @@ CENTRALIZED_STREAM_ID = "ALL"
 
 def load_series_csv(path) -> np.ndarray:
     """Read and check an 'index,probability' CSV written by datagen: at
-    least 4 rows, every probability in [0, 1]. The array is read-only."""
+    least 4 rows, every probability in [0, 1]. A leading UTF-8 byte-order
+    mark, as spreadsheet exports write, is skipped. The array is read-only."""
     values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header[:2]] != ["index", "probability"]:

@@ -168,12 +168,13 @@ class TestWindowing:
 
 
 class TestProdRef:
-    def config(self, window_size=6):
+    def config(self, window_size=6, min_valid=None):
         return AgentConfig(
             agent_id=AgentId("DS-1", "model-0"),
             scheme=ReferenceSpec(kind=SchemeKind.PROD_REF),
             window_size=window_size,
             permutations=200,
+            min_valid=min_valid,
         )
 
     def test_first_window_consumed_without_verdict(self):
@@ -194,6 +195,16 @@ class TestProdRef:
         assert agent.consumed_batch == 1
         assert np.array_equal(agent.reference, [0.3, 0.5, 0.2, 0.6])
         assert [(v.batch_index, v.evaluated) for v in agent.verdicts] == [(0, False), (2, True)]
+
+    def test_first_window_with_two_values_seeds_below_min_valid(self):
+        # The first window holds 2 valid values, fewer than min_valid, and
+        # still becomes the frozen reference; later windows are tested.
+        agent = DriftAgent(self.config(window_size=6, min_valid=4))
+        first = [0.4, None, 0.3, None, None, None]
+        feed(agent, first + [0.1, 0.2, 0.3, 0.4, 0.5, 0.6] + [0.7, 0.8, 0.85, 0.9, 0.95, 0.99])
+        assert agent.consumed_batch == 0
+        assert np.array_equal(agent.reference, [0.4, 0.3])
+        assert [(v.batch_index, v.evaluated) for v in agent.verdicts] == [(1, True), (2, True)]
 
     def test_verdict_log_accounting(self):
         rng = np.random.default_rng(106)

@@ -19,7 +19,7 @@ from driftnet import cli
 from driftnet.cli import ConfigError, config_from_dict, load_config, main
 from driftnet.metrics import EMPTY_CLASS_POLICIES, METRIC_NAMES, STAT_KEYS
 from driftnet.schemes import SchemeKind
-from driftnet.sim import GridCell, check_summary, run_grid
+from driftnet.sim import GridCell, cell_label, check_summary, run_grid
 
 
 # A file-backed site whose files are never read: a site's keys are checked first.
@@ -464,6 +464,59 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: sites[2].test_csv: invalid-probability: ")
         assert not out.exists()
+
+    def test_verdict_rows_are_the_sunk_verdicts(self, tmp_path, monkeypatch):
+        # Each row is run_id, cell, scheme and agent, then the verdict's own
+        # fields after agent_id in order (drift as 0/1), then truth.
+        sunk = []
+
+        def recording_grid(config, threads, replicate_sink):
+            def sink(result):
+                sunk.append(result)
+                replicate_sink(result)
+
+            return run_grid(config, threads=threads, replicate_sink=sink)
+
+        monkeypatch.setattr(cli, "run_grid", recording_grid)
+        out = tmp_path / "run"
+        argv = ["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", str(out)]
+        assert main(argv + ["--threads", "1"]) == 0
+        expected = [
+            ["run_id", "cell", "scheme", "agent", "batch_index", "n_valid", "statistic",
+             "p_value", "drift", "truth"]
+        ]
+        for result in sunk:
+            head = [f"r{result.replicate_index:04d}", cell_label(result.cell)]
+            for scheme, record in result.schemes.items():
+                for agent in record.agents:
+                    for verdict in agent.verdicts:
+                        fields = list(verdict._asdict().values())[1:]
+                        fields = [int(v) if isinstance(v, bool) else v for v in fields]
+                        truth = agent.truth[verdict.batch_index]
+                        row = [*head, scheme, agent.center, *fields, truth]
+                        expected.append(["" if v is None else str(v) for v in row])
+        assert len(expected) > 1
+        with open(out / "verdicts.csv", newline="", encoding="utf-8") as handle:
+            assert list(csv.reader(handle)) == expected
+
+    def test_rerun_clears_the_previous_report(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "run"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 0
+        assert main(["report", "--out", str(out)]) == 0
+        assert all((out / name).exists() for name in cli.REPORT_FILES)
+        assert main(["run", "--config", config_path, "--out", str(out), "--seed", "9"]) == 0
+        assert not list(out.glob("report_*"))
+
+    def test_config_error_keeps_the_previous_report(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "run"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 0
+        assert main(["report", "--out", str(out)]) == 0
+        reports = {name: (out / name).read_bytes() for name in cli.REPORT_FILES}
+        bad = write_config(tmp_path, dict(SMALL_CONFIG, permutations=10), name="bad.json")
+        assert main(["run", "--config", bad, "--out", str(out)]) == 2
+        assert {name: (out / name).read_bytes() for name in cli.REPORT_FILES} == reports
 
     def test_thread_count_does_not_change_outputs(self, tmp_path):
         config_path = write_config(tmp_path, SMALL_CONFIG)

@@ -417,6 +417,14 @@ class TestLoadSeriesCsv(object):
         path.write_text("index,probability\n0,0.25\n\n1,0.5\n2,0.75\n3,1.0\n")
         assert load_series_csv(path).tolist() == [0.25, 0.5, 0.75, 1.0]
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # A spreadsheet's "CSV UTF-8" export starts the file with EF BB BF.
+        text = b"index,probability\n0,0.25\n1,0.5\n2,0.75\n3,1.0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_series_csv(marked).tolist() == load_series_csv(plain).tolist()
+
 
 class TestRunReplicate:
     def test_scheme_and_agent_structure(self):
@@ -470,6 +478,18 @@ class TestRunReplicate:
         for name in ("GlobalRef", "SiteRef", "ProdRef", "AdaptiveRef"):
             truths = [agent.truth for agent in result.schemes[name].agents]
             assert truths == [agent.truth for agent in result.schemes["SiteRef"].agents]
+
+    def test_adaptive_update_counts_pinned(self):
+        # AdaptiveRef's controlled updates per site on the default sites at
+        # one cell and replicate, as the scheme is documented today; a change
+        # to when the reference updates must move these on purpose.
+        config = SimConfig(schemes=["AdaptiveRef"])
+        result = run_replicate(config, GridCell(0.3, 0.3, 0.10), 0)
+        updates = {
+            agent.center: sum(row["updated"] for row in agent.adaptive_trace)
+            for agent in result.schemes["AdaptiveRef"].agents
+        }
+        assert updates == {"DS-0": 2, "DS-1": 3, "DS-2": 3, "DS-3": 0}
 
     def test_zero_strength_produces_no_positives(self):
         config = small_config(grid={"drift_strength": (0.0,)})
