@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .agent import DriftVerdict
 from .config import ConfigError, fields_from_dict
-from .metrics import METRIC_NAMES, SCORING_TASKS, STAT_KEYS
+from .metrics import SCORING_TASKS, STAT_KEYS
 # Uncalled here: perfbench/tracing.py patches driftnet.cli.compute_metrics.
 from .metrics import compute_metrics  # noqa: F401
 # Uncalled here: perfbench/tracing.py patches driftnet.cli.aggregate.
@@ -266,12 +266,12 @@ def _mean_std(stat: dict, spec: str, missing: str) -> list[str]:
     return [missing if stat[key] is None else format(stat[key], spec) for key in ("mean", "std")]
 
 
-def _stat_rows(metrics: dict) -> list[list]:
-    """[metric, mean, std, n, skipped] per metric of one summary.json entry."""
+def _stat_rows(metrics: dict, task: str) -> list[list]:
+    """[field, mean, std, n, skipped] per field of one `task` aggregate of summary.json."""
     rows = []
-    for metric in METRIC_NAMES:
-        stat = metrics[metric]
-        rows.append([metric, *_mean_std(stat, ".6f", ""), stat["n"], stat["skipped"]])
+    for name in SCORING_TASKS[task]._fields:
+        stat = metrics[name]
+        rows.append([name, *_mean_std(stat, ".6f", ""), stat["n"], stat["skipped"]])
     return rows
 
 
@@ -284,17 +284,19 @@ def _write_breakdown(path: Path, cells: dict) -> None:
                 for scheme in sorted(cell["schemes"]):
                     metrics = cell["schemes"][scheme][task]
                     if metrics is not None:
-                        for row in _stat_rows(metrics):
+                        for row in _stat_rows(metrics, task):
                             writer.writerow([label, *grid, scheme, task, *row])
 
 
-def _format_table(title: str, entries: dict) -> list[str]:
+def _format_table(title: str, entries: dict, task: str) -> list[str]:
+    """`title`'s table: a row per scheme in `entries`, a column per field of `task`'s record."""
+    fields = SCORING_TASKS[task]._fields
     lines = [title, ""]
-    header = f"{'Scheme':<14}" + "".join(f"{name.capitalize():>20}" for name in METRIC_NAMES)
+    header = f"{'Scheme':<14}" + "".join(f"{name.capitalize():>20}" for name in fields)
     lines.append(header)
     lines.append("-" * len(header))
     for scheme in sorted(entries):
-        stats = [_mean_std(entries[scheme][metric], ".3f", "n/a") for metric in METRIC_NAMES]
+        stats = [_mean_std(entries[scheme][name], ".3f", "n/a") for name in fields]
         # A metric never scored is one "n/a"; every cell ends where its header does.
         cells = ["n/a" if mean == std == "n/a" else f"{mean} ± {std}" for mean, std in stats]
         lines.append(f"{scheme:<14}" + "".join(f"{cell:>20}" for cell in cells))
@@ -347,16 +349,18 @@ def cmd_report(args) -> int:
     overall = summary["overall"]
     detection = {n: entry["detection"] for n, entry in overall.items() if entry["detection"]}
     severity = {n: entry["severity"] for n, entry in overall.items() if entry["severity"]}
-    lines = _format_table("Drift detection performance by monitoring scheme", detection)
+    title = "Drift detection performance by monitoring scheme"
+    lines = _format_table(title, detection, "detection")
     if severity:
-        lines += _format_table("Drift severity performance (multi-center schemes)", severity)
+        title = "Drift severity performance (multi-center schemes)"
+        lines += _format_table(title, severity, "severity")
     _atomic_write_text(out_dir / "report_tables.txt", "\n".join(lines) + "\n")
 
     agents = summary["agents"]
     with _atomic_csv(out_dir / "report_agents.csv", AGENT_COLUMNS) as writer:
         for scheme in sorted(agents):
             for agent in sorted(agents[scheme]):
-                for row in _stat_rows(agents[scheme][agent]):
+                for row in _stat_rows(agents[scheme][agent], "detection"):
                     writer.writerow([scheme, agent, *row])
 
     print(f"wrote {', '.join(REPORT_FILES)} to {out_dir}")

@@ -15,10 +15,7 @@ __all__ = [
     "score_detection",
 ]
 
-# The tasks each scheme is scored on, in summary.json and the breakdown.
-SCORING_TASKS = ("detection", "severity")
-
-# The statistics `aggregate` gives each metric, in order.
+# The statistics `aggregate` gives each field, in order.
 STAT_KEYS = ("mean", "std", "n", "skipped")
 
 # How a metric with a zero denominator is scored: "skip" leaves it
@@ -75,7 +72,8 @@ class MetricSet(NamedTuple):
     f1: float | None
 
 
-METRIC_NAMES = MetricSet._fields
+# Each task a scheme is scored on, and the record type whose fields are its aggregate's columns.
+SCORING_TASKS = {"detection": MetricSet, "severity": MetricSet}
 
 
 def compute_metrics(counts: ConfusionCounts, empty_class_policy: str = "skip") -> MetricSet:
@@ -115,17 +113,17 @@ def compute_metrics(counts: ConfusionCounts, empty_class_policy: str = "skip") -
     return MetricSet(precision, sensitivity, specificity, f1)
 
 
-def aggregate(pool: Iterable[MetricSet] | Counter[MetricSet]) -> dict:
-    """{metric: {"mean", "std", "n", "skipped"}} over MetricSet entries, or a
-    Counter of them: the mean and population standard deviation of the n
-    defined values, and the count of entries whose metric is None (undefined
-    under the skip policy), which are excluded. `math.fsum` rounds the exact
-    sum, so the result depends only on the multiset of entries."""
+def aggregate(pool: Iterable[NamedTuple] | Counter[NamedTuple]) -> dict:
+    """{field: {"mean", "std", "n", "skipped"}} over records of one NamedTuple
+    type, or a Counter of them: the mean and population standard deviation of
+    the n defined values, and the count of records whose value is None
+    (undefined under the skip policy), which are excluded. `math.fsum` rounds
+    the exact sum, so the result depends only on the multiset of records."""
     counts = Counter(pool)
     if not counts:
         raise ValueError("empty-pool: nothing to aggregate")
     stats = {}
-    for name, column in zip(METRIC_NAMES, zip(*counts)):
+    for name, column in zip(next(iter(counts))._fields, zip(*counts)):
         defined = [(v, c) for v, c in zip(column, counts.values()) if v is not None]
         n = sum(c for _, c in defined)
         mean = math.fsum(v for v, c in defined for _ in range(c)) / n if n else None

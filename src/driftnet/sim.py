@@ -39,7 +39,6 @@ from .agent import (
 from .config import ConfigError, fields_to_dict, setting, shared, validate_fields
 from .metrics import (
     EMPTY_CLASS_POLICIES,
-    METRIC_NAMES,
     SCORING_TASKS,
     STAT_KEYS,
     ConfusionCounts,
@@ -266,10 +265,11 @@ SUMMARY_SCHEMA = "driftnet-summary/2"
 # `str` key stands for any key), a type is a leaf's exact type, and a
 # (shape, None) pair is that shape or null.
 _STATS = dict(zip(STAT_KEYS, ((float, None), (float, None), int, int)))
-_AGGREGATE = dict.fromkeys(METRIC_NAMES, _STATS)
-_SCHEMES = {str: dict.fromkeys(SCORING_TASKS, (_AGGREGATE, None))}
+_AGGREGATES = {task: dict.fromkeys(rec._fields, _STATS) for task, rec in SCORING_TASKS.items()}
+_SCHEMES = {str: {task: (shape, None) for task, shape in _AGGREGATES.items()}}
 _CELL = {**dict.fromkeys(GridCell._fields, float), "completed": int, "schemes": _SCHEMES}
-SUMMARY_SHAPE = {"cells": {str: _CELL}, "overall": _SCHEMES, "agents": {str: {str: _AGGREGATE}}}
+_AGENTS = {str: {str: _AGGREGATES["detection"]}}
+SUMMARY_SHAPE = {"cells": {str: _CELL}, "overall": _SCHEMES, "agents": _AGENTS}
 
 
 def check_summary(value, shape=SUMMARY_SHAPE, path: str = "") -> None:
@@ -641,17 +641,17 @@ def run_grid(
     order. A replicate that raises ValueError (driftnet's data and config
     errors) is recorded and skipped, with no alerts; any other exception
     is a bug and stops the run. The optional sink receives completed
-    replicates in order, each released once it and the pools read it. A
-    pool counts each distinct metric set, so it does not grow with the
-    replicates.
+    replicates in order, each released once it and the table read it.
+    The table counts each distinct metric set per summary entry, so it
+    does not grow with the replicates.
     """
     if threads < 1:
         raise ValueError("invalid-threads: need at least 1")
     failures: list[dict] = []
     completed = collections.Counter()
-    # Each metric set of the run, counted by (cell label, scheme, task, agent),
-    # the agent None for severity. A summary block adds up the pools it spans.
-    pools: dict[tuple, collections.Counter] = collections.defaultdict(collections.Counter)
+    # Each metric set of the run, counted into every summary entry it feeds
+    # (its cell's, the overall and, for detection, its agent's), by key path.
+    table: dict[tuple, collections.Counter] = collections.defaultdict(collections.Counter)
 
     # One task stream across cells, so no cell waits for the previous one
     # to drain; both mappers yield outcomes lazily and in task order.
@@ -687,46 +687,40 @@ def run_grid(
             if replicate_sink is not None:
                 replicate_sink(result)
             for scheme_name, record in result.schemes.items():
-                for agent_record in record.agents:
-                    metrics = compute_metrics(agent_record.detection, config.empty_class_policy)
-                    pools[label, scheme_name, "detection", agent_record.center][metrics] += 1
+                scored = [("detection", a.center, a.detection) for a in record.agents]
                 if record.severity_counts is not None:
-                    metrics = compute_metrics(record.severity_counts, config.empty_class_policy)
-                    pools[label, scheme_name, "severity", None][metrics] += 1
+                    scored.append(("severity", None, record.severity_counts))
+                for task, center, counts in scored:
+                    metrics = compute_metrics(counts, config.empty_class_policy)
+                    table["cells", label, "schemes", scheme_name, task][metrics] += 1
+                    table["overall", scheme_name, task][metrics] += 1
+                    if center is not None:
+                        table["agents", scheme_name, center][metrics] += 1
     finally:
         if pool is not None:
             # A failed run does not wait for the replicates still queued.
             pool.shutdown(cancel_futures=True)
 
-    def pooled(*pattern) -> collections.Counter:
-        # The sum of the pools whose key matches `pattern`; a None part matches any.
-        spanned = [c for k, c in pools.items() if all(p in (None, q) for p, q in zip(pattern, k))]
-        return sum(spanned, collections.Counter())
+    schemes = [scheme.value for scheme in config.schemes]
 
-    def summarise(label: str | None) -> dict:
-        # {scheme: {task: aggregate}} over one cell's pools, or every cell's.
-        summary = {scheme.value: {} for scheme in config.schemes}
-        for scheme_name, tasks in summary.items():
-            for task in SCORING_TASKS:
-                counts = pooled(label, scheme_name, task, None)
-                tasks[task] = aggregate(counts) if counts else None
-        return summary
+    def by_scheme() -> dict:
+        return {name: dict.fromkeys(SCORING_TASKS) for name in schemes}
 
-    agents: dict[str, dict] = {scheme.value: {} for scheme in config.schemes}
-    for scheme_name, center in dict.fromkeys((s, a) for _, s, _, a in pools if a is not None):
-        agents[scheme_name][center] = aggregate(pooled(None, scheme_name, "detection", center))
-    cell_summaries = {
-        label: {**cell._asdict(), "completed": completed[label], "schemes": summarise(label)}
-        for label, cell in zip(labels, cells)
-    }
-    return {
+    summary = {
         "schema": SUMMARY_SCHEMA,
         "master_seed": config.master_seed,
         "replicates": config.replicates,
         "grid": config.grid.to_dict(),
-        "schemes": [scheme.value for scheme in config.schemes],
-        "cells": cell_summaries,
-        "overall": summarise(None),
-        "agents": agents,
+        "schemes": schemes,
+        "cells": {
+            label: {**cell._asdict(), "completed": completed[label], "schemes": by_scheme()}
+            for label, cell in zip(labels, cells)
+        },
+        "overall": by_scheme(),
+        "agents": {name: {} for name in schemes},
         "failures": failures,
     }
+    # An entry the run never scored stays null (an agent's stays absent).
+    for (*path, key), counts in table.items():
+        functools.reduce(dict.__getitem__, path, summary)[key] = aggregate(counts)
+    return summary

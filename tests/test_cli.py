@@ -17,10 +17,12 @@ import pytest
 
 from driftnet import cli
 from driftnet.cli import ConfigError, config_from_dict, load_config, main
-from driftnet.metrics import EMPTY_CLASS_POLICIES, METRIC_NAMES, STAT_KEYS
+from driftnet.metrics import EMPTY_CLASS_POLICIES, SCORING_TASKS, STAT_KEYS
 from driftnet.schemes import SchemeKind
 from driftnet.sim import GridCell, cell_label, check_summary, run_grid
 
+
+METRIC_NAMES = SCORING_TASKS["detection"]._fields
 
 # A file-backed site whose files are never read: a site's keys are checked first.
 FILE_SITE = {"site_id": "F", "reference_csv": "ref.csv", "test_csv": "test.csv"}
@@ -60,16 +62,16 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
-def run_digests(tmp_path, payload):
-    """sha256 of the summary.json, verdicts.csv and severity.csv that
-    `driftnet run --seed 1` writes for `payload`."""
+def run_digests(tmp_path, payload, names=("summary.json", "verdicts.csv", "severity.csv")):
+    """sha256 of each of `names` in the directory that `driftnet run --seed 1`
+    writes for `payload`, followed by `driftnet report` when a name is a
+    report file."""
     out = tmp_path / "run"
     argv = ["run", "--config", write_config(tmp_path, payload), "--out", str(out)]
     assert main(argv + ["--seed", "1"]) == 0
-    return {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("summary.json", "verdicts.csv", "severity.csv")
-    }
+    if set(names) & set(cli.REPORT_FILES):
+        assert main(["report", "--out", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
 def read_rows(path):
@@ -356,10 +358,24 @@ class TestRun:
         # also assume numpy's Beta and uniform draws stay stable. Recorded
         # with numpy 2.4.6 and Python 3.11.7: NEP 19 does not promise
         # identical Generator streams across numpy feature releases.
-        assert run_digests(tmp_path, SMALL_CONFIG) == {
+        names = ("summary.json", "verdicts.csv", "severity.csv", *cli.REPORT_FILES)
+        assert run_digests(tmp_path, SMALL_CONFIG, names) == {
             "summary.json": "c5579f9d358f621511ba35ca6e64496faf5f9d4416fb3d6db7be5f4503ebaa4b",
             "verdicts.csv": "0d82ae92481b083d21c6e5f4e84d9c355f53069df50dc23e05414563824e992c",
             "severity.csv": "2ff71779946a18349e3a1fbba912f428d0342d015cfd67a48c1337b717399258",
+            "report_agents.csv": "279b8997672fdee4b8edd34670f04bafffef91d6f0d1b2702a1faab2b7290293",
+            "report_breakdown.csv": "41082b058bf726fcad96f42f7a6e0389136c676c8f7998de204686841b916a81",
+            "report_timeline.csv": "42db1bffdae44cb50608ab6dc8e10594596e6b6cfffa5a7652f175a5181fc3ff",
+            "report_tables.txt": "379c19c01b8530b8e586163441439835300c643947dabf03a5a3af555d8713f0",
+        }
+
+    def test_default_grid_summary_pinned_at_a_fixed_seed(self, tmp_path, capsys):
+        # All 27 default cells, window 0.05 included, at 2 replicates: each
+        # cell, overall and agent entry of summary.json keeps its bytes.
+        # Recorded with numpy 2.4.6 and Python 3.11.7, as above.
+        digests = run_digests(tmp_path, {"replicates": 2}, names=("summary.json",))
+        assert digests == {
+            "summary.json": "75ae70ce1c09dc738ae357e6327057eeeb6230d35796bfe8ea1951765c31c5a6"
         }
 
     def test_outputs_pinned_under_the_other_scoring_rules(self, tmp_path, capsys):
@@ -957,9 +973,12 @@ class TestCheckSummary:
             stat = metrics[metric]
             value, stat[key] = stat[key], None
             check_summary(summary)
-            rows = {row[0]: dict(zip(cli.STAT_COLUMNS, row)) for row in cli._stat_rows(metrics)}
+            # An agent's entry scores detection; the others sit under their task.
+            task = parents[-1] if parents[-1] in SCORING_TASKS else "detection"
+            rows = cli._stat_rows(metrics, task)
+            rows = {row[0]: dict(zip(cli.STAT_COLUMNS, row)) for row in rows}
             assert rows[metric][key] == ""
-            (line,) = cli._format_table("title", {"scheme": metrics})[4:-1]
+            (line,) = cli._format_table("title", {"scheme": metrics}, task)[4:-1]
             mean, std = stat["mean"], stat["std"]
             if mean is None and std is None:
                 assert f"{'n/a':>20}" in line
@@ -978,7 +997,7 @@ class TestFormatTable:
         stats = [dict(zip(STAT_KEYS, (mean, std, 1, 0))) for mean, std in kinds]
         entries = {f"kind{i}": dict.fromkeys(METRIC_NAMES, stat) for i, stat in enumerate(stats)}
         entries["mixed"] = dict(zip(METRIC_NAMES, stats))
-        _, _, header, _, *rows, _ = cli._format_table("title", entries)
+        _, _, header, _, *rows, _ = cli._format_table("title", entries, "detection")
         ends = [header.index(name.capitalize()) + len(name) for name in METRIC_NAMES]
         cells = {"0.800 ± 0.060", "0.500 ± n/a", "n/a ± 0.250", "n/a"}
         assert len(rows) == len(entries)

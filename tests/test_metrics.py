@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -110,6 +111,16 @@ class TestComputeMetrics:
 
 
 class TestAggregate:
+    def test_columns_are_the_record_types_fields(self):
+        class Outcome(NamedTuple):
+            alarm_free: float | None
+            delay: float | None
+
+        summary = aggregate(Counter({Outcome(1.0, None): 2, Outcome(0.0, 4.0): 1}))
+        assert list(summary) == ["alarm_free", "delay"]
+        assert (summary["alarm_free"]["mean"], summary["alarm_free"]["n"]) == (2 / 3, 3)
+        assert summary["delay"] == {"mean": 4.0, "std": 0.0, "n": 1, "skipped": 2}
+
     def test_two_point_pool(self):
         pool = [
             MetricSet(0.6, 0.6, 0.6, 0.6),

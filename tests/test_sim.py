@@ -717,14 +717,26 @@ class TestRunGrid:
         (cell,) = result["cells"].values()
         assert cell["completed"] == 4
 
-    def test_summary_blocks_aggregate_their_own_metric_sets(self):
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("failed", [None, 1], ids=["all-completed", "one-failed"])
+    def test_summary_blocks_aggregate_their_own_metric_sets(
+        self, monkeypatch, pools, threads, failed
+    ):
         # Each entry of summary.json pools the metric sets of its own cells,
-        # scheme, task and agent: cells do not mix, and no severity set
-        # reaches the agents block.
+        # scheme, task and agent: cells do not mix, no severity set reaches
+        # the agents block, and a failed replicate's sets reach no entry.
+        def run(config, cell, replicate_index):
+            if cell.drift_strength == 0.5 and replicate_index == failed:
+                raise ValueError("forced")
+            return run_replicate(config, cell, replicate_index)
+
+        monkeypatch.setattr("driftnet.sim.run_replicate", run)
         config = small_config(grid=dict(drift_strength=(0.2, 0.5)), replicates=3)
         results = []
-        summary = run_grid(config, threads=1, replicate_sink=results.append)
-        assert len(results) == 6
+        summary = run_grid(config, threads=threads, replicate_sink=results.append)
+        completed = [cell["completed"] for cell in summary["cells"].values()]
+        assert completed == ([3, 3] if failed is None else [3, 2])
+        assert len(results) == sum(completed)
 
         def expected(scheme, task, cell=None, center=None):
             records = [r.schemes[scheme] for r in results if cell in (None, r.cell)]
