@@ -232,7 +232,7 @@ class DriftAgent:
                 # Through the module, so that a wrapper installed on
                 # schemes.adaptive_observe sees every update.
                 self.reference = schemes.adaptive_observe(
-                    reference, valid, verdict.p_value, self.config.threshold
+                    reference, valid, verdict.p_value, verdict.drift
                 )
                 self.adaptive_trace.append(
                     {
@@ -256,7 +256,7 @@ class DriftAgent:
         return verdicts
 
     def _verdict(self, index: int, n_valid: int, result) -> DriftVerdict:
-        """Batch `index`'s verdict; without a test result it is unevaluated."""
+        """Batch `index`'s verdict, unevaluated without a result: the one p < threshold test."""
         return DriftVerdict(
             agent_id=self.config.agent_id,
             batch_index=index,

@@ -6,9 +6,9 @@ GlobalRef, SiteRef), a read-only first production window (ProdRef), or,
 for AdaptiveRef, an AdaptiveState whose histogram is blended between the
 global reference and accumulated clean production batches.
 
-AdaptiveRef's settings live in one frozen AdaptiveSettings, checked
-once by the config field table; ReferenceSpec, SimConfig and every
-AdaptiveState share that object.
+AdaptiveRef's settings live in one frozen AdaptiveSettings, checked once
+by the config field table; ReferenceSpec, SimConfig and every AdaptiveState
+share that object. `adaptive_observe` takes drift from the batch's verdict.
 """
 
 from __future__ import annotations
@@ -119,17 +119,16 @@ def initial_adaptive_state(global_eval, spec: ReferenceSpec) -> AdaptiveState:
     )
 
 
-def adaptive_observe(state: AdaptiveState, batch, p_value: float | None, threshold: float) -> AdaptiveState:
+def adaptive_observe(state: AdaptiveState, batch, p_value: float, drift: bool) -> AdaptiveState:
     """Controlled reference update after `batch` has been tested;
-    `p_value` is its verdict's (None when it was not tested).
+    `p_value` and `drift` are its verdict's, which alone decides drift.
 
-    The reference absorbs a batch only when the batch looked clean
-    (p >= threshold) and, under the default "lower" condition, the
-    p-value also dropped below the last accepted one. Drift-positive
-    batches never update the reference, and the global weight never
-    increases. Returns the input state unchanged when no update applies.
+    The reference absorbs a batch only when its verdict called it clean
+    and, under the default "lower" condition, its p-value also dropped
+    below the last accepted one. The global weight never increases.
+    Returns the input state unchanged when no update applies.
     """
-    if p_value is None or p_value < threshold:
+    if drift:
         return state
     settings = state.settings
     if settings.update_condition == "lower" and not p_value < state.last_p_value:

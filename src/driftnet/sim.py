@@ -227,18 +227,15 @@ class SimConfig:
         for i, site_id in enumerate(ids):
             if site_id in ids[:i]:
                 raise ConfigError(f"sites[{i}].site_id", f"duplicate site_id {site_id!r}")
-        # The drift segment must fit every augmented test series (inject_drift's test).
         if any(v > 0 for v in self.grid.drift_strength):
             size = min(s.samples[1].size if s.samples else s.test_size for s in self.sites)
-            n = size + math.ceil(self.augmentation * size)
+            n = size + _augment_count(self.augmentation, size)
             for i, duration in enumerate(self.grid.drift_duration):
-                length = math.ceil(duration * n)
-                if length >= n:
-                    raise ConfigError(
-                        f"grid.drift_duration[{i}]",
-                        f"a drift segment of {length} slots does not fit the shortest "
-                        f"augmented test series ({n} slots)",
-                    )
+                try:
+                    _drift_length(duration, n)
+                except ValueError as exc:
+                    detail = f"{exc}, the shortest augmented test series"
+                    raise ConfigError(f"grid.drift_duration[{i}]", detail) from None
 
     def to_dict(self) -> dict:
         return fields_to_dict(self)
@@ -339,6 +336,19 @@ class SiteSeries:
         return int(self.values.size)
 
 
+def _augment_count(amount: float, n: int) -> int:
+    """How many values `augment` adds to a series of n."""
+    return math.ceil(amount * n)
+
+
+def _drift_length(duration: float, n: int) -> int:
+    """How many slots `inject_drift` overwrites in a series of n, leaving one or more clean."""
+    length = math.ceil(duration * n)
+    if length >= n:
+        raise ValueError(f"drift-exceeds-series: segment of {length} does not fit a series of {n}")
+    return length
+
+
 def augment(series: SiteSeries, amount: float, rng=None) -> SiteSeries:
     """Grow a dense series by ceil(amount * n) resampled values.
 
@@ -354,7 +364,7 @@ def augment(series: SiteSeries, amount: float, rng=None) -> SiteSeries:
     if series.drift_mask.any():
         raise ValueError("drift-already-present: augment must run before injection")
     gen = np.random.default_rng(rng)
-    extra = math.ceil(amount * values.size)
+    extra = _augment_count(amount, values.size)
     out = list(values)
     if extra > 0:
         picks = values[gen.integers(0, values.size, size=extra)]
@@ -380,14 +390,9 @@ def inject_drift(series: SiteSeries, strength: float, duration: float, rng=None)
     values = series.values
     if np.isnan(values).any():
         raise ValueError("null-in-series: injection requires a dense series")
-    n = values.size
-    length = math.ceil(duration * n)
-    if length >= n:
-        raise ValueError(
-            f"drift-exceeds-series: segment of {length} does not fit a series of {n}"
-        )
+    length = _drift_length(duration, values.size)
     gen = np.random.default_rng(rng)
-    start = int(gen.integers(0, n - length + 1))
+    start = int(gen.integers(0, values.size - length + 1))
     center = float(values.mean()) * (1.0 + strength)
     sigma = float(values.std())
     drifted = np.clip(

@@ -19,7 +19,7 @@ from driftnet.agent import (
     webhook_hook,
 )
 from driftnet.config import ConfigError
-from driftnet.schemes import ReferenceSpec, SchemeKind
+from driftnet.schemes import AdaptiveSettings, ReferenceSpec, SchemeKind
 from driftnet.stats import permutation_pvalue
 
 
@@ -315,10 +315,13 @@ class TestWebhookHook:
 
 
 class TestAdaptiveAgent:
-    def config(self):
+    def config(self, **adaptive):
         rng = np.random.default_rng(109)
         spec = ReferenceSpec(
-            kind=SchemeKind.ADAPTIVE_REF, global_eval=rng.beta(2, 5, 400), bins=50
+            kind=SchemeKind.ADAPTIVE_REF,
+            global_eval=rng.beta(2, 5, 400),
+            bins=50,
+            adaptive=AdaptiveSettings(**adaptive),
         )
         return AgentConfig(
             agent_id=AgentId("DS-2", "model-0"),
@@ -345,6 +348,28 @@ class TestAdaptiveAgent:
         by_batch = {v.batch_index: v for v in agent.verdicts if v.evaluated}
         for row in agent.adaptive_trace:
             assert row["p_value"] == by_batch[row["batch_index"]].p_value
+
+    def test_the_verdict_alone_decides_which_windows_update(self):
+        # A stricter drift rule in _verdict must reach the update: under
+        # "always", AdaptiveRef absorbs exactly the windows its verdicts
+        # call clean, including those with p in [threshold / 10, threshold).
+        class StrictAgent(DriftAgent):
+            def _verdict(self, index, n_valid, result):
+                verdict = super()._verdict(index, n_valid, result)
+                threshold = self.config.threshold / 10
+                return verdict._replace(drift=verdict.evaluated and verdict.p_value < threshold)
+
+        config = self.config(update_condition="always")
+        rng = np.random.default_rng(2)
+        stream = np.concatenate((rng.beta(3, 5, 100), rng.uniform(0.9, 0.99, 20), rng.beta(3, 5, 80)))
+        agent = StrictAgent(config)
+        agent.run(stream)
+        trace = agent.adaptive_trace
+        assert len(trace) == 20
+        assert all(row["updated"] == (not row["drift"]) for row in trace)
+        assert any(row["drift"] for row in trace)
+        threshold = config.threshold
+        assert any(threshold / 10 <= row["p_value"] < threshold for row in trace)
 
     @pytest.mark.parametrize("seed", [113, 114])
     def test_verdicts_do_not_depend_on_when_act_is_called(self, seed):

@@ -167,6 +167,7 @@ class TestConfigValidation:
             ([], r"^config: expected an object, got \[\]$"),
             ({"model_id": 5}, r"^model_id: expected a string, got 5$"),
             ({"schemes": []}, r"^schemes: expected a nonempty list, got \[\]$"),
+            ({"sites": [1]}, r"^sites\[0\]: expected an object, got 1$"),
             ({"sites": [{"site_id": "", "reference_size": 9, "test_size": 9}]},
              r"^sites\[0\]\.site_id: must be a nonempty string$"),
         ],
@@ -454,6 +455,22 @@ class TestRun:
         assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
         assert "error: grid.drift_duration[0]: " in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("test_size", [5, 4])
+    def test_drift_fit_boundary(self, tmp_path, capsys, test_size):
+        # A 0.8 drift segment takes ceil(0.8 n) slots: 4 of 5 fit, 4 of 4 do not.
+        site = {"site_id": "S", "reference_size": 4, "test_size": test_size}
+        grid = {"drift_strength": [0.3], "drift_duration": [0.8], "window_fraction": [0.5]}
+        payload = dict(SMALL_CONFIG, augmentation=0.0, grid=grid, sites=[site])
+        out = tmp_path / "run"
+        status = main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)])
+        if test_size == 5:
+            assert status == 0
+            assert json.loads((out / "summary.json").read_text())["failures"] == []
+        else:
+            assert status == 2
+            assert capsys.readouterr().err.startswith("error: grid.drift_duration[0]: ")
+            assert not out.exists()
 
     def test_bootstrap_config_exits_2_before_any_output(self, tmp_path, capsys):
         # Every scheme tests under an exact null; the bootstrap one is gone.

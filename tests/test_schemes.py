@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from driftnet.agent import AgentConfig, AgentId, DriftAgent
 from driftnet.schemes import (
     AdaptiveSettings,
     AdaptiveState,
@@ -147,13 +148,13 @@ class TestAdaptiveObserve:
     def test_drift_positive_batch_never_updates(self):
         state = self.make_state()
         batch = np.random.default_rng(2).random(30)
-        out = adaptive_observe(state, batch, 0.01, threshold=0.05)
+        out = adaptive_observe(state, batch, 0.01, drift=True)
         assert out is state
 
     def test_first_clean_batch_updates_and_decays(self):
         state = self.make_state()
         batch = np.random.default_rng(3).beta(2, 5, 30)
-        out = adaptive_observe(state, batch, 0.6, threshold=0.05)
+        out = adaptive_observe(state, batch, 0.6, drift=False)
         assert out is not state
         assert out.global_weight == pytest.approx(0.9)
         assert out.last_p_value == 0.6
@@ -162,11 +163,11 @@ class TestAdaptiveObserve:
     def test_update_requires_lower_p_than_last_accepted(self):
         state = self.make_state()
         batch = np.random.default_rng(4).beta(2, 5, 30)
-        first = adaptive_observe(state, batch, 0.8, threshold=0.05)
+        first = adaptive_observe(state, batch, 0.8, drift=False)
         assert first is not state
-        second = adaptive_observe(first, batch, 0.9, threshold=0.05)
+        second = adaptive_observe(first, batch, 0.9, drift=False)
         assert second is first
-        third = adaptive_observe(first, batch, 0.7, threshold=0.05)
+        third = adaptive_observe(first, batch, 0.7, drift=False)
         assert third is not first
         assert third.global_weight == pytest.approx(0.8)
 
@@ -175,7 +176,8 @@ class TestAdaptiveObserve:
         rng = np.random.default_rng(5)
         for step in range(6):
             batch = rng.beta(2, 5, 40)
-            state = adaptive_observe(state, batch, 0.9 - 0.1 * step, threshold=0.05)
+            p = 0.9 - 0.1 * step
+            state = adaptive_observe(state, batch, p, drift=p < 0.05)
             center = Histogram(state.center_counts.astype(np.float64))
             expected = blend(state.base, center, state.global_weight)
             assert np.allclose(state.reference.mass, expected.mass, atol=1e-9)
@@ -186,7 +188,7 @@ class TestAdaptiveObserve:
         p = 0.99
         for _ in range(5):
             p -= 0.1
-            state = adaptive_observe(state, rng.beta(2, 5, 25), p, threshold=0.05)
+            state = adaptive_observe(state, rng.beta(2, 5, 25), p, drift=p < 0.05)
         assert state.global_weight == pytest.approx(0.3)
 
     def test_weight_never_increases(self):
@@ -194,18 +196,18 @@ class TestAdaptiveObserve:
         rng = np.random.default_rng(7)
         weights = [state.global_weight]
         p_values = rng.random(40)
-        for p in p_values:
-            state = adaptive_observe(state, rng.beta(2, 5, 20), float(p), threshold=0.05)
+        for p in p_values.tolist():
+            state = adaptive_observe(state, rng.beta(2, 5, 20), p, drift=p < 0.05)
             weights.append(state.global_weight)
         assert all(b <= a for a, b in zip(weights, weights[1:]))
 
     def test_always_when_clean_ignores_direction(self):
         state = self.make_state(update_condition="always")
         batch = np.random.default_rng(8).beta(2, 5, 30)
-        first = adaptive_observe(state, batch, 0.5, threshold=0.05)
-        second = adaptive_observe(first, batch, 0.9, threshold=0.05)
+        first = adaptive_observe(state, batch, 0.5, drift=False)
+        second = adaptive_observe(first, batch, 0.9, drift=False)
         assert second is not first
-        third = adaptive_observe(second, batch, 0.01, threshold=0.05)
+        third = adaptive_observe(second, batch, 0.01, drift=True)
         assert third is second
 
     def test_center_window_keeps_recent_batches_only(self):
@@ -215,16 +217,24 @@ class TestAdaptiveObserve:
         p = 0.9
         for batch in (low, low, high, high):
             p -= 0.1
-            state = adaptive_observe(state, batch, p, threshold=0.05)
+            state = adaptive_observe(state, batch, p, drift=p < 0.05)
         # Only the last two (high) batches should remain in the center.
         assert state.center_counts.sum() == 60
         assert state.center_counts[:10].sum() == 0
         assert state.center_counts[10:].sum() == 60
 
-    def test_unevaluated_verdict_is_ignored(self):
-        state = self.make_state()
-        out = adaptive_observe(state, np.array([0.5, 0.6]), None, threshold=0.05)
-        assert out is state
+    def test_untested_window_leaves_the_reference(self):
+        # A window below min_valid has no verdict to update on: the agent
+        # keeps its state object and writes no trace row.
+        spec = global_spec(SchemeKind.ADAPTIVE_REF, bins=20, update_condition="always")
+        config = AgentConfig(AgentId("DS-0", "model-0"), spec, window_size=10, min_valid=5)
+        agent = DriftAgent(config)
+        agent.run(np.random.default_rng(9).beta(2, 5, 10))
+        state, rows = agent.reference, len(agent.adaptive_trace)
+        agent.run([0.3, 0.4, 0.5, 0.6] + [None] * 6)
+        assert not agent.verdicts[-1].evaluated
+        assert agent.reference is state
+        assert len(agent.adaptive_trace) == rows == 1
 
 
 class TestBinningRule:
@@ -253,7 +263,7 @@ class TestBinningRule:
             spec = ReferenceSpec(kind=SchemeKind.ADAPTIVE_REF, global_eval=sample, bins=bins)
             state = initial_adaptive_state(sample, spec)
             assert state.base.mass.tobytes() == Histogram(expected.astype(np.float64)).mass.tobytes()
-            updated = adaptive_observe(state, sample, 0.5, threshold=0.05)
+            updated = adaptive_observe(state, sample, 0.5, drift=False)
             assert updated.center_counts.tolist() == expected.tolist()
             if sample.size >= 2:
                 # The tested batch is binned by the same rule: against its own
@@ -268,7 +278,7 @@ class TestAdaptiveReference:
         state = make_reference(spec)
         batch = np.random.default_rng(10).beta(2, 5, 30)
         # An update is a new state; no update hands back the same object.
-        updated = adaptive_observe(state, batch, 0.6, threshold=0.05)
+        updated = adaptive_observe(state, batch, 0.6, drift=False)
         assert updated is not state
         assert updated.reference is not state.reference
-        assert adaptive_observe(updated, batch, 0.01, threshold=0.05) is updated
+        assert adaptive_observe(updated, batch, 0.01, drift=True) is updated
