@@ -144,10 +144,10 @@ class DriftAgent:
     reference update, so the verdicts depend on the observations alone.
 
     `reference` is the read-only sample a window is tested against, or
-    for AdaptiveRef the current AdaptiveState; ProdRef holds None until
-    it freezes its first window with 2 valid values. Both nulls are
-    exact, so the agent draws nothing: `rng` is unused, kept because
-    perfbench/run.py passes it.
+    for AdaptiveRef the current AdaptiveState, whose `updates` counts the
+    windows it absorbed; ProdRef holds None until it freezes its first
+    window with 2 valid values. Both nulls are exact, so the agent draws
+    nothing: `rng` is unused, kept because perfbench/run.py passes it.
 
     The agent reads `window_size` and `min_valid` from its config once, at
     construction.
@@ -163,7 +163,6 @@ class DriftAgent:
         self.batch_index = 0
         self.verdicts: list[DriftVerdict] = []
         self.hook_failures: list[tuple[int, str]] = []
-        self.adaptive_trace: list[dict] = []
         self.consumed_batch: int | None = None
         self._buffer: list[float] = []
         self.reference = make_reference(config.scheme)
@@ -233,15 +232,6 @@ class DriftAgent:
                 # schemes.adaptive_observe sees every update.
                 self.reference = schemes.adaptive_observe(
                     reference, valid, verdict.p_value, verdict.drift
-                )
-                self.adaptive_trace.append(
-                    {
-                        "batch_index": index,
-                        "p_value": verdict.p_value,
-                        "drift": verdict.drift,
-                        "updated": self.reference is not reference,
-                        "global_weight": self.reference.global_weight,
-                    }
                 )
                 verdicts.append(verdict)
             else:

@@ -95,7 +95,8 @@ class AdaptiveState:
 
     `reference` is always the blend of `base` with the normalised
     accumulated center counts at the current `global_weight`, except
-    before the first accepted batch, when it is `base` itself.
+    before the first accepted batch, when it is `base` itself. `updates`
+    counts the batches absorbed so far.
     """
 
     base: Histogram
@@ -105,6 +106,7 @@ class AdaptiveState:
     last_p_value: float
     settings: AdaptiveSettings
     recent_counts: tuple = ()
+    updates: int = 0
 
 
 def initial_adaptive_state(global_eval, spec: ReferenceSpec) -> AdaptiveState:
@@ -126,7 +128,8 @@ def adaptive_observe(state: AdaptiveState, batch, p_value: float, drift: bool) -
     The reference absorbs a batch only when its verdict called it clean
     and, under the default "lower" condition, its p-value also dropped
     below the last accepted one. The global weight never increases.
-    Returns the input state unchanged when no update applies.
+    Returns the input state unchanged when no update applies, and
+    otherwise a new state whose `updates` is one higher.
     """
     if drift:
         return state
@@ -150,6 +153,7 @@ def adaptive_observe(state: AdaptiveState, batch, p_value: float, drift: bool) -
         reference=reference,
         last_p_value=p_value,
         recent_counts=recent,
+        updates=state.updates + 1,
     )
 
 

@@ -475,7 +475,7 @@ class AgentRunRecord:
     verdicts: list[DriftVerdict]
     truth: list[int]
     detection: ConfusionCounts
-    adaptive_trace: list[dict]
+    adaptive_updates: int | None  # batches AdaptiveRef absorbed; None for other schemes
     hook_failures: list
 
 
@@ -538,7 +538,9 @@ def _run_scheme(
                 verdicts=agent.verdicts,
                 truth=truth,
                 detection=detection,
-                adaptive_trace=agent.adaptive_trace,
+                adaptive_updates=(
+                    agent.reference.updates if scheme is SchemeKind.ADAPTIVE_REF else None
+                ),
                 hook_failures=agent.hook_failures,
             )
         )

@@ -32,6 +32,7 @@ from driftnet import (
     permutation_pvalue,
     run_grid,
     run_replicate,
+    schemes,
 )
 from driftnet.cli import main
 from driftnet.sim import enumerate_cells
@@ -48,9 +49,12 @@ MULTI_CENTER = ("GlobalRef", "SiteRef", "ProdRef", "AdaptiveRef")
 def campaign():
     """One 100-replicate campaign over drift strengths 0.2 / 0.3 / 0.5.
 
-    Returns run_grid's summary dict, every AdaptiveRef trace row seen during
-    the run, and the wall time. All headline-outcome tests read from
-    this single run so the expensive part executes once.
+    Returns run_grid's summary dict, one audit row per AdaptiveRef update
+    call seen during the run, every AdaptiveRef agent's update count, and
+    the wall time. The campaign runs at 1 worker, in this process, so the
+    wrapper on driftnet.schemes.adaptive_observe sees every call. All
+    headline-outcome tests read from this single run so the expensive part
+    executes once.
     """
     config = SimConfig(
         replicates=100,
@@ -60,19 +64,33 @@ def campaign():
             "window_fraction": (0.10,),
         },
     )
-    traces = []
+    calls, counts = [], []
+    observe = schemes.adaptive_observe
+
+    def audit(state, batch, p_value, drift):
+        new = observe(state, batch, p_value, drift)
+        calls.append(
+            {
+                "drift": drift,
+                "updated": new is not state,
+                "weight_before": state.global_weight,
+                "global_weight": new.global_weight,
+                "counted": new.updates - state.updates,
+            }
+        )
+        return new
 
     def sink(result):
         record = result.schemes.get("AdaptiveRef")
         if record is not None:
-            for agent in record.agents:
-                if agent.adaptive_trace:
-                    traces.append(agent.adaptive_trace)
+            counts.extend(agent.adaptive_updates for agent in record.agents)
 
-    start = time.monotonic()
-    result = run_grid(config, threads=1, replicate_sink=sink)
-    elapsed = time.monotonic() - start
-    return {"result": result, "traces": traces, "elapsed": elapsed}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schemes, "adaptive_observe", audit)
+        start = time.monotonic()
+        result = run_grid(config, threads=1, replicate_sink=sink)
+        elapsed = time.monotonic() - start
+    return {"result": result, "calls": calls, "counts": counts, "elapsed": elapsed}
 
 
 def f1_by_strength(result):
@@ -211,27 +229,26 @@ def test_reference_blend_preserves_mass_and_convexity():
 
 
 def test_adaptive_updates_only_on_clean_batches(campaign):
-    # Audit every AdaptiveRef trace from the campaign: a batch judged
-    # drifted must never update the reference, and the global blend
-    # weight must only move downward.
-    traces = campaign["traces"]
-    assert traces, "campaign produced no adaptive traces"
-    rows = drift_rows = update_rows = 0
-    for trace in traces:
-        last_weight = 1.0
-        for row in trace:
-            rows += 1
-            drift_rows += int(row["drift"])
-            update_rows += int(row["updated"])
-            assert not (row["drift"] and row["updated"]), (
-                f"reference updated on a drifted batch: {row}"
-            )
-            assert row["global_weight"] <= last_weight + 1e-12
-            assert 0.1 - 1e-12 <= row["global_weight"] <= 1.0
-            last_weight = row["global_weight"]
+    # Audit every AdaptiveRef update call of the campaign: a batch judged
+    # drifted must never update the reference, the global blend weight
+    # must only move downward, and each agent's update count must count
+    # exactly the calls that replaced its state.
+    calls = campaign["calls"]
+    assert calls, "campaign made no adaptive update calls"
+    drift_rows = update_rows = 0
+    for row in calls:
+        drift_rows += int(row["drift"])
+        update_rows += int(row["updated"])
+        assert not (row["drift"] and row["updated"]), (
+            f"reference updated on a drifted batch: {row}"
+        )
+        assert row["global_weight"] <= row["weight_before"] + 1e-12
+        assert 0.1 - 1e-12 <= row["global_weight"] <= 1.0
+        assert row["counted"] == int(row["updated"])
+    assert sum(campaign["counts"]) == update_rows
     assert drift_rows > 0 and update_rows > 0, "audit would be vacuous"
     print(
-        f"PASS adaptive-discipline: {rows} trace rows, "
+        f"PASS adaptive-discipline: {len(calls)} update calls, "
         f"{drift_rows} drifted, {update_rows} updates, none overlapping"
     )
 

@@ -10,6 +10,7 @@ import threading
 import numpy as np
 import pytest
 
+from driftnet import schemes
 from driftnet.agent import (
     AgentConfig,
     AgentId,
@@ -19,7 +20,7 @@ from driftnet.agent import (
     webhook_hook,
 )
 from driftnet.config import ConfigError
-from driftnet.schemes import AdaptiveSettings, ReferenceSpec, SchemeKind
+from driftnet.schemes import AdaptiveSettings, AdaptiveState, ReferenceSpec, SchemeKind
 from driftnet.stats import permutation_pvalue
 
 
@@ -34,6 +35,54 @@ def site_ref_config(window_size=10, **kwargs):
     )
     defaults.update(kwargs)
     return AgentConfig(**defaults)
+
+
+def reference_state(reference):
+    """A sample reference's bytes, or an AdaptiveState's update count,
+    global weight, last accepted p-value and mass bytes."""
+    if isinstance(reference, AdaptiveState):
+        return (
+            reference.updates,
+            reference.global_weight,
+            reference.last_p_value,
+            reference.reference.mass.tobytes(),
+        )
+    return None if reference is None else reference.tobytes()
+
+
+@pytest.fixture
+def observe_calls(monkeypatch):
+    """Every schemes.adaptive_observe call, as (state, p_value, drift, new state).
+    The agent calls the update through the module, so the wrapper sees each one."""
+    calls = []
+    observe = schemes.adaptive_observe
+
+    def wrapper(state, batch, p_value, drift):
+        new = observe(state, batch, p_value, drift)
+        calls.append((state, p_value, drift, new))
+        return new
+
+    monkeypatch.setattr(schemes, "adaptive_observe", wrapper)
+    return calls
+
+
+def assert_update_discipline(calls, verdicts, final, always=False):
+    """One AdaptiveRef agent's updates, window by window: one call per tested
+    verdict with its p-value and flag, each on the state the last one left; a
+    drifted window never replaces the state; the global weight never rises;
+    under "always", a window updates exactly when its verdict is clean; and
+    the final state's `updates` counts the windows that replaced the state."""
+    tested = [v for v in verdicts if v.evaluated]
+    assert [(p, drift) for _, p, drift, _ in calls] == [(v.p_value, v.drift) for v in tested]
+    assert [new for *_, new in calls[:-1]] == [state for state, *_ in calls[1:]]
+    assert calls and calls[-1][3] is final
+    for state, _, drift, new in calls:
+        updated = new is not state
+        assert not (drift and updated)
+        assert new.global_weight <= state.global_weight
+        if always:
+            assert updated == (not drift)
+    assert final.updates == sum(new is not state for state, *_, new in calls)
 
 
 def feed(agent, stream):
@@ -330,26 +379,17 @@ class TestAdaptiveAgent:
             permutations=200,
         )
 
-    def test_trace_rows_and_update_discipline(self):
-        rng = np.random.default_rng(110)
-        agent = DriftAgent(self.config(), rng=rng)
-        stream = list(rng.beta(2, 5, 40)) + list(rng.uniform(0.9, 0.99, 10))
-        feed(agent, stream)
-        assert len(agent.adaptive_trace) == sum(v.evaluated for v in agent.verdicts)
-        for row in agent.adaptive_trace:
-            assert not (row["drift"] and row["updated"])
-        weights = [row["global_weight"] for row in agent.adaptive_trace]
-        assert all(b <= a for a, b in zip(weights, weights[1:]))
+    def test_trace_rows_and_update_discipline(self, observe_calls):
+        for center_window in (None, 2):
+            observe_calls.clear()
+            rng = np.random.default_rng(110)
+            agent = DriftAgent(self.config(center_window=center_window), rng=rng)
+            stream = list(rng.beta(2, 5, 40)) + list(rng.uniform(0.9, 0.99, 10))
+            feed(agent, stream)
+            assert_update_discipline(observe_calls, agent.verdicts, agent.reference)
+            assert agent.reference.updates >= 1
 
-    def test_trace_matches_verdicts(self):
-        rng = np.random.default_rng(111)
-        agent = DriftAgent(self.config(), rng=rng)
-        feed(agent, rng.beta(2, 5, 50))
-        by_batch = {v.batch_index: v for v in agent.verdicts if v.evaluated}
-        for row in agent.adaptive_trace:
-            assert row["p_value"] == by_batch[row["batch_index"]].p_value
-
-    def test_the_verdict_alone_decides_which_windows_update(self):
+    def test_the_verdict_alone_decides_which_windows_update(self, observe_calls):
         # A stricter drift rule in _verdict must reach the update: under
         # "always", AdaptiveRef absorbs exactly the windows its verdicts
         # call clean, including those with p in [threshold / 10, threshold).
@@ -359,35 +399,38 @@ class TestAdaptiveAgent:
                 threshold = self.config.threshold / 10
                 return verdict._replace(drift=verdict.evaluated and verdict.p_value < threshold)
 
-        config = self.config(update_condition="always")
         rng = np.random.default_rng(2)
         stream = np.concatenate((rng.beta(3, 5, 100), rng.uniform(0.9, 0.99, 20), rng.beta(3, 5, 80)))
-        agent = StrictAgent(config)
-        agent.run(stream)
-        trace = agent.adaptive_trace
-        assert len(trace) == 20
-        assert all(row["updated"] == (not row["drift"]) for row in trace)
-        assert any(row["drift"] for row in trace)
-        threshold = config.threshold
-        assert any(threshold / 10 <= row["p_value"] < threshold for row in trace)
+        for center_window in (None, 2):
+            observe_calls.clear()
+            config = self.config(update_condition="always", center_window=center_window)
+            agent = StrictAgent(config)
+            agent.run(stream)
+            assert len(observe_calls) == 20
+            assert_update_discipline(observe_calls, agent.verdicts, agent.reference, always=True)
+            assert any(drift for _, _, drift, _ in observe_calls)
+            threshold = config.threshold
+            assert any(threshold / 10 <= p < threshold for _, p, _, _ in observe_calls)
 
     @pytest.mark.parametrize("seed", [113, 114])
-    def test_verdicts_do_not_depend_on_when_act_is_called(self, seed):
+    def test_verdicts_do_not_depend_on_when_act_is_called(self, seed, observe_calls):
         # The evaluator applies each update, so acting on every verdict,
         # acting late, never acting and run() give one set of bytes.
         stream = np.random.default_rng(seed).beta(2, 5, 300).tolist()
 
-        def exact(verdicts, trace):
+        def exact(verdicts, state):
+            assert_update_discipline(observe_calls, verdicts, state)
+            observe_calls.clear()
             return (
                 [
                     (v.batch_index, v.n_valid, v.statistic.hex(), v.p_value.hex(), v.drift)
                     for v in verdicts
                 ],
-                [{k: x.hex() if isinstance(x, float) else x for k, x in row.items()} for row in trace],
+                reference_state(state),
             )
 
-        def fed(when):
-            agent = DriftAgent(self.config())
+        def fed(when, center_window):
+            agent = DriftAgent(self.config(center_window=center_window))
             verdicts = []
             for observation in stream:
                 verdict = agent.ingest(observation)
@@ -398,16 +441,18 @@ class TestAdaptiveAgent:
             if when == "after":
                 for verdict in verdicts:
                     agent.act(verdict)
-            return exact(verdicts, agent.adaptive_trace)
+            return exact(verdicts, agent.reference)
 
-        ran = DriftAgent(self.config())
-        ran.run(stream)
-        acted = fed("each")
-        assert sum(row["updated"] for row in ran.adaptive_trace) >= 2
-        assert len(acted[0]) == 30 and len(acted[1]) == 30
-        assert fed("after") == acted
-        assert fed("never") == acted
-        assert exact(ran.verdicts, ran.adaptive_trace) == acted
+        for center_window in (None, 2):
+            ran = DriftAgent(self.config(center_window=center_window))
+            ran.run(stream)
+            assert ran.reference.updates >= 2
+            ran_bytes = exact(ran.verdicts, ran.reference)
+            acted = fed("each", center_window)
+            assert len(acted[0]) == 30
+            assert fed("after", center_window) == acted
+            assert fed("never", center_window) == acted
+            assert ran_bytes == acted
 
 
 class TestDeterminism:
@@ -442,7 +487,7 @@ def agent_state(agent):
         agent.batch_index,
         agent.consumed_batch,
         np.asarray(agent._buffer).tobytes(),
-        agent.adaptive_trace,
+        reference_state(agent.reference),
     )
 
 

@@ -159,6 +159,7 @@ class TestAdaptiveObserve:
         assert out.global_weight == pytest.approx(0.9)
         assert out.last_p_value == 0.6
         assert out.center_counts.sum() == 30
+        assert (state.updates, out.updates) == (0, 1)
 
     def test_update_requires_lower_p_than_last_accepted(self):
         state = self.make_state()
@@ -170,6 +171,7 @@ class TestAdaptiveObserve:
         third = adaptive_observe(first, batch, 0.7, drift=False)
         assert third is not first
         assert third.global_weight == pytest.approx(0.8)
+        assert third.updates == 2
 
     def test_reference_equals_blend_identity(self):
         state = self.make_state()
@@ -225,16 +227,17 @@ class TestAdaptiveObserve:
 
     def test_untested_window_leaves_the_reference(self):
         # A window below min_valid has no verdict to update on: the agent
-        # keeps its state object and writes no trace row.
+        # keeps its state object, whose update count stays as it was.
         spec = global_spec(SchemeKind.ADAPTIVE_REF, bins=20, update_condition="always")
         config = AgentConfig(AgentId("DS-0", "model-0"), spec, window_size=10, min_valid=5)
         agent = DriftAgent(config)
         agent.run(np.random.default_rng(9).beta(2, 5, 10))
-        state, rows = agent.reference, len(agent.adaptive_trace)
+        state = agent.reference
+        assert state.updates == 1
         agent.run([0.3, 0.4, 0.5, 0.6] + [None] * 6)
         assert not agent.verdicts[-1].evaluated
         assert agent.reference is state
-        assert len(agent.adaptive_trace) == rows == 1
+        assert state.updates == 1
 
 
 class TestBinningRule:

@@ -139,6 +139,10 @@ class TestSiteSeries:
         with pytest.raises(ValueError, match="invalid-mask: null slots"):
             SiteSeries("S", np.array([0.5, np.nan]), np.array([0, 1]))
 
+    def test_mask_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="batch-misalignment: values and drift_mask"):
+            SiteSeries("S", np.array([0.5, 0.6]), np.array([0]))
+
     def test_binary_mask_accepted(self):
         series = SiteSeries("S", np.array([0.5, 0.6, np.nan]), [1, 0, 0])
         assert series.drift_mask.tolist() == [1, 0, 0]
@@ -224,6 +228,11 @@ class TestInjectDrift:
         with pytest.raises(ValueError, match="invalid-duration"):
             inject_drift(series, 0.3, 1.0, np.random.default_rng(19))
 
+    def test_rejects_null_values(self):
+        series = SiteSeries("S", np.array([0.5, np.nan, 0.7]), np.zeros(3, dtype=np.int8))
+        with pytest.raises(ValueError, match="null-in-series: injection"):
+            inject_drift(series, 0.3, 0.3, np.random.default_rng(19))
+
 
 class TestPadSparsity:
     def test_equalizes_lengths_with_nulls(self):
@@ -258,6 +267,10 @@ class TestPadSparsity:
         assert np.array_equal(out[0].values, a.values)
         assert np.array_equal(out[1].values, b.values)
 
+    def test_no_series_rejected(self):
+        with pytest.raises(ValueError, match="no-agents: nothing to pad"):
+            pad_sparsity([], np.random.default_rng(33))
+
 
 class TestInterleave:
     def test_round_robin_order(self):
@@ -278,6 +291,10 @@ class TestInterleave:
         b = clean_series(6, site_id="B")
         with pytest.raises(ValueError, match="batch-misalignment"):
             interleave_sites([a, b])
+
+    def test_no_series_rejected(self):
+        with pytest.raises(ValueError, match="no-agents: nothing to interleave"):
+            interleave_sites([])
 
 
 class TestWindowTruthLabels:
@@ -486,7 +503,7 @@ class TestRunReplicate:
         config = SimConfig(schemes=["AdaptiveRef"])
         result = run_replicate(config, GridCell(0.3, 0.3, 0.10), 0)
         updates = {
-            agent.center: sum(row["updated"] for row in agent.adaptive_trace)
+            agent.center: agent.adaptive_updates
             for agent in result.schemes["AdaptiveRef"].agents
         }
         assert updates == {"DS-0": 2, "DS-1": 3, "DS-2": 3, "DS-3": 0}
